@@ -37,7 +37,6 @@ class RunAccounting:
     q_applications: int = 0
     grover_oracle_calls: int = 0
     linear_steps: int = 0
-    diffusion_simulations: int = 0
 
 
 @dataclass(frozen=True)
@@ -220,25 +219,25 @@ def make_mc_estimator(trials: int, rng_seed: int) -> Estimator:
         sub = instance.without_edges(removal)
         est = mc_influence(sub, trials, seq)
         accounting.mc_trials += trials
-        accounting.diffusion_simulations += trials
         return est
 
     return estimator
 
 
 def make_qae_estimator(epsilon: float, rng_seed: int, mode: str = "statevector") -> Estimator:
-    from .qae import qae_influence
+    from . import qae
 
     state = {"calls": 0}
 
     def estimator(instance, removal, accounting):
         seq = _spawned_seed(rng_seed, state["calls"])
         state["calls"] += 1
-        est = qae_influence(
+        est = qae.qae_influence(
             instance, removal, epsilon=epsilon, rng_seed=seq, mode=mode
         )
         accounting.q_applications += est.trials_or_calls
-        accounting.a_applications += 2 * est.trials_or_calls + 3
+        # each repetition applies A 2q + 1 times for its q applications of Q
+        accounting.a_applications += 2 * est.trials_or_calls + qae.QPE_REPETITIONS
         return est
 
     return estimator

@@ -49,17 +49,6 @@ def _padded_size(n_items: int) -> int:
     return n
 
 
-def grover_success_probability(
-    n_items: int, n_marked: int, iterations: int, backend: str = "analytic"
-) -> float:
-    """Success probability after the given number of Grover iterations."""
-    n_padded = _padded_size(n_items)
-    if backend == "analytic":
-        theta = asin(sqrt(n_marked / n_padded))
-        return sin((2 * iterations + 1) * theta) ** 2
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def _statevector_distribution(
     n_padded: int, marked_mask: np.ndarray, iterations: int
 ) -> np.ndarray:

@@ -69,10 +69,6 @@ class Graph:
             adj.setdefault(e.src, []).append(k)
         self._adjacency = adj
 
-    @property
-    def adjacency(self) -> dict[int, list[int]]:
-        return self._adjacency
-
     def out_edges(self, node: int) -> list[int]:
         return self._adjacency.get(node, [])
 
@@ -194,7 +190,11 @@ def parse_instance(text: str) -> ProblemInstance:
         except ValueError:
             if token not in names:
                 used = set(names.values())
-                idx = next(k for k in range(node_count) if k not in used)
+                idx = next((k for k in range(node_count) if k not in used), None)
+                if idx is None:
+                    raise ParseError(
+                        lineno, f"node name {token!r} exceeds 'nodes {node_count}'"
+                    )
                 names[token] = idx
             return names[token]
         if not (0 <= idx < node_count):

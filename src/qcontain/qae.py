@@ -8,10 +8,16 @@ plane, and canonical phase estimation on Q reads theta off the m-qubit grid.
 
 Two interchangeable modes:
 
-* ``statevector`` -- full simulation on the edge+ancilla+evaluation register.
+* ``statevector`` -- simulates phase estimation on the edge+ancilla system
+  register. The evaluation register only controls Q, so the state before the
+  inverse QFT is built directly as a block of M = 2^m rows Q^y|psi>/sqrt(M)
+  instead of running the controlled-Q ladder. The block holds as many
+  amplitudes as the full s+m qubit register, so evaluation qubits still count
+  toward the qubit cap.
 * ``analytic`` -- computes a exactly with the live-edge oracle and samples
   the phase-estimation outcome from its closed-form distribution; identical
-  output contract, no statevector, so it scales past the qubit cap.
+  output contract, no statevector, so it is not bound by the qubit cap, only
+  by the exact oracle's edge cap.
 """
 from __future__ import annotations
 
@@ -103,33 +109,24 @@ def apply_a(state: np.ndarray, spec: AOperatorSpec, adjoint: bool = False) -> np
     return state
 
 
-def build_q_operator(spec: AOperatorSpec):
-    """The amplitude-amplification operator Q as a function on states.
+def build_q_operator(spec: AOperatorSpec, psi: np.ndarray | None = None):
+    """The amplitude-amplification operator Q as a function on system states.
 
     Q = (2|psi><psi| - I) S_f with |psi> = A|0>, i.e. the sign convention
     under which Q has eigenvalues e^{+-2i theta} and phase estimation reads
-    theta/pi directly. ``control`` restricts the action to basis states where
-    that qubit is 1 (used for the phase-estimation ladder).
+    theta/pi directly. A (2|0><0| - I) A^dagger is the reflection about psi,
+    so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A. ``psi``
+    defaults to A|0>; pass it when it is already computed.
     """
-    system_mask = (1 << spec.n_qubits) - 1
-    ancilla_bit = 1 << spec.ancilla
+    if psi is None:
+        psi = apply_a(qsim.init_state(spec.n_qubits), spec)
+    # the ancilla is the top qubit, so S_f flips the upper half of the state
+    good = 1 << spec.ancilla
 
-    def cond(mask_fn, control):
-        def pred(indices: np.ndarray) -> np.ndarray:
-            m = mask_fn(indices)
-            if control is not None:
-                m = m & (((indices >> control) & 1) == 1)
-            return m
-
-        return pred
-
-    def apply_q(state: np.ndarray, control: int | None = None) -> np.ndarray:
-        # S_f: flip the sign of ancilla=1 states
-        state = qsim.phase_flip_if(state, cond(lambda ix: (ix & ancilla_bit) != 0, control))
-        state = apply_a(state, spec, adjoint=True)
-        # 2|0><0| - I on the system register: flip everything except |0...0>
-        state = qsim.phase_flip_if(state, cond(lambda ix: (ix & system_mask) != 0, control))
-        return apply_a(state, spec)
+    def apply_q(state: np.ndarray) -> np.ndarray:
+        flipped = state.copy()
+        flipped[good:] *= -1
+        return 2 * np.vdot(psi, flipped) * psi - flipped
 
     return apply_q
 
@@ -160,23 +157,29 @@ def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
 
 
 def _statevector_qpe_distribution(spec: AOperatorSpec, m: int, max_qubits: int) -> np.ndarray:
+    """Phase-estimation readout distribution, evaluated in blocks.
+
+    The evaluation register only controls Q, so before the inverse QFT the
+    state is sum_y |y> Q^y |psi> / sqrt(M). Row y of the (M, 2^s) block holds
+    Q^y psi / sqrt(M); the inverse DFT runs down the rows. The block holds the
+    same 2^(s+m) amplitudes as the full register, hence the s + m qubit cap.
+    """
     s = spec.n_qubits
     n = s + m
     if n > max_qubits:
         raise ValueError(
             f"phase estimation needs {n} qubits (> cap {max_qubits}); use analytic mode"
         )
-    apply_q = build_q_operator(spec)
-    state = qsim.init_state(n)
-    state = apply_a(state, spec)
-    eval_register = list(range(s, s + m))
-    for q in eval_register:
-        state = qsim.apply_h(state, q)
-    for j, q in enumerate(eval_register):
-        for _ in range(1 << j):
-            state = apply_q(state, control=q)
-    state = qsim.inverse_qft(state, eval_register)
-    return qsim.register_distribution(state, eval_register)
+    psi = apply_a(qsim.init_state(s), spec)
+    apply_q = build_q_operator(spec, psi)
+    dim = 1 << m
+    block = np.empty((dim, len(psi)), dtype=complex)
+    block[0] = psi / sqrt(dim)
+    for y in range(1, dim):
+        block[y] = apply_q(block[y - 1])
+    # numpy's forward FFT has the inverse QFT's sign, exp(-2 pi i k y / M)
+    block = np.fft.fft(block, axis=0) / sqrt(dim)
+    return np.sum(np.abs(block) ** 2, axis=1)
 
 
 def qae_estimate(

@@ -35,22 +35,12 @@ def init_state(n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     return state
 
 
-def _control_filter(indices: np.ndarray, control: int | None) -> np.ndarray:
-    if control is None:
-        return indices
-    return indices[((indices >> control) & 1) == 1]
-
-
-def _apply_1q(
-    state: np.ndarray, qubit: int, matrix: np.ndarray, control: int | None = None
-) -> np.ndarray:
+def _apply_1q(state: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
     n = n_qubits_of(state)
-    if not (0 <= qubit < n) or (control is not None and not (0 <= control < n)):
+    if not (0 <= qubit < n):
         raise ValueError("qubit index out of range")
-    if control == qubit:
-        raise ValueError("control equals target")
     idx = np.arange(len(state))
-    i0 = _control_filter(idx[((idx >> qubit) & 1) == 0], control)
+    i0 = idx[((idx >> qubit) & 1) == 0]
     i1 = i0 | (1 << qubit)
     out = state.copy()
     a0, a1 = state[i0], state[i1]
@@ -63,12 +53,12 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def apply_h(state: np.ndarray, qubit: int, control: int | None = None) -> np.ndarray:
-    return _apply_1q(state, qubit, _H, control)
+def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
+    return _apply_1q(state, qubit, _H)
 
 
-def apply_x(state: np.ndarray, qubit: int, control: int | None = None) -> np.ndarray:
-    return _apply_1q(state, qubit, _X, control)
+def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
+    return _apply_1q(state, qubit, _X)
 
 
 def ry_matrix(angle: float) -> np.ndarray:
@@ -76,17 +66,14 @@ def ry_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def apply_ry(
-    state: np.ndarray, qubit: int, angle: float, control: int | None = None
-) -> np.ndarray:
-    return _apply_1q(state, qubit, ry_matrix(angle), control)
+def apply_ry(state: np.ndarray, qubit: int, angle: float) -> np.ndarray:
+    return _apply_1q(state, qubit, ry_matrix(angle))
 
 
 def apply_ry_indexed(
     state: np.ndarray,
     qubit: int,
     angle_of_index: Callable[[np.ndarray], np.ndarray],
-    control: int | None = None,
 ) -> np.ndarray:
     """Ry on ``qubit`` with the angle computed per basis index.
 
@@ -97,7 +84,7 @@ def apply_ry_indexed(
     if not (0 <= qubit < n):
         raise ValueError("qubit index out of range")
     idx = np.arange(len(state))
-    i0 = _control_filter(idx[((idx >> qubit) & 1) == 0], control)
+    i0 = idx[((idx >> qubit) & 1) == 0]
     i1 = i0 | (1 << qubit)
     theta = np.asarray(angle_of_index(i0), dtype=float)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -187,9 +174,3 @@ def register_distribution(state: np.ndarray, register: Sequence[int] | None = No
     for j, q in enumerate(register):
         y |= ((idx >> q) & 1) << j
     return np.bincount(y, weights=probs, minlength=1 << len(register))
-
-
-def sample_index(state: np.ndarray, rng: np.random.Generator) -> int:
-    probs = np.abs(state) ** 2
-    probs /= probs.sum()
-    return int(rng.choice(len(state), p=probs))

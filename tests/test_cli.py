@@ -172,6 +172,14 @@ class TestBenchmarks:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_more_names_than_nodes_exits_2(tmp_path, capsys):
+    path = tmp_path / "names.txt"
+    path.write_text("nodes 2\na b 0.5 0.3\nb c 0.5 0.3\nseeds a\nlambda 1.0\n")
+    code, _, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 2
+    assert err.startswith("error: line 3:")
+
+
 def test_missing_instance_file(capsys):
     code, _, err = run(["estimate", "--instance", "/nonexistent", "--method", "exact"], capsys)
     assert code == 1

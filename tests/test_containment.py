@@ -7,6 +7,7 @@ from qcontain.containment import (
     linear_finder,
     make_exact_estimator,
     make_mc_estimator,
+    make_qae_estimator,
     objective,
     operational_impact,
 )
@@ -149,6 +150,17 @@ class TestGreedy:
     def test_negative_k_max(self, star):
         with pytest.raises(ValueError):
             greedy_contain(star, make_exact_estimator(), linear_finder, k_max=-1)
+
+
+def test_qae_a_applications_follow_repetitions(monkeypatch, single_edge):
+    from qcontain import qae
+
+    monkeypatch.setattr(qae, "QPE_REPETITIONS", 5)
+    acc = RunAccounting()
+    est = make_qae_estimator(0.2, rng_seed=0, mode="analytic")(single_edge, (), acc)
+    q = (1 << qae.evaluation_qubits_for(0.2)) - 1
+    assert est.trials_or_calls == acc.q_applications == 5 * q
+    assert acc.a_applications == 5 * (2 * q + 1)
 
 
 def test_accounting_defaults_zero():

@@ -56,6 +56,11 @@ class TestParse:
         assert len(inst.graph.edges) == 1
         assert len(inst.seeds) == 1
 
+    def test_more_names_than_nodes(self):
+        text = "nodes 2\na b 0.5 0.3\nb c 0.5 0.3\nseeds a\nlambda 1.0\n"
+        with pytest.raises(ParseError, match="line 3"):
+            parse_instance(text)
+
     def test_undirected_expands_to_two_arcs(self):
         text = "nodes 2\nundirected\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n"
         inst = parse_instance(text)

@@ -5,6 +5,7 @@ import pytest
 
 from qcontain import qsim
 from qcontain.cascade import exact_influence
+from qcontain.cli import main
 from qcontain.graph import Graph, ProblemInstance, generate_random_instance
 from qcontain.qae import (
     _statevector_qpe_distribution,
@@ -21,6 +22,39 @@ from qcontain.qae import (
 def ancilla_p1(spec):
     state = apply_a(qsim.init_state(spec.n_qubits), spec)
     return qsim.probability_of(state, spec.ancilla, 1)
+
+
+def gate_q(state, spec, control=None):
+    """Q from gates: S_f, A^dagger, 2|0><0| - I, A, optionally controlled.
+
+    Only the two phase flips need the control: with it off, A^dagger then A
+    cancel.
+    """
+    def when(pred):
+        if control is None:
+            return pred
+        return lambda ix: pred(ix) & (((ix >> control) & 1) == 1)
+
+    system_mask = (1 << spec.n_qubits) - 1
+    state = qsim.phase_flip_if(state, when(lambda ix: ((ix >> spec.ancilla) & 1) == 1))
+    state = apply_a(state, spec, adjoint=True)
+    state = qsim.phase_flip_if(state, when(lambda ix: (ix & system_mask) != 0))
+    return apply_a(state, spec)
+
+
+def ladder_qpe_distribution(spec, m):
+    """Reference readout: textbook phase estimation on s + m qubits with a
+    controlled-Q^(2^j) ladder on evaluation qubit j."""
+    s = spec.n_qubits
+    register = list(range(s, s + m))
+    state = apply_a(qsim.init_state(s + m), spec)
+    for q in register:
+        state = qsim.apply_h(state, q)
+    for j, q in enumerate(register):
+        for _ in range(1 << j):
+            state = gate_q(state, spec, control=q)
+    state = qsim.inverse_qft(state, register)
+    return qsim.register_distribution(state, register)
 
 
 class TestAOperator:
@@ -71,6 +105,15 @@ class TestQOperator:
             math.sin(5 * theta) ** 2, abs=1e-10
         )
 
+    def test_matches_gate_sequence(self, chain3):
+        spec = build_a_operator(chain3)
+        q = build_q_operator(spec)
+        rng = np.random.default_rng(4)
+        dim = 1 << spec.n_qubits
+        for _ in range(5):
+            state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            assert np.allclose(q(state), gate_q(state, spec), atol=1e-12)
+
     def test_unitarity_on_random_states(self, chain3):
         spec = build_a_operator(chain3)
         q = build_q_operator(spec)
@@ -105,6 +148,23 @@ class TestQpeReadout:
             sv = _statevector_qpe_distribution(spec, m, qsim.MAX_QUBITS)
             an = qpe_outcome_distribution(0.75, m)
             assert np.abs(sv - an).sum() / 2 < 1e-8
+
+    def test_block_matches_gate_ladder(self):
+        checked = 0
+        for seed in range(8):
+            inst = generate_random_instance(5, 0.3, n_seeds=1, rng_seed=seed)
+            n_edges = len(inst.graph.edges)
+            if not 1 <= n_edges <= 8:
+                continue
+            removal = (int(np.random.default_rng(seed).integers(n_edges)),)
+            for rem in ((), removal):
+                spec = build_a_operator(inst, rem)
+                m = min(6, 14 - spec.n_qubits)
+                block = _statevector_qpe_distribution(spec, m, qsim.MAX_QUBITS)
+                ladder = ladder_qpe_distribution(spec, m)
+                assert np.abs(block - ladder).max() <= 1e-12
+                checked += 1
+        assert checked >= 8
 
     def test_modes_agree_on_chain(self, chain3):
         spec = build_a_operator(chain3)
@@ -166,3 +226,44 @@ class TestQaeInfluence:
     def test_sigma_clamped_to_bounds(self, single_edge):
         est = qae_influence(single_edge, epsilon=0.2, rng_seed=0, mode="analytic")
         assert 1.0 <= est.sigma <= 2.0
+
+
+PINNED_INSTANCE = """nodes 5
+0 1 0.9 0.1
+1 2 0.8 0.2
+1 3 0.7 0.05
+3 4 0.6 0.1
+seeds 0
+lambda 0.9
+"""
+
+
+class TestPinnedCliOutput:
+    """Statevector QAE output, byte for byte as the controlled-Q ladder printed it."""
+
+    @pytest.fixture
+    def pinned(self, tmp_path):
+        path = tmp_path / "pinned.txt"
+        path.write_text(PINNED_INSTANCE)
+        return str(path)
+
+    def test_contain(self, pinned, capsys):
+        argv = ["contain", "--instance", pinned, "--estimator", "qae", "--epsilon", "0.2",
+                "--finder", "linear", "--k-max", "3", "--rng", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "k=1 edge=0->1 idx=0 total=0.91 influence=0.9 impact=0.009999999999999998\n"
+            "removed=1 mc_trials=0 a_applications=3048 q_applications=1512 "
+            "grover_oracle_calls=0 linear_steps=7\n"
+        )
+
+    def test_estimate(self, pinned, capsys):
+        argv = ["estimate", "--instance", pinned, "--method", "qae", "--epsilon", "0.2", "--rng", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "method qae\n"
+            "sigma 3.678491842064995\n"
+            "sigma_normalized 0.735698368412999\n"
+            "error 1.0\n"
+            "work_units 189\n"
+        )

@@ -2,13 +2,19 @@
 
 Two routes to the expected influence sigma:
 
-* ``mc_influence`` -- Monte Carlo average over round-based cascade runs.
+* ``mc_influence`` -- Monte Carlo average over cascade trials.
 * ``exact_influence`` -- exhaustive live-edge enumeration, the trusted oracle.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
-coin per edge; the round dynamics then consume the coins as edges are tried.
-This makes trial t depend only on row t of a seeded coin matrix, so batched
-and sequential execution produce identical results.
+coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
+final infected set is the set of nodes reachable from the seeds over its live
+edges (Kempe, Kleinberg, Tardos 2003), so the order of rounds does not matter.
+The batch kernel packs 64 trials per machine word; each round gathers the
+frontier bits of every arc's source, ANDs them with the arc's live bits and
+OR-reduces them by destination. Its counts equal per-trial simulation
+exactly. ``mc_influence`` draws the coins in chunks of at most
+``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
+estimate is the same as from one draw.
 """
 from __future__ import annotations
 
@@ -19,6 +25,8 @@ import numpy as np
 from .graph import Graph, ProblemInstance
 
 EXACT_ORACLE_MAX_EDGES = 24
+# Coin memory per chunk in mc_influence; a chunk is a multiple of 64 trials, at least 64.
+COIN_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -68,23 +76,43 @@ def simulate_ic(instance: ProblemInstance, rng: np.random.Generator) -> CascadeT
 
 
 def _batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
-    """Final infected-set sizes for each row of a (trials x edges) coin matrix."""
+    """Final infected-set sizes for each row of a (trials x edges) coin matrix.
+
+    Bit t of word w in a node's row is trial 64*w + t. Arcs are sorted by
+    destination, so one OR-reduce per round merges all arcs into a node.
+    """
     trials = coins.shape[0]
-    n = graph.node_count
+    if not graph.edges:
+        return np.full(trials, len(seeds), dtype=np.int64)
+    dst = np.array([e.dst for e in graph.edges])
+    order = np.argsort(dst, kind="stable")
+    src = np.array([e.src for e in graph.edges])[order]
+    dst = dst[order]
     p = np.array([e.p for e in graph.edges])
-    live = coins < p[None, :] if len(graph.edges) else np.zeros((trials, 0), bool)
-    active = np.zeros((trials, n), dtype=bool)
-    active[:, list(seeds)] = True
+    words = -(-trials // 64)
+    # arc-major live bits; the padding trials are dead on every arc
+    live = np.zeros((len(order), 64 * words), dtype=bool)
+    live[:, :trials] = (coins < p).T[order]
+    live = np.packbits(live, axis=1, bitorder="little").view(np.uint64)
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    heads = dst[starts]
+    active = np.zeros((graph.node_count, words), dtype=np.uint64)
+    active[list(seeds)] = ~np.uint64(0)
     frontier = active.copy()
-    pairs = [(e.src, e.dst) for e in graph.edges]
-    while frontier.any():
-        new = np.zeros_like(active)
-        for k, (src, dst) in enumerate(pairs):
-            new[:, dst] |= frontier[:, src] & live[:, k]
-        new &= ~active
-        active |= new
-        frontier = new
-    return active.sum(axis=1)
+    while True:
+        new = np.bitwise_or.reduceat(frontier[src] & live, starts, axis=0)
+        new &= ~active[heads]
+        if not new.any():
+            break
+        active[heads] |= new
+        frontier = np.zeros_like(active)
+        frontier[heads] = new
+    infected = np.unpackbits(active.view(np.uint8), axis=1, count=trials, bitorder="little")
+    return infected.sum(axis=0, dtype=np.int64)
+
+
+def _chunk_rows(n_edges: int) -> int:
+    return max(64, COIN_CHUNK_BYTES // (8 * max(n_edges, 1)) // 64 * 64)
 
 
 def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> InfluenceEstimate:
@@ -92,8 +120,11 @@ def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> Influ
         raise ValueError("trials must be >= 1")
     g = instance.graph
     rng = np.random.default_rng(rng_seed)
-    coins = rng.random((trials, len(g.edges)))
-    counts = _batch_infected_counts(g, instance.seeds, coins)
+    rows = _chunk_rows(len(g.edges))
+    counts = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, rows):
+        coins = rng.random((min(rows, trials - start), len(g.edges)))
+        counts[start : start + len(coins)] = _batch_infected_counts(g, instance.seeds, coins)
     sigma = float(counts.mean())
     std_error = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return InfluenceEstimate(

@@ -27,7 +27,6 @@ from .graph import (
     serialize_instance,
 )
 from .qae import qae_estimate, qae_influence
-from . import qsim
 
 
 def _load_instance(path: str):
@@ -80,16 +79,6 @@ def cmd_estimate(args) -> int:
         sigma, norm, err, work = est.sigma, est.sigma_normalized, est.std_error, est.trials_or_calls
     elif args.method == "qae":
         mode = "analytic" if args.analytic else "statevector"
-        if mode == "statevector":
-            from .qae import evaluation_qubits_for
-
-            m = evaluation_qubits_for(args.epsilon)
-            needed = len(inst.graph.edges) + 1 + m
-            if needed > qsim.MAX_QUBITS:
-                raise ValueError(
-                    f"statevector QAE needs {needed} qubits (> cap {qsim.MAX_QUBITS}); "
-                    "rerun with --analytic to use the closed-form sampler"
-                )
         est = qae_influence(inst, epsilon=args.epsilon, rng_seed=args.rng, mode=mode)
         sigma, norm, err, work = est.sigma, est.sigma_normalized, est.std_error, est.trials_or_calls
     else:  # pragma: no cover - argparse restricts choices

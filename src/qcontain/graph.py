@@ -184,18 +184,25 @@ def parse_instance(text: str) -> ProblemInstance:
     if not seeds_tokens:
         raise ParseError(1, "empty seed set")
 
+    kinds: set[bool] = set()  # whether a token was an integer id
+
     def resolve(lineno: int, token: str) -> int:
         try:
             idx = int(token)
         except ValueError:
+            idx = None
+        kinds.add(idx is not None)
+        if len(kinds) > 1:
+            raise ParseError(
+                lineno, f"node {token!r} mixes integer ids with symbolic names; use one or the other"
+            )
+        if idx is None:
             if token not in names:
-                used = set(names.values())
-                idx = next((k for k in range(node_count) if k not in used), None)
-                if idx is None:
+                if len(names) == node_count:
                     raise ParseError(
                         lineno, f"node name {token!r} exceeds 'nodes {node_count}'"
                     )
-                names[token] = idx
+                names[token] = len(names)
             return names[token]
         if not (0 <= idx < node_count):
             raise ParseError(lineno, f"unknown node {token}")

@@ -63,14 +63,22 @@ def build_a_operator(
     instance: ProblemInstance,
     removal: tuple[int, ...] = (),
     max_qubits: int = qsim.MAX_QUBITS,
+    eval_qubits: int = 0,
 ) -> AOperatorSpec:
+    """A operator for the instance without ``removal``.
+
+    The qubit cap covers the edge qubits, the ancilla and the ``eval_qubits``
+    of phase estimation, and is checked before the f_table is enumerated.
+    """
     sub = instance.without_edges(removal)
     g = sub.graph
     n_edges = len(g.edges)
-    if n_edges + 1 > max_qubits:
+    needed = n_edges + 1 + eval_qubits
+    if needed > max_qubits:
         raise ValueError(
-            f"A operator needs {n_edges + 1} qubits (> cap {max_qubits}); "
-            "use analytic mode"
+            f"statevector QAE needs {needed} qubits ({n_edges} edges + 1 ancilla + "
+            f"{eval_qubits} evaluation) > cap {max_qubits}; "
+            "rerun with --analytic to use the closed-form sampler"
         )
     reach = live_edge_reachability(g, sub.seeds)
     f_table = reach.sum(axis=1) / g.node_count
@@ -198,7 +206,7 @@ def qae_estimate(
         else np.random.default_rng(rng_seed)
     )
     if mode == "statevector":
-        spec = build_a_operator(instance, removal, max_qubits=max_qubits - m)
+        spec = build_a_operator(instance, removal, max_qubits, eval_qubits=m)
         dist = _statevector_qpe_distribution(spec, m, max_qubits)
     elif mode == "analytic":
         sub = instance.without_edges(removal)

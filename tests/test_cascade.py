@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcontain import cascade
 from qcontain.cascade import (
     _batch_infected_counts,
+    _cascade_from_coins,
     exact_influence,
     mc_influence,
     simulate_ic,
 )
+from qcontain.cli import main
 from qcontain.graph import Edge, Graph, ProblemInstance, generate_random_instance, remove_edges
 
 
@@ -139,3 +142,107 @@ def test_mc_agrees_with_exact_oracle():
         est = mc_influence(inst, 50000, rng_seed=seed + 100)
         band = max(5 * est.std_error, 1e-9)
         assert abs(est.sigma - truth) < band
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(1, 7))
+    undirected = draw(st.booleans())
+    pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if undirected else a != b)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for a, b in chosen:
+        p = draw(st.floats(0.0, 1.0))
+        edges += [Edge(a, b, p, 0.1)] + ([Edge(b, a, p, 0.1)] if undirected else [])
+    seeds = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return ProblemInstance(Graph(n, edges, undirected=undirected), frozenset(seeds), 1.0)
+
+
+@given(
+    inst=small_instances(),
+    trials=st.sampled_from([1, 63, 65, 130]),
+    coin_seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    inst=ProblemInstance(Graph(5, [], undirected=True), frozenset({0, 2, 4}), 1.0),
+    trials=65,
+    coin_seed=0,
+)
+@settings(max_examples=60, deadline=None)
+def test_bit_parallel_kernel_matches_per_trial_cascades(inst, trials, coin_seed):
+    g = inst.graph
+    coins = np.random.default_rng(coin_seed).random((trials, len(g.edges)))
+    batch = _batch_infected_counts(g, inst.seeds, coins)
+    assert batch.dtype == np.int64
+    expected = [len(_cascade_from_coins(g, inst.seeds, row).infected) for row in coins]
+    assert batch.tolist() == expected
+
+
+def test_chunk_rows_bound_coin_memory():
+    for n_edges in (0, 1, 48, 160, 1000):
+        rows = cascade._chunk_rows(n_edges)
+        assert rows % 64 == 0
+        assert rows * 8 * max(n_edges, 1) <= cascade.COIN_CHUNK_BYTES
+
+
+def test_chunked_coins_give_the_same_estimate(monkeypatch):
+    inst = generate_random_instance(7, 0.4, n_seeds=2, rng_seed=13)
+    whole = {t: mc_influence(inst, t, rng_seed=3) for t in (1, 63, 64, 65, 1000)}
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
+    assert cascade._chunk_rows(len(inst.graph.edges)) == 64
+    calls = []
+
+    def counting(graph, seeds, coins):
+        calls.append(coins.shape[0])
+        return _batch_infected_counts(graph, seeds, coins)
+
+    monkeypatch.setattr(cascade, "_batch_infected_counts", counting)
+    for t, est in whole.items():
+        calls.clear()
+        assert mc_influence(inst, t, rng_seed=3) == est
+        assert sum(calls) == t and max(calls) <= 64
+
+
+PINNED_MC_INSTANCE = """nodes 6
+undirected
+0 1 0.9 0.1
+0 2 0.4 0.3
+1 3 0.7 0.05
+2 3 0.5 0.2
+3 4 0.6 0.1
+4 5 0.8 0.15
+seeds 0
+lambda 0.8
+"""
+
+
+class TestPinnedCliOutput:
+    """MC output, byte for byte as the per-arc boolean kernel printed it."""
+
+    @pytest.fixture
+    def pinned(self, tmp_path):
+        path = tmp_path / "pinned.txt"
+        path.write_text(PINNED_MC_INSTANCE)
+        return str(path)
+
+    def test_contain(self, pinned, capsys):
+        argv = ["contain", "--instance", pinned, "--estimator", "mc", "--trials", "500",
+                "--finder", "linear", "--k-max", "3", "--rng", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "k=1 edge=0->1 idx=0 total=1.556 influence=1.536 impact=0.019999999999999997\n"
+            "k=2 edge=0->2 idx=2 total=0.88 influence=0.8 impact=0.07999999999999999\n"
+            "removed=2 mc_trials=8000 a_applications=0 q_applications=0 "
+            "grover_oracle_calls=0 linear_steps=15\n"
+        )
+
+    def test_estimate(self, pinned, capsys):
+        argv = ["estimate", "--instance", pinned, "--method", "mc", "--trials", "500", "--rng", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "method mc\n"
+            "sigma 3.95\n"
+            "sigma_normalized 0.6583333333333333\n"
+            "error 0.06951737430787588\n"
+            "work_units 500\n"
+        )

@@ -124,6 +124,18 @@ class TestContain:
         ))
         assert calls > 0
 
+    def test_qae_oversized_without_analytic(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        run(["gen", "--nodes", "8", "--edge-prob", "0.9", "--out", str(big)], capsys)
+        code, _, err = run(
+            ["contain", "--instance", str(big), "--estimator", "qae", "--epsilon", "0.01"],
+            capsys,
+        )
+        assert code == 2
+        assert "--analytic" in err
+        # 48 edge qubits + 1 ancilla + 11 evaluation qubits at epsilon 0.01
+        assert "needs 60 qubits" in err
+
     def test_k_max_zero(self, instance_file, capsys):
         code, out, _ = run(
             ["contain", "--instance", instance_file, "--k-max", "0"], capsys
@@ -183,3 +195,11 @@ def test_more_names_than_nodes_exits_2(tmp_path, capsys):
 def test_missing_instance_file(capsys):
     code, _, err = run(["estimate", "--instance", "/nonexistent", "--method", "exact"], capsys)
     assert code == 1
+
+
+def test_mixed_names_and_ids_exits_2(tmp_path, capsys):
+    path = tmp_path / "mixed.txt"
+    path.write_text("nodes 3\na b 1.0 0.1\n0 2 1.0 0.1\nseeds a\nlambda 1.0\n")
+    code, _, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 2
+    assert err.startswith("error: line 3:")

@@ -61,6 +61,11 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_instance(text)
 
+    def test_mixed_names_and_ids(self):
+        text = "nodes 3\na b 1.0 0.1\n0 2 1.0 0.1\nseeds a\nlambda 1.0\n"
+        with pytest.raises(ParseError, match="line 3: node '0' mixes integer ids"):
+            parse_instance(text)
+
     def test_undirected_expands_to_two_arcs(self):
         text = "nodes 2\nundirected\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n"
         inst = parse_instance(text)

@@ -3,7 +3,12 @@
 Two routes to the expected influence sigma:
 
 * ``mc_influence`` -- Monte Carlo average over cascade trials.
-* ``exact_influence`` -- exhaustive live-edge enumeration, the trusted oracle.
+* ``exact_influence`` -- the trusted oracle: a forward DP over (active set,
+  frontier) states, whose cost grows with |V| rather than |E|. Exact
+  influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
+
+``live_edge_reachability`` keeps the 2^|E| per-configuration table, which the
+QAE A operator needs as its definition.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
@@ -19,12 +24,14 @@ estimate is the same as from one draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
 
 import numpy as np
 
 from .graph import Graph, ProblemInstance
 
-EXACT_ORACLE_MAX_EDGES = 24
+# Subset transitions exact_influence may expand: the sum of 2^|uncertain joiners| over states.
+EXACT_WORK_BUDGET = 1 << 19
 # Coin memory per chunk in mc_influence; a chunk is a multiple of 64 trials, at least 64.
 COIN_CHUNK_BYTES = 8 << 20
 
@@ -161,28 +168,54 @@ def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:
         active = new
 
 
-def live_edge_weights(graph: Graph) -> np.ndarray:
-    """Probability of each of the 2^|E| live-edge configurations."""
-    n_edges = len(graph.edges)
-    weights = np.ones(1 << n_edges)
-    for k, e in enumerate(graph.edges):
-        bit = ((np.arange(1 << n_edges) >> k) & 1).astype(bool)
-        weights *= np.where(bit, e.p, 1.0 - e.p)
-    return weights
+def exact_influence(instance: ProblemInstance) -> ExactInfluence:
+    """Exact expected influence by a forward DP over (active set, frontier) states.
 
-
-def exact_influence(
-    instance: ProblemInstance, max_edges: int = EXACT_ORACLE_MAX_EDGES
-) -> ExactInfluence:
+    Both sets are int bit masks. A frontier node tries each out-arc once, so
+    from (A, F) each node u outside A joins the next frontier independently,
+    with probability 1 - prod(1 - p_vu) over the arcs (v, u) with v in F.
+    Every transition adds a node, so states are expanded in order of
+    increasing |A| and each is complete when reached; one with no new nodes
+    is terminal. A node joins a frontier exactly once on every run that
+    activates it, so its probability is the summed mass of the states whose
+    frontier holds it.
+    """
     g = instance.graph
-    if len(g.edges) > max_edges:
-        raise ValueError(
-            f"instance too large for exact oracle: {len(g.edges)} edges > cap {max_edges}"
-        )
-    reach = live_edge_reachability(g, instance.seeds)
-    weights = live_edge_weights(g)
-    node_probs = weights @ reach
+    arcs: dict[int, list[tuple[int, float]]] = {}
+    for e in g.edges:
+        arcs.setdefault(e.src, []).append((e.dst, 1.0 - e.p))
+    node_probs = [0.0] * g.node_count
+    seeds = sum(1 << s for s in instance.seeds)
+    pending = {len(instance.seeds): {(seeds, seeds): 1.0}}
+    work = 0
+    while pending:
+        for (active, frontier), mass in pending.pop(min(pending)).items():
+            miss: dict[int, float] = {}  # u -> P(no frontier arc into u is live)
+            rest = frontier
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                node_probs[v] += mass
+                for u, q in arcs.get(v, ()):
+                    if not active >> u & 1:
+                        miss[u] = miss.get(u, 1.0) * q
+            sure = sum(1 << u for u, q in miss.items() if q == 0.0)
+            maybe = [(1 << u, 1.0 - q, q) for u, q in miss.items() if 0.0 < q < 1.0]
+            work += 1 << len(maybe)
+            if work > EXACT_WORK_BUDGET:
+                raise ValueError(
+                    "instance too large for exact oracle: more than "
+                    f"{EXACT_WORK_BUDGET} subset transitions"
+                )
+            outcomes = [(sure, mass)]
+            for bit, join, q in maybe:
+                outcomes = [o for new, w in outcomes for o in ((new | bit, w * join), (new, w * q))]
+            for new, w in outcomes:
+                if new:
+                    grown = active | new
+                    level = pending.setdefault(grown.bit_count(), {})
+                    level[grown, new] = level.get((grown, new), 0.0) + w
     return ExactInfluence(
-        sigma=float(node_probs.sum()),
-        node_probs={v: float(node_probs[v]) for v in range(g.node_count)},
+        sigma=fsum(node_probs),
+        node_probs=dict(enumerate(node_probs)),
     )

@@ -73,6 +73,7 @@ def cmd_estimate(args) -> int:
     if args.method == "exact":
         result = exact_influence(inst)
         n = inst.graph.node_count
+        # work units: the live-edge configurations whose probability sigma sums
         sigma, norm, err, work = result.sigma, result.sigma / n, None, 1 << len(inst.graph.edges)
     elif args.method == "mc":
         est = mc_influence(inst, args.trials, args.rng)

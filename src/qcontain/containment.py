@@ -16,12 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cascade import (
-    EXACT_ORACLE_MAX_EDGES,
-    InfluenceEstimate,
-    exact_influence,
-    mc_influence,
-)
+from .cascade import InfluenceEstimate, exact_influence, mc_influence
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
@@ -190,10 +185,10 @@ def greedy_contain(
     return ContainmentPlan(tuple(removed), tuple(trace), acc)
 
 
-def make_exact_estimator(max_edges: int = EXACT_ORACLE_MAX_EDGES) -> Estimator:
+def make_exact_estimator() -> Estimator:
     def estimator(instance, removal, accounting):
         sub = instance.without_edges(removal)
-        result = exact_influence(sub, max_edges=max_edges)
+        result = exact_influence(sub)
         n = sub.graph.node_count
         return InfluenceEstimate(
             sigma=result.sigma,

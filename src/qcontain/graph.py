@@ -11,6 +11,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Largest node count an instance file may declare. Estimators allocate per-node
+# tables (MC bit rows, exact node probabilities), so the header is checked first.
+MAX_NODES = 10_000
+
 
 class ParseError(ValueError):
     """Raised for malformed instance files; carries the offending line number."""
@@ -154,6 +158,8 @@ def parse_instance(text: str) -> ProblemInstance:
                 raise ParseError(lineno, f"bad node count {tokens[1]!r}") from None
             if node_count < 1:
                 raise ParseError(lineno, "node count must be positive")
+            if node_count > MAX_NODES:
+                raise ParseError(lineno, f"node count {node_count} exceeds the limit {MAX_NODES}")
         elif key == "undirected":
             undirected = True
         elif key == "seeds":

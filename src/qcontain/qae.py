@@ -14,10 +14,10 @@ Two interchangeable modes:
   instead of running the controlled-Q ladder. The block holds as many
   amplitudes as the full s+m qubit register, so evaluation qubits still count
   toward the qubit cap.
-* ``analytic`` -- computes a exactly with the live-edge oracle and samples
-  the phase-estimation outcome from its closed-form distribution; identical
+* ``analytic`` -- computes a exactly with the exact oracle and samples the
+  phase-estimation outcome from its closed-form distribution; identical
   output contract, no statevector, so it is not bound by the qubit cap, only
-  by the exact oracle's edge cap.
+  by the exact oracle's work budget.
 """
 from __future__ import annotations
 

@@ -8,11 +8,27 @@ from qcontain.cascade import (
     _batch_infected_counts,
     _cascade_from_coins,
     exact_influence,
+    live_edge_reachability,
     mc_influence,
     simulate_ic,
 )
 from qcontain.cli import main
 from qcontain.graph import Edge, Graph, ProblemInstance, generate_random_instance, remove_edges
+
+
+def live_edge_weights(graph: Graph) -> np.ndarray:
+    """Probability of each of the 2^|E| live-edge configurations."""
+    n_edges = len(graph.edges)
+    weights = np.ones(1 << n_edges)
+    for k, e in enumerate(graph.edges):
+        bit = ((np.arange(1 << n_edges) >> k) & 1).astype(bool)
+        weights *= np.where(bit, e.p, 1.0 - e.p)
+    return weights
+
+
+def enumerated_node_probs(inst: ProblemInstance) -> np.ndarray:
+    """Reference oracle: P(node infected) summed over all live-edge configurations."""
+    return live_edge_weights(inst.graph) @ live_edge_reachability(inst.graph, inst.seeds)
 
 
 def test_all_zero_probability_infects_only_seeds():
@@ -94,11 +110,13 @@ class TestExactInfluence:
         inst = ProblemInstance(Graph(4, edges), frozenset({0}), 1.0)
         assert exact_influence(inst).sigma == pytest.approx(3.0)
 
-    def test_too_many_edges_rejected(self):
+    def test_too_many_edges_rejected(self, monkeypatch):
         inst = generate_random_instance(4, 1.0, n_seeds=1, rng_seed=0)
         assert len(inst.graph.edges) == 12
+        exact_influence(inst)
+        monkeypatch.setattr(cascade, "EXACT_WORK_BUDGET", 4)
         with pytest.raises(ValueError, match="too large"):
-            exact_influence(inst, max_edges=10)
+            exact_influence(inst)
 
     def test_sigma_is_sum_of_node_probs(self, chain3):
         result = exact_influence(chain3)
@@ -145,14 +163,14 @@ def test_mc_agrees_with_exact_oracle():
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, probs=st.floats(0.0, 1.0), max_pairs=None):
     n = draw(st.integers(1, 7))
     undirected = draw(st.booleans())
     pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if undirected else a != b)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_pairs)) if pairs else []
     edges = []
     for a, b in chosen:
-        p = draw(st.floats(0.0, 1.0))
+        p = draw(probs)
         edges += [Edge(a, b, p, 0.1)] + ([Edge(b, a, p, 0.1)] if undirected else [])
     seeds = draw(st.sets(st.integers(0, n - 1), min_size=1))
     return ProblemInstance(Graph(n, edges, undirected=undirected), frozenset(seeds), 1.0)
@@ -176,6 +194,38 @@ def test_bit_parallel_kernel_matches_per_trial_cascades(inst, trials, coin_seed)
     assert batch.dtype == np.int64
     expected = [len(_cascade_from_coins(g, inst.seeds, row).infected) for row in coins]
     assert batch.tolist() == expected
+
+
+@given(
+    inst=small_instances(
+        probs=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])), max_pairs=7
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_dp_matches_live_edge_enumeration(inst):
+    result = exact_influence(inst)
+    expected = enumerated_node_probs(inst)
+    assert sorted(result.node_probs) == list(range(inst.graph.node_count))
+    for v, prob in result.node_probs.items():
+        assert abs(prob - expected[v]) <= 1e-12
+    assert abs(result.sigma - expected.sum()) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
+def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
+    inst = generate_random_instance(nodes, edge_prob, n_seeds=1, rng_seed=nodes)
+    assert len(inst.graph.edges) > 24
+    truth = exact_influence(inst).sigma
+    est = mc_influence(inst, 20000, rng_seed=nodes + 100)
+    assert abs(est.sigma - truth) < 5 * est.std_error
+
+
+def test_long_chain_needs_no_recursion():
+    n = 2000
+    edges = [Edge(v, v + 1, 0.5, 0.1) for v in range(n - 1)]
+    result = exact_influence(ProblemInstance(Graph(n, edges), frozenset({0}), 1.0))
+    assert result.sigma == pytest.approx(sum(0.5**k for k in range(n)), abs=1e-12)
+    assert result.node_probs[10] == pytest.approx(0.5**10, abs=1e-15)
 
 
 def test_chunk_rows_bound_coin_memory():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qcontain.cli import main
@@ -203,3 +205,41 @@ def test_mixed_names_and_ids_exits_2(tmp_path, capsys):
     code, _, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
     assert code == 2
     assert err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_huge_node_count_exits_2(tmp_path, capsys, method):
+    path = tmp_path / "huge.txt"
+    path.write_text("nodes 100000000000\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n")
+    code, _, err = run(["estimate", "--instance", str(path), "--method", method], capsys)
+    assert code == 2
+    assert err.startswith("error: line 1: node count 100000000000 exceeds the limit")
+
+
+def test_exact_over_work_budget_exits_2(tmp_path, capsys):
+    dense = tmp_path / "dense.txt"
+    run(["gen", "--nodes", "16", "--edge-prob", "0.6", "--out", str(dense)], capsys)
+    start = time.perf_counter()
+    code, out, err = run(["estimate", "--instance", str(dense), "--method", "exact"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: instance too large for exact oracle")
+    assert time.perf_counter() - start < 20  # the budget trips in about a second
+
+
+@pytest.mark.parametrize(
+    "flags, sigma",
+    [
+        (["--method", "exact"], 6.897),
+        (["--method", "qae", "--analytic", "--epsilon", "0.1", "--rng", "1"], 6.828),
+    ],
+)
+def test_exact_and_analytic_past_24_edges(tmp_path, capsys, flags, sigma):
+    inst = tmp_path / "e26.txt"
+    _, _, gen_err = run(
+        ["gen", "--nodes", "8", "--edge-prob", "0.5", "--rng", "0", "--out", str(inst)], capsys
+    )
+    assert "edges=26" in gen_err
+    code, out, _ = run(["estimate", "--instance", str(inst)] + flags, capsys)
+    assert code == 0
+    assert float(out.splitlines()[1].split()[1]) == pytest.approx(sigma, abs=1e-3)

@@ -109,9 +109,7 @@ class TestGreedy:
     def test_trace_strictly_decreases(self):
         inst = generate_random_instance(5, 0.4, n_seeds=1, lam=1.0, rng_seed=6)
         assert 0 < len(inst.graph.edges) <= 12
-        plan = greedy_contain(
-            inst, make_exact_estimator(max_edges=14), linear_finder, k_max=6
-        )
+        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=6)
         totals = [obj.total for _, _, obj in plan.trace]
         assert all(b < a - 1e-9 for a, b in zip(totals, totals[1:]))
 

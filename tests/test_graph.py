@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcontain.graph import (
+    MAX_NODES,
     Edge,
     Graph,
     ParseError,
@@ -65,6 +66,12 @@ class TestParse:
         text = "nodes 3\na b 1.0 0.1\n0 2 1.0 0.1\nseeds a\nlambda 1.0\n"
         with pytest.raises(ParseError, match="line 3: node '0' mixes integer ids"):
             parse_instance(text)
+
+    def test_node_count_limit(self):
+        text = "# big\nnodes {}\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n"
+        assert parse_instance(text.format(MAX_NODES)).graph.node_count == MAX_NODES
+        with pytest.raises(ParseError, match="line 2: node count .* exceeds the limit"):
+            parse_instance(text.format(MAX_NODES + 1))
 
     def test_undirected_expands_to_two_arcs(self):
         text = "nodes 2\nundirected\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n"

@@ -7,19 +7,23 @@ Two routes to the expected influence sigma:
   frontier) states, whose cost grows with |V| rather than |E|. Exact
   influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
 
-``live_edge_reachability`` keeps the 2^|E| per-configuration table, which the
-QAE A operator needs as its definition.
-
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
 final infected set is the set of nodes reachable from the seeds over its live
 edges (Kempe, Kleinberg, Tardos 2003), so the order of rounds does not matter.
-The batch kernel packs 64 trials per machine word; each round gathers the
-frontier bits of every arc's source, ANDs them with the arc's live bits and
-OR-reduces them by destination. Its counts equal per-trial simulation
-exactly. ``mc_influence`` draws the coins in chunks of at most
-``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
-estimate is the same as from one draw.
+
+One propagation kernel, ``_propagate``, runs every such cascade. It packs 64
+cascades per machine word; each round gathers the active bits of every arc's
+source, ANDs them with the arc's live bits and ORs them into the arc's
+destination, until a round adds nothing. Two callers feed it live bits:
+
+* ``_batch_infected_counts`` -- packed ``coins < p`` for Monte Carlo trials;
+  its counts equal per-trial simulation exactly. ``mc_influence`` draws the
+  coins in chunks of at most ``COIN_CHUNK_BYTES``; the generator fills its
+  stream in C order, so the estimate is the same as from one draw.
+* ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
+  bit patterns, E * 2^E / 8 bytes, for the per-configuration table that the
+  QAE A operator needs as its definition; the result takes 2^E * |V| bytes.
 """
 from __future__ import annotations
 
@@ -82,39 +86,48 @@ def simulate_ic(instance: ProblemInstance, rng: np.random.Generator) -> CascadeT
     return _cascade_from_coins(instance.graph, instance.seeds, coins)
 
 
+def _propagate(graph: Graph, seeds: frozenset[int], live: np.ndarray) -> np.ndarray:
+    """Active bit table (|V| x words) of the cascades over the live arcs ``live``.
+
+    ``live`` is arc-major, one row per arc in graph order: bit t of
+    live[k, w] is set iff arc k is live in cascade 64*w + t. Arcs are sorted
+    by destination, so one OR-reduce per round merges all arcs into a node.
+    Round r activates the nodes r live hops from the seeds.
+    """
+    edges = graph.edges
+    active = np.zeros((graph.node_count, live.shape[1]), dtype=np.uint64)
+    active[list(seeds)] = ~np.uint64(0)
+    if not edges:
+        return active
+    arcs = sorted(range(len(edges)), key=lambda k: edges[k].dst)
+    dst = [edges[k].dst for k in arcs]
+    starts = [i for i in range(len(arcs)) if i == 0 or dst[i] != dst[i - 1]]
+    heads = np.array([dst[i] for i in starts])
+    src = np.array([edges[k].src for k in arcs])
+    starts = np.array(starts)
+    live = live[arcs]
+    reached = active[heads]
+    while True:
+        grown = np.bitwise_or.reduceat(active[src] & live, starts, axis=0) | reached
+        if (grown == reached).all():
+            return active
+        active[heads] = reached = grown
+
+
 def _batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
     """Final infected-set sizes for each row of a (trials x edges) coin matrix.
 
-    Bit t of word w in a node's row is trial 64*w + t. Arcs are sorted by
-    destination, so one OR-reduce per round merges all arcs into a node.
+    The padding trials of the last word are dead on every arc. Only seeds and
+    arc heads can be active, so only their rows are counted.
     """
     trials = coins.shape[0]
-    if not graph.edges:
-        return np.full(trials, len(seeds), dtype=np.int64)
-    dst = np.array([e.dst for e in graph.edges])
-    order = np.argsort(dst, kind="stable")
-    src = np.array([e.src for e in graph.edges])[order]
-    dst = dst[order]
     p = np.array([e.p for e in graph.edges])
-    words = -(-trials // 64)
-    # arc-major live bits; the padding trials are dead on every arc
-    live = np.zeros((len(order), 64 * words), dtype=bool)
-    live[:, :trials] = (coins < p).T[order]
+    live = np.zeros((len(graph.edges), -(-trials // 64) * 64), dtype=bool)
+    live[:, :trials] = (coins < p).T
     live = np.packbits(live, axis=1, bitorder="little").view(np.uint64)
-    starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    heads = dst[starts]
-    active = np.zeros((graph.node_count, words), dtype=np.uint64)
-    active[list(seeds)] = ~np.uint64(0)
-    frontier = active.copy()
-    while True:
-        new = np.bitwise_or.reduceat(frontier[src] & live, starts, axis=0)
-        new &= ~active[heads]
-        if not new.any():
-            break
-        active[heads] |= new
-        frontier = np.zeros_like(active)
-        frontier[heads] = new
-    infected = np.unpackbits(active.view(np.uint8), axis=1, count=trials, bitorder="little")
+    active = _propagate(graph, seeds, live)
+    rows = sorted(seeds | {e.dst for e in graph.edges})
+    infected = np.unpackbits(active[rows].view(np.uint8), axis=1, count=trials, bitorder="little")
     return infected.sum(axis=0, dtype=np.int64)
 
 
@@ -146,26 +159,25 @@ def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> Influ
 def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:
     """Boolean (2^|E| x |V|) matrix: node reachable from seeds per live-edge config.
 
-    Config x has edge k live iff bit k of x is set.
+    Config x has edge k live iff bit k of x is set. Config x is cascade x of
+    the propagation kernel, bit x % 64 of word x // 64, so arc k < 6 has the
+    same 64-bit pattern in every word, and arc k >= 6 is live in all or none
+    of word w's configs, by bit k - 6 of w. Below 6 arcs the one word holds
+    repeats of the 2^|E| configs, which are cut off.
     """
     n_edges = len(graph.edges)
-    n = graph.node_count
     configs = 1 << n_edges
-    if n_edges:
-        cfg = np.arange(configs, dtype=np.int64)
-        live = ((cfg[:, None] >> np.arange(n_edges)[None, :]) & 1).astype(bool)
-    else:
-        live = np.zeros((1, 0), bool)
-    active = np.zeros((configs, n), dtype=bool)
-    active[:, list(seeds)] = True
-    pairs = [(e.src, e.dst) for e in graph.edges]
-    while True:
-        new = active.copy()
-        for k, (src, dst) in enumerate(pairs):
-            new[:, dst] |= live[:, k] & active[:, src]
-        if (new == active).all():
-            return active
-        active = new
+    word = np.arange(-(-configs // 64), dtype=np.uint64)
+    live = np.empty((n_edges, len(word)), dtype=np.uint64)
+    # (2^64 - 1) // (2^(2^k) + 1) sets the low half of every 2^(k+1)-bit block;
+    # shifted up by 2^k, bit t is bit k of t: 0xAAAA..., 0xCCCC..., 0xF0F0...
+    low = [(2**64 - 1) // (2 ** (1 << k) + 1) << (1 << k) for k in range(min(n_edges, 6))]
+    live[:6] = np.array(low, dtype=np.uint64)[:, None]
+    high = np.arange(6, n_edges, dtype=np.uint64)[:, None]
+    live[6:] = np.uint64(0) - ((word >> (high - 6)) & 1)
+    active = _propagate(graph, seeds, live)
+    reach = np.unpackbits(active.view(np.uint8), axis=1, count=configs, bitorder="little")
+    return reach.view(bool).T
 
 
 def exact_influence(instance: ProblemInstance) -> ExactInfluence:

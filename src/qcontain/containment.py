@@ -12,7 +12,8 @@ subgraph is recomputed from the cumulative removal set each iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,10 +56,8 @@ def operational_impact(edges: Iterable[int], graph: Graph) -> float:
     chosen = closed_removal(graph, edges)
     total = 0.0
     for k in sorted(chosen):
-        mate = graph.partner[k]
-        if mate is not None and mate < k and mate in chosen:
-            continue
-        total += graph.edges[k].i
+        if graph.represents_pair(k):
+            total += graph.edges[k].i
     return total
 
 
@@ -103,11 +102,7 @@ def candidate_edges(
     """
     g = instance.graph
     gone = closed_removal(g, removed)
-    base = [
-        k
-        for k in range(len(g.edges))
-        if k not in gone and (g.partner[k] is None or g.partner[k] > k or g.partner[k] in gone)
-    ]
+    base = [k for k in range(len(g.edges)) if k not in gone and g.represents_pair(k)]
     if strategy == "all":
         return tuple(base)
     if strategy == "frontier":
@@ -140,7 +135,6 @@ def greedy_contain(
     strategy: str = "all",
     k_max: int = 0,
     top_p_cap: int | None = None,
-    tolerance: float = EXACT_TOLERANCE,
 ) -> ContainmentPlan:
     """Greedy removal of up to k_max edges, stopping when no candidate
     strictly improves the combined objective."""
@@ -173,7 +167,7 @@ def greedy_contain(
             errors.append(est.std_error)
         idx = finder([v.total for v in scored], acc)
         chosen = scored[idx]
-        tau = tolerance
+        tau = EXACT_TOLERANCE
         if errors[idx]:
             tau = max(tau, 2.0 * errors[idx])
         if chosen.total < current.total - tau:
@@ -201,16 +195,16 @@ def make_exact_estimator() -> Estimator:
     return estimator
 
 
-def _spawned_seed(base_seed: int, call_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=(call_index,))
+def call_seeds(rng_seed: int) -> Iterator[np.random.SeedSequence]:
+    """Seeds of successive calls: independent substreams of ``rng_seed``."""
+    return (np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)) for k in count())
 
 
 def make_mc_estimator(trials: int, rng_seed: int) -> Estimator:
-    state = {"calls": 0}
+    seeds = call_seeds(rng_seed)
 
     def estimator(instance, removal, accounting):
-        seq = _spawned_seed(rng_seed, state["calls"])
-        state["calls"] += 1
+        seq = next(seeds)
         sub = instance.without_edges(removal)
         est = mc_influence(sub, trials, seq)
         accounting.mc_trials += trials
@@ -222,13 +216,11 @@ def make_mc_estimator(trials: int, rng_seed: int) -> Estimator:
 def make_qae_estimator(epsilon: float, rng_seed: int, mode: str = "statevector") -> Estimator:
     from . import qae
 
-    state = {"calls": 0}
+    seeds = call_seeds(rng_seed)
 
     def estimator(instance, removal, accounting):
-        seq = _spawned_seed(rng_seed, state["calls"])
-        state["calls"] += 1
         est = qae.qae_influence(
-            instance, removal, epsilon=epsilon, rng_seed=seq, mode=mode
+            instance, removal, epsilon=epsilon, rng_seed=next(seeds), mode=mode
         )
         accounting.q_applications += est.trials_or_calls
         # each repetition applies A 2q + 1 times for its q applications of Q

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qsim
+from .containment import call_seeds
 
 GROWTH = 8 / 7
 BUDGET_CONSTANT = 9.0
@@ -29,7 +30,6 @@ _MAX_ROUNDS = 500
 @dataclass(frozen=True)
 class GroverRun:
     found_index: int | None
-    iterations_used: int
     oracle_calls: int
     backend: str
 
@@ -74,11 +74,7 @@ def grover_search(
         raise ValueError("n_items must be >= 1")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)
     marked_items = [i for i in range(n_items) if marked(i)]
     n_padded = _padded_size(n_items)
 
@@ -99,7 +95,6 @@ def grover_search(
 
     return GroverRun(
         found_index=found,
-        iterations_used=iterations,
         oracle_calls=iterations,
         backend=backend,
     )
@@ -110,36 +105,23 @@ def durr_hoyer_min(
     n_items: int,
     rng_seed: int | np.random.Generator = 0,
     backend: str = "analytic",
-    call_budget: int | None = None,
-    growth: float = GROWTH,
-    failure_call_budget: int | None = None,
 ) -> MinFindResult:
     """Quantum minimum finding via repeated Grover searches below a threshold.
 
     The iteration count per round is drawn uniformly from [0, cap] where the
-    cap follows the exponential schedule ceil(growth^r) over failed rounds r
+    cap follows the exponential schedule ceil(GROWTH^r) over failed rounds r
     (for the unknown marked count), clipped at ~0.9*sqrt(N). Accounting
     charges one oracle call per Grover iteration plus one classical
     evaluation per candidate verification. A run ends when the overall call
-    budget is spent or ``failure_call_budget`` calls pass without an
-    improvement.
+    budget, ceil(BUDGET_CONSTANT * sqrt(N)), is spent or the failure call
+    budget passes without an improvement.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
     g = values if callable(values) else values.__getitem__
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
-    budget = call_budget if call_budget is not None else ceil(BUDGET_CONSTANT * sqrt(n_items))
-    if budget < 1:
-        raise ValueError("call_budget must be >= 1")
-    fail_budget = (
-        failure_call_budget
-        if failure_call_budget is not None
-        else max(ceil(FAILURE_CALL_CONSTANT * sqrt(n_items)), FAILURE_CALL_FLOOR)
-    )
+    rng = np.random.default_rng(rng_seed)
+    budget = ceil(BUDGET_CONSTANT * sqrt(n_items))
+    fail_budget = max(ceil(FAILURE_CALL_CONSTANT * sqrt(n_items)), FAILURE_CALL_FLOOR)
     iteration_cap = ceil(ITERATION_CAP_CONSTANT * sqrt(n_items))
 
     best = int(rng.integers(n_items))
@@ -153,7 +135,7 @@ def durr_hoyer_min(
     n_rounds = 0
     while calls < budget and fail_calls < fail_budget and n_rounds < _MAX_ROUNDS:
         n_rounds += 1
-        cap = min(ceil(growth**r), iteration_cap)
+        cap = min(ceil(GROWTH**r), iteration_cap)
         k = int(rng.integers(0, cap + 1))
         k = min(k, budget - calls)
         threshold = best_val
@@ -178,23 +160,16 @@ def durr_hoyer_min(
     )
 
 
-def make_gmf_finder(rng_seed: int, backend: str = "analytic"):
+def make_gmf_finder(rng_seed: int):
     """Minimum-finder callback for the greedy containment loop.
 
     Successive invocations use independent substreams of ``rng_seed`` and
     add their oracle calls to ``accounting.grover_oracle_calls``.
     """
-    seq = np.random.SeedSequence(rng_seed)
-    state = {"calls": 0}
+    seeds = call_seeds(rng_seed)
 
     def finder(scores: Sequence[float], accounting) -> int:
-        child = np.random.SeedSequence(
-            entropy=seq.entropy, spawn_key=(state["calls"],)
-        )
-        state["calls"] += 1
-        result = durr_hoyer_min(
-            list(scores), len(scores), rng_seed=np.random.default_rng(child), backend=backend
-        )
+        result = durr_hoyer_min(list(scores), len(scores), rng_seed=next(seeds))
         accounting.grover_oracle_calls += result.total_oracle_calls
         return result.min_index
 

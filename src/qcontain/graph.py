@@ -76,6 +76,12 @@ class Graph:
     def out_edges(self, node: int) -> list[int]:
         return self._adjacency.get(node, [])
 
+    def represents_pair(self, k: int) -> bool:
+        """Whether arc k stands for its logical edge: it is directed, or the
+        lower-indexed arc of an undirected pair."""
+        mate = self.partner[k]
+        return mate is None or k < mate
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -250,10 +256,8 @@ def serialize_instance(inst: ProblemInstance) -> str:
     if g.undirected:
         lines.append("undirected")
     for k, e in enumerate(g.edges):
-        mate = g.partner[k]
-        if mate is not None and mate < k:
-            continue  # emit each undirected pair once
-        lines.append(f"{e.src} {e.dst} {e.p!r} {e.i!r}")
+        if g.represents_pair(k):
+            lines.append(f"{e.src} {e.dst} {e.p!r} {e.i!r}")
     lines.append("seeds " + " ".join(str(s) for s in sorted(inst.seeds)))
     lines.append(f"lambda {inst.lam!r}")
     return "\n".join(lines) + "\n"

@@ -35,8 +35,6 @@ QPE_REPETITIONS = 3
 
 @dataclass(frozen=True)
 class AOperatorSpec:
-    instance: ProblemInstance
-    removal: tuple[int, ...]
     n_edge_qubits: int
     ancilla: int
     edge_angles: tuple[float, ...]
@@ -53,7 +51,6 @@ class AmplitudeEstimate:
     a_hat: float
     theta_hat: float
     m: int
-    grid: str
     q_applications: int
     a_applications: int
     mode: str
@@ -84,8 +81,6 @@ def build_a_operator(
     f_table = reach.sum(axis=1) / g.node_count
     angles = tuple(2.0 * asin(sqrt(e.p)) for e in g.edges)
     return AOperatorSpec(
-        instance=instance,
-        removal=tuple(removal),
         n_edge_qubits=n_edges,
         ancilla=n_edges,
         edge_angles=angles,
@@ -196,18 +191,13 @@ def qae_estimate(
     m: int = 4,
     rng_seed: int | np.random.Generator = 0,
     mode: str = "statevector",
-    max_qubits: int = qsim.MAX_QUBITS,
 ) -> AmplitudeEstimate:
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)
     if mode == "statevector":
-        spec = build_a_operator(instance, removal, max_qubits, eval_qubits=m)
-        dist = _statevector_qpe_distribution(spec, m, max_qubits)
+        spec = build_a_operator(instance, removal, eval_qubits=m)
+        dist = _statevector_qpe_distribution(spec, m, qsim.MAX_QUBITS)
     elif mode == "analytic":
         sub = instance.without_edges(removal)
         a = exact_influence(sub).sigma / sub.graph.node_count
@@ -222,7 +212,6 @@ def qae_estimate(
         a_hat=a_hat,
         theta_hat=theta_hat,
         m=m,
-        grid=f"a_hat in {{sin^2(pi*y/2^{m})}}",
         q_applications=q_apps,
         a_applications=2 * q_apps + 1,
         mode=mode,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,14 @@ from qcontain.cascade import (
     simulate_ic,
 )
 from qcontain.cli import main
-from qcontain.graph import Edge, Graph, ProblemInstance, generate_random_instance, remove_edges
+from qcontain.graph import (
+    Edge,
+    Graph,
+    ProblemInstance,
+    generate_random_instance,
+    parse_instance,
+    remove_edges,
+)
 
 
 def live_edge_weights(graph: Graph) -> np.ndarray:
@@ -163,9 +172,9 @@ def test_mc_agrees_with_exact_oracle():
 
 
 @st.composite
-def small_instances(draw, probs=st.floats(0.0, 1.0), max_pairs=None):
+def small_instances(draw, probs=st.floats(0.0, 1.0), max_pairs=None, undirected=st.booleans()):
     n = draw(st.integers(1, 7))
-    undirected = draw(st.booleans())
+    undirected = draw(undirected)
     pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if undirected else a != b)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_pairs)) if pairs else []
     edges = []
@@ -209,6 +218,38 @@ def test_dp_matches_live_edge_enumeration(inst):
     for v, prob in result.node_probs.items():
         assert abs(prob - expected[v]) <= 1e-12
     assert abs(result.sigma - expected.sum()) <= 1e-12
+
+
+@given(
+    inst=st.one_of(
+        small_instances(probs=st.sampled_from([0.0, 0.3, 1.0]), max_pairs=10, undirected=st.just(False)),
+        small_instances(probs=st.sampled_from([0.0, 0.3, 1.0]), max_pairs=5, undirected=st.just(True)),
+    )
+)
+@example(inst=ProblemInstance(Graph(3, []), frozenset({1}), 1.0))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_rows_match_per_trial_cascades(inst):
+    # config x as coins: -1 makes arc k live and 2 dead whatever its p
+    g = inst.graph
+    reach = live_edge_reachability(g, inst.seeds)
+    configs = np.arange(1 << len(g.edges))[:, None]
+    coins = np.where((configs >> np.arange(len(g.edges))) & 1, -1.0, 2.0)
+    assert reach.shape == (len(coins), g.node_count) and reach.dtype == bool
+    for x, row in enumerate(coins):
+        assert set(np.flatnonzero(reach[x])) == _cascade_from_coins(g, inst.seeds, row).infected
+
+
+def test_mc_counts_only_rows_an_arc_can_reach():
+    # 10,000 nodes, one arc: unpacking every node's row to bytes took ~100 MB
+    inst = parse_instance("nodes 10000\n0 1 0.5 0.1\nseeds 0\nlambda 1.0\n")
+    tracemalloc.start()
+    try:
+        est = mc_influence(inst, 10000, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.sigma == 1.499
+    assert peak < 40 << 20
 
 
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])

@@ -147,10 +147,16 @@ def test_instance_rejects_bad_lambda(chain3):
     n_nodes=st.integers(1, 8),
     edge_prob=st.floats(0.0, 1.0),
     rng_seed=st.integers(0, 2**32 - 1),
+    undirected=st.booleans(),
 )
 @settings(max_examples=50, deadline=None)
-def test_serialize_parse_round_trip(n_nodes, edge_prob, rng_seed):
+def test_serialize_parse_round_trip(n_nodes, edge_prob, rng_seed, undirected):
     inst = generate_random_instance(n_nodes, edge_prob, n_seeds=1, lam=0.25, rng_seed=rng_seed)
+    if undirected:
+        # each pair as its two arcs in the order the parser builds them
+        pairs = [e for e in inst.graph.edges if e.src < e.dst]
+        edges = [arc for e in pairs for arc in (e, Edge(e.dst, e.src, e.p, e.i))]
+        inst = ProblemInstance(Graph(n_nodes, edges, undirected=True), inst.seeds, inst.lam)
     assert parse_instance(serialize_instance(inst)) == inst
 
 

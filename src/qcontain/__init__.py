@@ -15,12 +15,10 @@ from .graph import (
     serialize_instance,
 )
 from .cascade import (
-    CascadeTrial,
     ExactInfluence,
     InfluenceEstimate,
     exact_influence,
     mc_influence,
-    simulate_ic,
 )
 from .containment import (
     ContainmentPlan,
@@ -60,12 +58,10 @@ __all__ = [
     "parse_instance",
     "remove_edges",
     "serialize_instance",
-    "CascadeTrial",
     "ExactInfluence",
     "InfluenceEstimate",
     "exact_influence",
     "mc_influence",
-    "simulate_ic",
     "ContainmentPlan",
     "ObjectiveValue",
     "RunAccounting",

@@ -13,17 +13,22 @@ final infected set is the set of nodes reachable from the seeds over its live
 edges (Kempe, Kleinberg, Tardos 2003), so the order of rounds does not matter.
 
 One propagation kernel, ``_propagate``, runs every such cascade. It packs 64
-cascades per machine word; each round gathers the active bits of every arc's
-source, ANDs them with the arc's live bits and ORs them into the arc's
-destination, until a round adds nothing. Two callers feed it live bits:
+cascades per machine word and keeps rows of active bits only for the seeds
+that are arc sources and the other arc heads, the only nodes whose bits can
+matter; each round gathers the active bits of every arc's source, ANDs them
+with the arc's live bits and ORs them into the arc's destination, until a
+round adds nothing. It returns each cascade's infected count. Two callers
+feed it live bits:
 
 * ``_batch_infected_counts`` -- packed ``coins < p`` for Monte Carlo trials;
   its counts equal per-trial simulation exactly. ``mc_influence`` draws the
   coins in chunks of at most ``COIN_CHUNK_BYTES``; the generator fills its
   stream in C order, so the estimate is the same as from one draw.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
-  bit patterns, E * 2^E / 8 bytes, for the per-configuration table that the
-  QAE A operator needs as its definition; the result takes 2^E * |V| bytes.
+  bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
+  QAE A operator rotates its ancilla by; the bit table takes at most
+  2E * 2^E / 8 bytes, and unpacking its non-seed rows to count takes at most
+  E * 2^E bytes, whatever |V| and the seed set.
 """
 from __future__ import annotations
 
@@ -41,12 +46,6 @@ COIN_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
-class CascadeTrial:
-    infected: frozenset[int]
-    steps: int
-
-
-@dataclass(frozen=True)
 class InfluenceEstimate:
     sigma: float
     sigma_normalized: float
@@ -61,74 +60,57 @@ class ExactInfluence:
     node_probs: dict[int, float]
 
 
-def _cascade_from_coins(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> CascadeTrial:
-    """Run one IC realization; coins[e] < p(e) decides edge e if attempted."""
-    active = set(seeds)
-    frontier = set(seeds)
-    steps = 0
-    while frontier:
-        new: set[int] = set()
-        for v in frontier:
-            for k in graph.out_edges(v):
-                e = graph.edges[k]
-                if e.dst not in active and coins[k] < e.p:
-                    new.add(e.dst)
-        if not new:
-            break
-        active |= new
-        frontier = new
-        steps += 1
-    return CascadeTrial(frozenset(active), steps)
-
-
-def simulate_ic(instance: ProblemInstance, rng: np.random.Generator) -> CascadeTrial:
-    coins = rng.random(len(instance.graph.edges))
-    return _cascade_from_coins(instance.graph, instance.seeds, coins)
-
-
 def _propagate(graph: Graph, seeds: frozenset[int], live: np.ndarray) -> np.ndarray:
-    """Active bit table (|V| x words) of the cascades over the live arcs ``live``.
+    """Infected count (int64) of each of the 64 * words cascades over the live arcs ``live``.
 
     ``live`` is arc-major, one row per arc in graph order: bit t of
-    live[k, w] is set iff arc k is live in cascade 64*w + t. Arcs are sorted
-    by destination, so one OR-reduce per round merges all arcs into a node.
-    Round r activates the nodes r live hops from the seeds.
+    live[k, w] is set iff arc k is live in cascade 64*w + t. Seeds are
+    active in every cascade, and a node that is neither a seed nor an arc
+    head never is, so the active bit table has rows only for the seeds that
+    are arc sources and the other arc heads; only arcs from a row into a
+    non-seed head can change it. Arcs are sorted by destination, so one
+    OR-reduce per round merges all arcs into a node. Round r activates the
+    nodes r live hops from the seeds.
     """
     edges = graph.edges
-    active = np.zeros((graph.node_count, live.shape[1]), dtype=np.uint64)
-    active[list(seeds)] = ~np.uint64(0)
-    if not edges:
-        return active
-    arcs = sorted(range(len(edges)), key=lambda k: edges[k].dst)
-    dst = [edges[k].dst for k in arcs]
-    starts = [i for i in range(len(arcs)) if i == 0 or dst[i] != dst[i - 1]]
-    heads = np.array([dst[i] for i in starts])
-    src = np.array([edges[k].src for k in arcs])
-    starts = np.array(starts)
-    live = live[arcs]
-    reached = active[heads]
-    while True:
-        grown = np.bitwise_or.reduceat(active[src] & live, starts, axis=0) | reached
-        if (grown == reached).all():
-            return active
-        active[heads] = reached = grown
+    heads = {e.dst for e in edges} - seeds
+    nodes = [*seeds.intersection(e.src for e in edges), *heads]
+    row = {v: r for r, v in enumerate(nodes)}
+    lit = len(nodes) - len(heads)
+    active = np.zeros((len(nodes), live.shape[1]), dtype=np.uint64)
+    active[:lit] = ~np.uint64(0)
+    arcs = sorted(
+        (k for k, e in enumerate(edges) if e.src in row and e.dst in heads),
+        key=lambda k: edges[k].dst,
+    )
+    if arcs:
+        dst = [row[edges[k].dst] for k in arcs]
+        starts = [i for i in range(len(arcs)) if i == 0 or dst[i] != dst[i - 1]]
+        targets = np.array([dst[i] for i in starts])
+        src = np.array([row[edges[k].src] for k in arcs])
+        starts = np.array(starts)
+        live = live[arcs]
+        reached = active[targets]
+        while True:
+            grown = np.bitwise_or.reduceat(active[src] & live, starts, axis=0) | reached
+            if (grown == reached).all():
+                break
+            active[targets] = reached = grown
+    infected = np.unpackbits(active[lit:].view(np.uint8), axis=1, bitorder="little")
+    return len(seeds) + infected.sum(axis=0, dtype=np.int64)
 
 
 def _batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
     """Final infected-set sizes for each row of a (trials x edges) coin matrix.
 
-    The padding trials of the last word are dead on every arc. Only seeds and
-    arc heads can be active, so only their rows are counted.
+    The padding trials of the last word are dead on every arc and cut off.
     """
     trials = coins.shape[0]
     p = np.array([e.p for e in graph.edges])
     live = np.zeros((len(graph.edges), -(-trials // 64) * 64), dtype=bool)
     live[:, :trials] = (coins < p).T
     live = np.packbits(live, axis=1, bitorder="little").view(np.uint64)
-    active = _propagate(graph, seeds, live)
-    rows = sorted(seeds | {e.dst for e in graph.edges})
-    infected = np.unpackbits(active[rows].view(np.uint8), axis=1, count=trials, bitorder="little")
-    return infected.sum(axis=0, dtype=np.int64)
+    return _propagate(graph, seeds, live)[:trials]
 
 
 def _chunk_rows(n_edges: int) -> int:
@@ -157,7 +139,7 @@ def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> Influ
 
 
 def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:
-    """Boolean (2^|E| x |V|) matrix: node reachable from seeds per live-edge config.
+    """Infected count (int64, length 2^|E|) of each live-edge configuration.
 
     Config x has edge k live iff bit k of x is set. Config x is cascade x of
     the propagation kernel, bit x % 64 of word x // 64, so arc k < 6 has the
@@ -175,9 +157,7 @@ def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:
     live[:6] = np.array(low, dtype=np.uint64)[:, None]
     high = np.arange(6, n_edges, dtype=np.uint64)[:, None]
     live[6:] = np.uint64(0) - ((word >> (high - 6)) & 1)
-    active = _propagate(graph, seeds, live)
-    reach = np.unpackbits(active.view(np.uint8), axis=1, count=configs, bitorder="little")
-    return reach.view(bool).T
+    return _propagate(graph, seeds, live)[:configs]
 
 
 def exact_influence(instance: ProblemInstance) -> ExactInfluence:

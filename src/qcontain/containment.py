@@ -113,6 +113,8 @@ def candidate_edges(
         return tuple(k for k in base if g.edges[k].src in reachable)
     if strategy == "top_p":
         cap = top_p_cap if top_p_cap is not None else 8
+        if cap < 1:
+            raise ValueError("top_p_cap must be >= 1")
         ranked = sorted(base, key=lambda k: (-g.edges[k].p, k))
         return tuple(sorted(ranked[:cap]))
     raise ValueError(f"unknown candidate strategy {strategy!r}")
@@ -157,12 +159,7 @@ def greedy_contain(
         errors: list[float | None] = []
         for e in cands:
             trial_removal = tuple(removed) + (e,)
-            try:
-                est = estimator(instance, trial_removal, acc)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"estimator failed on candidate edge {e} at iteration {k}"
-                ) from exc
+            est = estimator(instance, trial_removal, acc)
             scored.append(objective(instance, trial_removal, est.sigma))
             errors.append(est.std_error)
         idx = finder([v.total for v in scored], acc)

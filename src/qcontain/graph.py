@@ -273,8 +273,8 @@ def generate_random_instance(
     rng_seed: int = 0,
 ) -> ProblemInstance:
     """Directed Erdos-Renyi instance with uniform p and i, deterministic per seed."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+    if not (1 <= n_nodes <= MAX_NODES):
+        raise ValueError(f"n_nodes must be in [1, {MAX_NODES}]")
     if not (1 <= n_seeds <= n_nodes):
         raise ValueError("n_seeds > n_nodes" if n_seeds > n_nodes else "n_seeds must be >= 1")
     if not (0.0 <= edge_prob <= 1.0):

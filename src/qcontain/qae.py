@@ -59,7 +59,6 @@ class AmplitudeEstimate:
 def build_a_operator(
     instance: ProblemInstance,
     removal: tuple[int, ...] = (),
-    max_qubits: int = qsim.MAX_QUBITS,
     eval_qubits: int = 0,
 ) -> AOperatorSpec:
     """A operator for the instance without ``removal``.
@@ -71,14 +70,13 @@ def build_a_operator(
     g = sub.graph
     n_edges = len(g.edges)
     needed = n_edges + 1 + eval_qubits
-    if needed > max_qubits:
+    if needed > qsim.MAX_QUBITS:
         raise ValueError(
             f"statevector QAE needs {needed} qubits ({n_edges} edges + 1 ancilla + "
-            f"{eval_qubits} evaluation) > cap {max_qubits}; "
+            f"{eval_qubits} evaluation) > cap {qsim.MAX_QUBITS}; "
             "rerun with --analytic to use the closed-form sampler"
         )
-    reach = live_edge_reachability(g, sub.seeds)
-    f_table = reach.sum(axis=1) / g.node_count
+    f_table = live_edge_reachability(g, sub.seeds) / g.node_count
     angles = tuple(2.0 * asin(sqrt(e.p)) for e in g.edges)
     return AOperatorSpec(
         n_edge_qubits=n_edges,
@@ -88,41 +86,23 @@ def build_a_operator(
     )
 
 
-def _ancilla_angles(spec: AOperatorSpec):
+def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
+    """Apply A to the low edge+ancilla qubits of ``state``."""
+    for q, angle in enumerate(spec.edge_angles):
+        state = qsim.apply_ry(state, q, angle)
     mask = (1 << spec.n_edge_qubits) - 1
     theta = 2.0 * np.arcsin(np.sqrt(spec.f_table))
-
-    def angle_of_index(indices: np.ndarray) -> np.ndarray:
-        return theta[indices & mask]
-
-    return angle_of_index
+    return qsim.apply_ry_indexed(state, spec.ancilla, lambda ix: theta[ix & mask])
 
 
-def apply_a(state: np.ndarray, spec: AOperatorSpec, adjoint: bool = False) -> np.ndarray:
-    """Apply A (or its adjoint) to the low edge+ancilla qubits of ``state``."""
-    angle_fn = _ancilla_angles(spec)
-    if not adjoint:
-        for q, angle in enumerate(spec.edge_angles):
-            state = qsim.apply_ry(state, q, angle)
-        state = qsim.apply_ry_indexed(state, spec.ancilla, angle_fn)
-    else:
-        state = qsim.apply_ry_indexed(state, spec.ancilla, lambda ix: -angle_fn(ix))
-        for q in reversed(range(spec.n_edge_qubits)):
-            state = qsim.apply_ry(state, q, -spec.edge_angles[q])
-    return state
-
-
-def build_q_operator(spec: AOperatorSpec, psi: np.ndarray | None = None):
+def build_q_operator(spec: AOperatorSpec, psi: np.ndarray):
     """The amplitude-amplification operator Q as a function on system states.
 
     Q = (2|psi><psi| - I) S_f with |psi> = A|0>, i.e. the sign convention
     under which Q has eigenvalues e^{+-2i theta} and phase estimation reads
     theta/pi directly. A (2|0><0| - I) A^dagger is the reflection about psi,
-    so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A. ``psi``
-    defaults to A|0>; pass it when it is already computed.
+    so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A.
     """
-    if psi is None:
-        psi = apply_a(qsim.init_state(spec.n_qubits), spec)
     # the ancilla is the top qubit, so S_f flips the upper half of the state
     good = 1 << spec.ancilla
 
@@ -159,21 +139,16 @@ def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
     return dist / dist.sum()
 
 
-def _statevector_qpe_distribution(spec: AOperatorSpec, m: int, max_qubits: int) -> np.ndarray:
+def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
     """Phase-estimation readout distribution, evaluated in blocks.
 
     The evaluation register only controls Q, so before the inverse QFT the
     state is sum_y |y> Q^y |psi> / sqrt(M). Row y of the (M, 2^s) block holds
     Q^y psi / sqrt(M); the inverse DFT runs down the rows. The block holds the
-    same 2^(s+m) amplitudes as the full register, hence the s + m qubit cap.
+    same 2^(s+m) amplitudes as the full register, hence the s + m qubit cap
+    that ``build_a_operator(eval_qubits=m)`` checks.
     """
-    s = spec.n_qubits
-    n = s + m
-    if n > max_qubits:
-        raise ValueError(
-            f"phase estimation needs {n} qubits (> cap {max_qubits}); use analytic mode"
-        )
-    psi = apply_a(qsim.init_state(s), spec)
+    psi = apply_a(qsim.init_state(spec.n_qubits), spec)
     apply_q = build_q_operator(spec, psi)
     dim = 1 << m
     block = np.empty((dim, len(psi)), dtype=complex)
@@ -197,7 +172,7 @@ def qae_estimate(
     rng = np.random.default_rng(rng_seed)
     if mode == "statevector":
         spec = build_a_operator(instance, removal, eval_qubits=m)
-        dist = _statevector_qpe_distribution(spec, m, qsim.MAX_QUBITS)
+        dist = _statevector_qpe_distribution(spec, m)
     elif mode == "analytic":
         sub = instance.without_edges(removal)
         a = exact_influence(sub).sigma / sub.graph.node_count

@@ -4,7 +4,7 @@ States are 1-D complex numpy arrays of length 2^n; qubit 0 is the least
 significant bit of the basis index. All operations return new arrays and
 leave their input untouched.
 
-Basis-index-conditioned operations (phase flips from a predicate, rotations
+Basis-index-conditioned operations (phase flips from a mask, rotations
 whose angle is a function of the basis index) are applied by direct iteration
 over amplitudes; this implements classical oracles without reversible-logic
 synthesis while staying exactly unitary.
@@ -17,8 +17,6 @@ import numpy as np
 
 MAX_QUBITS = 24
 
-Predicate = Callable[[np.ndarray], np.ndarray]
-
 
 def n_qubits_of(state: np.ndarray) -> int:
     n = int(np.log2(len(state)))
@@ -27,9 +25,9 @@ def n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-def init_state(n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray:
-    if not (1 <= n_qubits <= max_qubits):
-        raise ValueError(f"n_qubits must be in [1, {max_qubits}]")
+def init_state(n_qubits: int) -> np.ndarray:
+    if not (1 <= n_qubits <= MAX_QUBITS):
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
     state = np.zeros(1 << n_qubits, dtype=complex)
     state[0] = 1.0
     return state
@@ -95,12 +93,8 @@ def apply_ry_indexed(
     return out
 
 
-def phase_flip_if(state: np.ndarray, predicate: Predicate | np.ndarray) -> np.ndarray:
-    """Multiply by -1 every amplitude whose basis index satisfies the predicate."""
-    if callable(predicate):
-        mask = np.asarray(predicate(np.arange(len(state))), dtype=bool)
-    else:
-        mask = np.asarray(predicate, dtype=bool)
+def phase_flip_if(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Multiply by -1 every amplitude whose basis index is set in the boolean mask."""
     out = state.copy()
     out[mask] *= -1
     return out
@@ -138,21 +132,15 @@ def diffusion(state: np.ndarray, qubits: Sequence[int] | None = None) -> np.ndar
     return restore(2 * mean - block)
 
 
-def _dft_matrix(m: int, inverse: bool) -> np.ndarray:
-    dim = 1 << m
-    sign = -2j if inverse else 2j
-    k = np.arange(dim)
-    return np.exp(sign * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
-
-
 def qft(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
+    # the QFT's exp(+2 pi i k y / M) is numpy's inverse FFT sign
     block, restore = _register_view(state, register)
-    return restore(_dft_matrix(len(register), inverse=False) @ block)
+    return restore(np.fft.ifft(block, axis=0, norm="ortho"))
 
 
 def inverse_qft(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
     block, restore = _register_view(state, register)
-    return restore(_dft_matrix(len(register), inverse=True) @ block)
+    return restore(np.fft.fft(block, axis=0, norm="ortho"))
 
 
 def probability_of(state: np.ndarray, qubit: int, outcome: int) -> float:

@@ -121,7 +121,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
         worst_p1 = max(worst_p1, abs(p1 - a_true))
         # analytic mode uses the same exact a; its readout distribution must
         # match the statevector phase-estimation readout
-        sv = _statevector_qpe_distribution(spec, 3, qsim.MAX_QUBITS)
+        sv = _statevector_qpe_distribution(spec, 3)
         an = qpe_outcome_distribution(a_true, 3)
         worst_tv = max(worst_tv, float(np.abs(sv - an).sum() / 2))
         checked += 1

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from qcontain.cli import main
+from qcontain.graph import MAX_NODES
 
 
 def run(argv, capsys):
@@ -39,6 +40,13 @@ class TestGen:
         assert code == 0
         assert "lambda" in out.read_text()
         assert len([l for l in out.read_text().splitlines() if l[0].isdigit() and " " in l and l.count(" ") == 3]) == 0
+
+    def test_nodes_over_limit_exits_2(self, capsys):
+        nodes = str(MAX_NODES + 1)
+        code, out, err = run(["gen", "--nodes", nodes, "--edge-prob", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n_nodes must be in [1, {MAX_NODES}]\n"
 
     def test_generated_instance_parses(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -137,6 +145,18 @@ class TestContain:
         assert "--analytic" in err
         # 48 edge qubits + 1 ancilla + 11 evaluation qubits at epsilon 0.01
         assert "needs 60 qubits" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_top_p_cap_below_one_exits_2(self, tmp_path, capsys, cap):
+        star = tmp_path / "star.txt"
+        star.write_text("nodes 4\n0 1 0.9 0.1\n0 2 0.5 0.1\n0 3 0.1 0.1\nseeds 0\nlambda 1.0\n")
+        code, out, err = run(
+            ["contain", "--instance", str(star), "--strategy", "top_p", "--top-p-cap", cap],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: top_p_cap must be >= 1\n"
 
     def test_k_max_zero(self, instance_file, capsys):
         code, out, _ = run(

@@ -1,5 +1,7 @@
 import pytest
 
+from qcontain import cascade
+from qcontain.cli import main
 from qcontain.containment import (
     RunAccounting,
     candidate_edges,
@@ -136,14 +138,22 @@ class TestGreedy:
         assert plan.removed == (0,)
         assert plan.accounting.mc_trials == 2000 * 3  # baseline + 2 candidates
 
-    def test_estimator_failure_carries_context(self, star):
-        def broken(instance, removal, accounting):
-            if removal:
-                raise RuntimeError("boom")
-            return make_exact_estimator()(instance, removal, accounting)
-
-        with pytest.raises(RuntimeError, match="candidate edge"):
-            greedy_contain(star, broken, linear_finder, k_max=1)
+    def test_estimator_failure_carries_context(self, tmp_path, capsys, monkeypatch):
+        # removing 0->2 turns node 2 from a sure joiner into a branch: the
+        # exact DP needs 4 subset transitions for the base and 8 without arc 0
+        path = tmp_path / "inst.txt"
+        path.write_text(
+            "nodes 5\n0 2 1.0 0.1\n1 2 0.5 0.1\n0 3 1.0 0.1\n2 4 0.5 0.1\n3 4 0.5 0.1\n"
+            "seeds 0 1\nlambda 1.0\n"
+        )
+        monkeypatch.setattr(cascade, "EXACT_WORK_BUDGET", 4)
+        assert main(["estimate", "--instance", str(path), "--method", "exact"]) == 0
+        capsys.readouterr()
+        argv = ["contain", "--instance", str(path), "--estimator", "exact", "--k-max", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance too large")
+        assert "Traceback" not in err
 
     def test_negative_k_max(self, star):
         with pytest.raises(ValueError):

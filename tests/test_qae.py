@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qcontain import qsim
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
-from qcontain.graph import Graph, ProblemInstance, generate_random_instance
+from qcontain.graph import Graph, ProblemInstance, generate_random_instance, parse_instance
 from qcontain.qae import (
     _statevector_qpe_distribution,
     apply_a,
@@ -19,9 +20,23 @@ from qcontain.qae import (
 )
 
 
+def a_state(spec):
+    """psi = A|0> on the edge+ancilla qubits."""
+    return apply_a(qsim.init_state(spec.n_qubits), spec)
+
+
 def ancilla_p1(spec):
-    state = apply_a(qsim.init_state(spec.n_qubits), spec)
-    return qsim.probability_of(state, spec.ancilla, 1)
+    return qsim.probability_of(a_state(spec), spec.ancilla, 1)
+
+
+def apply_a_adjoint(state, spec):
+    """A^dagger: the ancilla rotation undone, then the edge rotations in reverse."""
+    mask = (1 << spec.n_edge_qubits) - 1
+    theta = 2.0 * np.arcsin(np.sqrt(spec.f_table))
+    state = qsim.apply_ry_indexed(state, spec.ancilla, lambda ix: -theta[ix & mask])
+    for q in reversed(range(spec.n_edge_qubits)):
+        state = qsim.apply_ry(state, q, -spec.edge_angles[q])
+    return state
 
 
 def gate_q(state, spec, control=None):
@@ -30,15 +45,12 @@ def gate_q(state, spec, control=None):
     Only the two phase flips need the control: with it off, A^dagger then A
     cancel.
     """
-    def when(pred):
-        if control is None:
-            return pred
-        return lambda ix: pred(ix) & (((ix >> control) & 1) == 1)
-
+    ix = np.arange(len(state))
+    on = True if control is None else ((ix >> control) & 1) == 1
     system_mask = (1 << spec.n_qubits) - 1
-    state = qsim.phase_flip_if(state, when(lambda ix: ((ix >> spec.ancilla) & 1) == 1))
-    state = apply_a(state, spec, adjoint=True)
-    state = qsim.phase_flip_if(state, when(lambda ix: (ix & system_mask) != 0))
+    state = qsim.phase_flip_if(state, (((ix >> spec.ancilla) & 1) == 1) & on)
+    state = apply_a_adjoint(state, spec)
+    state = qsim.phase_flip_if(state, ((ix & system_mask) != 0) & on)
     return apply_a(state, spec)
 
 
@@ -85,17 +97,34 @@ class TestAOperator:
         assert ancilla_p1(spec) == pytest.approx(0.5, abs=1e-12)
 
     def test_qubit_cap(self):
-        inst = generate_random_instance(8, 1.0, n_seeds=1, rng_seed=0)
+        # edge qubits, the ancilla and the evaluation qubits share the cap
+        inst = generate_random_instance(4, 1.0, n_seeds=1, rng_seed=0)
+        assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS
+        build_a_operator(inst, eval_qubits=11)
         with pytest.raises(ValueError, match="analytic"):
-            build_a_operator(inst, max_qubits=10)
+            build_a_operator(inst, eval_qubits=12)
+
+    def test_counts_only_rows_an_arc_can_reach(self):
+        # a 12-arc chain among 10,000 nodes: a (2^12 x |V|) bool table took 44 MiB
+        chain = "".join(f"{v} {v + 1} 0.5 0.1\n" for v in range(12))
+        inst = parse_instance(f"nodes 10000\n{chain}seeds 0\nlambda 1.0\n")
+        tracemalloc.start()
+        try:
+            spec = build_a_operator(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every configuration has weight 2^-12, so the mean count is sigma
+        assert spec.f_table.mean() * 10000 == pytest.approx(sum(0.5**k for k in range(13)))
+        assert peak < 4 << 20
 
 
 class TestQOperator:
     def test_rotates_by_two_theta(self, single_edge):
         spec = build_a_operator(single_edge)
-        q = build_q_operator(spec)
+        state = a_state(spec)
+        q = build_q_operator(spec, state)
         theta = math.asin(math.sqrt(0.75))
-        state = apply_a(qsim.init_state(spec.n_qubits), spec)
         state = q(state)
         assert qsim.probability_of(state, spec.ancilla, 1) == pytest.approx(
             math.sin(3 * theta) ** 2, abs=1e-10
@@ -107,7 +136,7 @@ class TestQOperator:
 
     def test_matches_gate_sequence(self, chain3):
         spec = build_a_operator(chain3)
-        q = build_q_operator(spec)
+        q = build_q_operator(spec, a_state(spec))
         rng = np.random.default_rng(4)
         dim = 1 << spec.n_qubits
         for _ in range(5):
@@ -116,7 +145,7 @@ class TestQOperator:
 
     def test_unitarity_on_random_states(self, chain3):
         spec = build_a_operator(chain3)
-        q = build_q_operator(spec)
+        q = build_q_operator(spec, a_state(spec))
         rng = np.random.default_rng(3)
         dim = 1 << spec.n_qubits
         for _ in range(5):
@@ -145,7 +174,7 @@ class TestQpeReadout:
     def test_modes_agree(self, single_edge):
         spec = build_a_operator(single_edge)
         for m in (2, 3, 4, 5):
-            sv = _statevector_qpe_distribution(spec, m, qsim.MAX_QUBITS)
+            sv = _statevector_qpe_distribution(spec, m)
             an = qpe_outcome_distribution(0.75, m)
             assert np.abs(sv - an).sum() / 2 < 1e-8
 
@@ -160,7 +189,7 @@ class TestQpeReadout:
             for rem in ((), removal):
                 spec = build_a_operator(inst, rem)
                 m = min(6, 14 - spec.n_qubits)
-                block = _statevector_qpe_distribution(spec, m, qsim.MAX_QUBITS)
+                block = _statevector_qpe_distribution(spec, m)
                 ladder = ladder_qpe_distribution(spec, m)
                 assert np.abs(block - ladder).max() <= 1e-12
                 checked += 1
@@ -169,7 +198,7 @@ class TestQpeReadout:
     def test_modes_agree_on_chain(self, chain3):
         spec = build_a_operator(chain3)
         a = 1.75 / 3
-        sv = _statevector_qpe_distribution(spec, 4, qsim.MAX_QUBITS)
+        sv = _statevector_qpe_distribution(spec, 4)
         an = qpe_outcome_distribution(a, 4)
         assert np.abs(sv - an).sum() / 2 < 1e-8
 

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from . import qsim
 from .cascade import exact_influence, mc_influence
 from .containment import (
     greedy_contain,
@@ -192,8 +193,8 @@ def cmd_bench_estimation(args) -> int:
 
 def cmd_bench_minfind(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    if any(s < 1 for s in sizes):
-        raise ValueError("list sizes must be >= 1")
+    if any(not (1 <= s <= 1 << qsim.MAX_QUBITS) for s in sizes):
+        raise ValueError(f"list sizes must be in [1, {1 << qsim.MAX_QUBITS}]")
     out = [
         "# work_units: linear = list length; gmf = Grover oracle calls plus verification evaluations",
         "method,n_items,work_units,found_value,true_min,rng_seed",
@@ -205,7 +206,7 @@ def cmd_bench_minfind(args) -> int:
             values = rng.random(n_items)
             true_min = float(values.min())
             out.append(f"linear,{n_items},{n_items},{true_min!r},{true_min!r},{rep}")
-            result = durr_hoyer_min(values, n_items, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng)
             out.append(
                 f"gmf,{n_items},{result.total_oracle_calls},"
                 f"{result.min_value!r},{true_min!r},{rep}"

@@ -17,8 +17,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import qae
 from .cascade import InfluenceEstimate, exact_influence, mc_influence
-from .graph import Graph, ProblemInstance, closed_removal
+from .graph import Graph, ProblemInstance, closed_removal, remove_edges
 
 EXACT_TOLERANCE = 1e-9
 
@@ -106,8 +107,6 @@ def candidate_edges(
     if strategy == "all":
         return tuple(base)
     if strategy == "frontier":
-        from .graph import remove_edges
-
         current = remove_edges(g, removed)
         reachable = _reachable_nodes(current, instance.seeds)
         return tuple(k for k in base if g.edges[k].src in reachable)
@@ -211,8 +210,6 @@ def make_mc_estimator(trials: int, rng_seed: int) -> Estimator:
 
 
 def make_qae_estimator(epsilon: float, rng_seed: int, mode: str = "statevector") -> Estimator:
-    from . import qae
-
     seeds = call_seeds(rng_seed)
 
     def estimator(instance, removal, accounting):

@@ -1,14 +1,16 @@
 """Grover search and Durr-Hoyer minimum finding with oracle-call accounting.
 
-Index spaces are padded to the next power of two; padded indices are never
-marked, so a measurement landing there counts as an ordinary miss and both
-backends share the same success probability sin^2((2k+1) * asin(sqrt(M/N))).
+The marked set is a boolean mask over the items; Durr-Hoyer marks the values
+below its current threshold. Index spaces are padded to the next power of
+two; padded indices are never marked, so a measurement landing there counts
+as an ordinary miss and both backends share the same success probability
+sin^2((2k+1) * asin(sqrt(M/N))).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import asin, ceil, sin, sqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +33,6 @@ _MAX_ROUNDS = 500
 class GroverRun:
     found_index: int | None
     oracle_calls: int
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -42,73 +43,66 @@ class MinFindResult:
     rounds: tuple[tuple[float, GroverRun], ...]
 
 
-def _padded_size(n_items: int) -> int:
+def _padded_size(size: int) -> int:
     n = 2  # at least one qubit
-    while n < n_items:
+    while n < size:
         n <<= 1
     return n
 
 
-def _statevector_distribution(
-    n_padded: int, marked_mask: np.ndarray, iterations: int
-) -> np.ndarray:
-    n_qubits = n_padded.bit_length() - 1
+def _statevector_distribution(marked: np.ndarray, iterations: int) -> np.ndarray:
+    n_qubits = len(marked).bit_length() - 1
     state = qsim.init_state(n_qubits)
     for q in range(n_qubits):
         state = qsim.apply_h(state, q)
     for _ in range(iterations):
-        state = qsim.phase_flip_if(state, marked_mask)
+        state = qsim.phase_flip_if(state, marked)
         state = qsim.diffusion(state)
     return qsim.register_distribution(state)
 
 
 def grover_search(
-    n_items: int,
-    marked: Callable[[int], bool],
+    marked: np.ndarray,
     iterations: int,
     rng_seed: int | np.random.Generator = 0,
     backend: str = "analytic",
 ) -> GroverRun:
-    """One Grover run; returns the sampled index only if it is marked."""
-    if n_items < 1:
-        raise ValueError("n_items must be >= 1")
+    """One Grover run over the items of the boolean mask ``marked``; returns
+    the sampled index only if it is marked."""
+    if len(marked) < 1:
+        raise ValueError("marked must cover at least one item")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    marked_items = [i for i in range(n_items) if marked(i)]
-    n_padded = _padded_size(n_items)
+    mask = np.zeros(_padded_size(len(marked)), dtype=bool)
+    mask[: len(marked)] = marked
 
     if backend == "analytic":
-        theta = asin(sqrt(len(marked_items) / n_padded))
+        marked_items = np.flatnonzero(mask)
+        theta = asin(sqrt(len(marked_items) / len(mask)))
         p_success = sin((2 * iterations + 1) * theta) ** 2
         found = None
-        if marked_items and rng.random() < p_success:
+        if len(marked_items) and rng.random() < p_success:
             found = int(marked_items[rng.integers(len(marked_items))])
     elif backend == "statevector":
-        mask = np.zeros(n_padded, dtype=bool)
-        mask[marked_items] = True
-        dist = _statevector_distribution(n_padded, mask, iterations)
-        outcome = int(rng.choice(n_padded, p=dist / dist.sum()))
-        found = outcome if outcome < n_items and mask[outcome] else None
+        dist = _statevector_distribution(mask, iterations)
+        outcome = int(rng.choice(len(mask), p=dist / dist.sum()))
+        found = outcome if mask[outcome] else None
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    return GroverRun(
-        found_index=found,
-        oracle_calls=iterations,
-        backend=backend,
-    )
+    return GroverRun(found_index=found, oracle_calls=iterations)
 
 
 def durr_hoyer_min(
-    values: Sequence[float] | Callable[[int], float],
-    n_items: int,
+    values: Sequence[float] | np.ndarray,
     rng_seed: int | np.random.Generator = 0,
     backend: str = "analytic",
 ) -> MinFindResult:
     """Quantum minimum finding via repeated Grover searches below a threshold.
 
-    The iteration count per round is drawn uniformly from [0, cap] where the
+    Each round marks the items whose value is below the current best. The
+    iteration count per round is drawn uniformly from [0, cap] where the
     cap follows the exponential schedule ceil(GROWTH^r) over failed rounds r
     (for the unknown marked count), clipped at ~0.9*sqrt(N). Accounting
     charges one oracle call per Grover iteration plus one classical
@@ -116,38 +110,35 @@ def durr_hoyer_min(
     budget, ceil(BUDGET_CONSTANT * sqrt(N)), is spent or the failure call
     budget passes without an improvement.
     """
+    values = np.asarray(values, dtype=float)
+    n_items = len(values)
     if n_items < 1:
-        raise ValueError("n_items must be >= 1")
-    g = values if callable(values) else values.__getitem__
+        raise ValueError("values must hold at least one item")
     rng = np.random.default_rng(rng_seed)
     budget = ceil(BUDGET_CONSTANT * sqrt(n_items))
     fail_budget = max(ceil(FAILURE_CALL_CONSTANT * sqrt(n_items)), FAILURE_CALL_FLOOR)
     iteration_cap = ceil(ITERATION_CAP_CONSTANT * sqrt(n_items))
 
     best = int(rng.integers(n_items))
-    best_val = float(g(best))
+    best_val = float(values[best])
     if n_items == 1:
         return MinFindResult(best, best_val, 0, ())
     calls = 0
     rounds: list[tuple[float, GroverRun]] = []
     r = 0
     fail_calls = 0
-    n_rounds = 0
-    while calls < budget and fail_calls < fail_budget and n_rounds < _MAX_ROUNDS:
-        n_rounds += 1
+    while calls < budget and fail_calls < fail_budget and r < _MAX_ROUNDS:
         cap = min(ceil(GROWTH**r), iteration_cap)
         k = int(rng.integers(0, cap + 1))
         k = min(k, budget - calls)
         threshold = best_val
-        run = grover_search(
-            n_items, lambda i: float(g(i)) < threshold, k, rng_seed=rng, backend=backend
-        )
+        run = grover_search(values < threshold, k, rng_seed=rng, backend=backend)
         calls += run.oracle_calls
         if run.found_index is not None:
             calls += 1  # classical verification of the returned candidate
             rounds.append((threshold, run))
             best = run.found_index
-            best_val = float(g(best))
+            best_val = float(values[best])
             fail_calls = 0
         else:
             fail_calls += run.oracle_calls
@@ -169,7 +160,7 @@ def make_gmf_finder(rng_seed: int):
     seeds = call_seeds(rng_seed)
 
     def finder(scores: Sequence[float], accounting) -> int:
-        result = durr_hoyer_min(list(scores), len(scores), rng_seed=next(seeds))
+        result = durr_hoyer_min(scores, rng_seed=next(seeds))
         accounting.grover_oracle_calls += result.total_oracle_calls
         return result.min_index
 

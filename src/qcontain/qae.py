@@ -27,7 +27,7 @@ from math import asin, ceil, log2, pi, sqrt
 import numpy as np
 
 from . import qsim
-from .cascade import exact_influence, live_edge_reachability
+from .cascade import InfluenceEstimate, exact_influence, live_edge_reachability
 from .graph import ProblemInstance
 
 QPE_REPETITIONS = 3
@@ -95,7 +95,7 @@ def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
     return qsim.apply_ry_indexed(state, spec.ancilla, lambda ix: theta[ix & mask])
 
 
-def build_q_operator(spec: AOperatorSpec, psi: np.ndarray):
+def build_q_operator(psi: np.ndarray):
     """The amplitude-amplification operator Q as a function on system states.
 
     Q = (2|psi><psi| - I) S_f with |psi> = A|0>, i.e. the sign convention
@@ -104,7 +104,7 @@ def build_q_operator(spec: AOperatorSpec, psi: np.ndarray):
     so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A.
     """
     # the ancilla is the top qubit, so S_f flips the upper half of the state
-    good = 1 << spec.ancilla
+    good = len(psi) // 2
 
     def apply_q(state: np.ndarray) -> np.ndarray:
         flipped = state.copy()
@@ -149,7 +149,7 @@ def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
     that ``build_a_operator(eval_qubits=m)`` checks.
     """
     psi = apply_a(qsim.init_state(spec.n_qubits), spec)
-    apply_q = build_q_operator(spec, psi)
+    apply_q = build_q_operator(psi)
     dim = 1 << m
     block = np.empty((dim, len(psi)), dtype=complex)
     block[0] = psi / sqrt(dim)
@@ -167,8 +167,8 @@ def qae_estimate(
     rng_seed: int | np.random.Generator = 0,
     mode: str = "statevector",
 ) -> AmplitudeEstimate:
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not (1 <= m <= qsim.MAX_QUBITS):
+        raise ValueError(f"evaluation qubits m = {m} must be in [1, {qsim.MAX_QUBITS}]")
     rng = np.random.default_rng(rng_seed)
     if mode == "statevector":
         spec = build_a_operator(instance, removal, eval_qubits=m)
@@ -206,9 +206,7 @@ def qae_influence(
     epsilon: float = 0.05,
     rng_seed: int = 0,
     mode: str = "statevector",
-) -> "InfluenceEstimate":
-    from .cascade import InfluenceEstimate
-
+) -> InfluenceEstimate:
     m = evaluation_qubits_for(epsilon)
     rng = np.random.default_rng(rng_seed)
     estimates = [

@@ -33,39 +33,47 @@ def init_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    n = n_qubits_of(state)
-    if not (0 <= qubit < n):
+def _pairs(state: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with ``qubit`` clear and, pairwise, the same with it set."""
+    if not (0 <= qubit < n_qubits_of(state)):
         raise ValueError("qubit index out of range")
     idx = np.arange(len(state))
     i0 = idx[((idx >> qubit) & 1) == 0]
-    i1 = i0 | (1 << qubit)
+    return i0, i0 | (1 << qubit)
+
+
+def _apply_1q(state: np.ndarray, pairs, matrix) -> np.ndarray:
+    """Mix each amplitude pair (i0, i1) by the 2x2 ``matrix``, given as nested
+    tuples whose entries are scalars or per-pair arrays."""
+    i0, i1 = pairs
+    (m00, m01), (m10, m11) = matrix
     out = state.copy()
     a0, a1 = state[i0], state[i1]
-    out[i0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    out[i1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    out[i0] = m00 * a0 + m01 * a1
+    out[i1] = m10 * a0 + m11 * a1
     return out
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_H = tuple(map(tuple, np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)))
+_X = tuple(map(tuple, np.array([[0, 1], [1, 0]], dtype=complex)))
+
+
+def _ry(angle):
+    """Ry(angle) in the nested form ``_apply_1q`` takes; ``angle`` may be an array."""
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return (c, -s), (s, c)
 
 
 def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
-    return _apply_1q(state, qubit, _H)
+    return _apply_1q(state, _pairs(state, qubit), _H)
 
 
 def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
-    return _apply_1q(state, qubit, _X)
-
-
-def ry_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return _apply_1q(state, _pairs(state, qubit), _X)
 
 
 def apply_ry(state: np.ndarray, qubit: int, angle: float) -> np.ndarray:
-    return _apply_1q(state, qubit, ry_matrix(angle))
+    return _apply_1q(state, _pairs(state, qubit), _ry(angle))
 
 
 def apply_ry_indexed(
@@ -78,19 +86,8 @@ def apply_ry_indexed(
     ``angle_of_index`` receives the basis indices with the target bit cleared
     (vectorized over an integer array) and returns the rotation angles.
     """
-    n = n_qubits_of(state)
-    if not (0 <= qubit < n):
-        raise ValueError("qubit index out of range")
-    idx = np.arange(len(state))
-    i0 = idx[((idx >> qubit) & 1) == 0]
-    i1 = i0 | (1 << qubit)
-    theta = np.asarray(angle_of_index(i0), dtype=float)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    out = state.copy()
-    a0, a1 = state[i0], state[i1]
-    out[i0] = c * a0 - s * a1
-    out[i1] = s * a0 + c * a1
-    return out
+    pairs = _pairs(state, qubit)
+    return _apply_1q(state, pairs, _ry(np.asarray(angle_of_index(pairs[0]), dtype=float)))
 
 
 def phase_flip_if(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -123,13 +120,9 @@ def _register_view(state: np.ndarray, register: Sequence[int]):
     return block, restore
 
 
-def diffusion(state: np.ndarray, qubits: Sequence[int] | None = None) -> np.ndarray:
-    """Reflect amplitudes about their mean over the given register."""
-    if qubits is None:
-        qubits = list(range(n_qubits_of(state)))
-    block, restore = _register_view(state, qubits)
-    mean = block.mean(axis=0, keepdims=True)
-    return restore(2 * mean - block)
+def diffusion(state: np.ndarray) -> np.ndarray:
+    """Reflect amplitudes about their mean: 2|s><s| - I."""
+    return 2 * state.mean() - state
 
 
 def qft(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
@@ -144,21 +137,10 @@ def inverse_qft(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
 
 
 def probability_of(state: np.ndarray, qubit: int, outcome: int) -> float:
-    n = n_qubits_of(state)
-    if not (0 <= qubit < n):
-        raise ValueError("qubit index out of range")
-    idx = np.arange(len(state))
-    mask = ((idx >> qubit) & 1) == outcome
-    return float(np.sum(np.abs(state[mask]) ** 2))
+    pair = _pairs(state, qubit)[outcome]
+    return float(np.sum(np.abs(state[pair]) ** 2))
 
 
-def register_distribution(state: np.ndarray, register: Sequence[int] | None = None) -> np.ndarray:
-    """Measurement distribution marginalized onto a register (LSB-first)."""
-    probs = np.abs(state) ** 2
-    if register is None:
-        return probs
-    idx = np.arange(len(state))
-    y = np.zeros(len(state), dtype=np.int64)
-    for j, q in enumerate(register):
-        y |= ((idx >> q) & 1) << j
-    return np.bincount(y, weights=probs, minlength=1 << len(register))
+def register_distribution(state: np.ndarray) -> np.ndarray:
+    """Measurement distribution over the basis states."""
+    return np.abs(state) ** 2

@@ -187,7 +187,7 @@ def test_criterion_5_grover_closed_form(report):
             mask[:m_marked] = True
             theta = math.asin(math.sqrt(m_marked / n))
             for k in range(6):
-                dist = _statevector_distribution(n, mask, k)
+                dist = _statevector_distribution(mask, k)
                 success = float(dist[mask].sum())
                 closed = math.sin((2 * k + 1) * theta) ** 2
                 worst = max(worst, abs(success - closed))
@@ -212,7 +212,7 @@ def test_criterion_6_minimum_finding_statistics(report):
         for rep in range(200):
             rng = np.random.default_rng(42000 + n * 1000 + rep)
             values = rng.random(n)
-            result = durr_hoyer_min(values, n, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng)
             hits += result.min_value == values.min()
             calls.append(result.total_oracle_calls)
         mean = float(np.mean(calls))

@@ -1,9 +1,20 @@
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from qcontain.cli import main
 from qcontain.graph import MAX_NODES
+from qcontain.qsim import MAX_QUBITS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the address-space cap of the child only, in KiB: a size check that is
+# missing shows as a MemoryError traceback instead of exhausting the machine
+CHILD_AS_KIB = 3_000_000
 
 
 def run(argv, capsys):
@@ -263,3 +274,44 @@ def test_exact_and_analytic_past_24_edges(tmp_path, capsys, flags, sigma):
     code, out, _ = run(["estimate", "--instance", str(inst)] + flags, capsys)
     assert code == 0
     assert float(out.splitlines()[1].split()[1]) == pytest.approx(sigma, abs=1e-3)
+
+
+def run_capped(argv):
+    """Run the CLI in a child process whose address space is capped."""
+
+    def cap():
+        limit = CHILD_AS_KIB * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    # one BLAS thread keeps the child's reserved address space small on many-core hosts
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "qcontain.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # m = 34 evaluation qubits: 2^34 outcomes, a 128 GiB distribution
+        ["estimate", "--method", "qae", "--analytic", "--epsilon", "1e-9"],
+        ["contain", "--estimator", "qae", "--analytic", "--epsilon", "1e-9"],
+        ["bench-estimation", "--qae-m", "40", "--reps", "1"],
+    ],
+    ids=["estimate", "contain", "bench-estimation"],
+)
+def test_qpe_register_over_cap_exits_2(instance_file, argv):
+    proc = run_capped([*argv, "--instance", instance_file])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"must be in [1, {MAX_QUBITS}]" in proc.stderr
+
+
+def test_minfind_size_over_cap_exits_2():
+    # a list of 4e8 values needs 2.98 GiB before the search starts
+    proc = run_capped(["bench-minfind", "--sizes", "4,400000000", "--reps", "1"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -13,10 +13,15 @@ from qcontain.gmf import (
 from qcontain.containment import RunAccounting
 
 
-def statevector_success(n_padded, marked, iterations):
-    mask = np.zeros(n_padded, dtype=bool)
+def mask_of(n_items, marked):
+    mask = np.zeros(n_items, dtype=bool)
     mask[marked] = True
-    dist = _statevector_distribution(n_padded, mask, iterations)
+    return mask
+
+
+def statevector_success(n_padded, marked, iterations):
+    mask = mask_of(n_padded, marked)
+    dist = _statevector_distribution(mask, iterations)
     return float(dist[mask].sum())
 
 
@@ -24,7 +29,7 @@ class TestGroverSearch:
     def test_single_marked_in_four_is_certain_after_one_iteration(self):
         p = statevector_success(4, [2], 1)
         assert p == pytest.approx(1.0, abs=1e-12)
-        run = grover_search(4, lambda i: i == 2, 1, rng_seed=0, backend="statevector")
+        run = grover_search(mask_of(4, [2]), 1, rng_seed=0, backend="statevector")
         assert run.found_index == 2
         assert run.oracle_calls == 1
 
@@ -35,24 +40,30 @@ class TestGroverSearch:
         hits = 0
         rng = np.random.default_rng(1)
         for _ in range(2000):
-            run = grover_search(8, lambda i: i == 5, 2, rng_seed=rng, backend="analytic")
+            run = grover_search(mask_of(8, [5]), 2, rng_seed=rng, backend="analytic")
             hits += run.found_index is not None
         assert abs(hits / 2000 - expected) < 0.03
 
     def test_zero_marked_never_found(self):
         for backend in ("analytic", "statevector"):
-            run = grover_search(8, lambda i: False, 3, rng_seed=2, backend=backend)
+            run = grover_search(mask_of(8, []), 3, rng_seed=2, backend=backend)
             assert run.found_index is None
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
-            grover_search(4, lambda i: i == 0, -1)
+            grover_search(mask_of(4, [0]), -1)
 
     def test_padding_is_never_marked(self):
-        # 5 items pad to 8; marked predicate only ever sees real indices
-        seen = []
-        grover_search(5, lambda i: seen.append(i) or False, 1, rng_seed=0)
-        assert max(seen) == 4
+        # 5 items pad to 8; with every item marked, no padded index is returned
+        marked = np.ones(5, dtype=bool)
+        for backend in ("analytic", "statevector"):
+            found = [
+                grover_search(marked, k, rng_seed=seed, backend=backend).found_index
+                for seed in range(20)
+                for k in (0, 1, 2)
+            ]
+            assert all(i is None or 0 <= i < 5 for i in found)
+            assert any(i is not None for i in found)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
@@ -68,24 +79,24 @@ class TestGroverSearch:
 
 class TestDurrHoyer:
     def test_single_element(self):
-        result = durr_hoyer_min([5.0], 1, rng_seed=0)
+        result = durr_hoyer_min([5.0], rng_seed=0)
         assert result.min_index == 0
         assert result.min_value == 5.0
         assert result.total_oracle_calls == 0
 
     def test_small_list(self):
-        result = durr_hoyer_min([3, 1, 4, 1], 4, rng_seed=7)
+        result = durr_hoyer_min([3, 1, 4, 1], rng_seed=7)
         assert result.min_value == 1
 
     def test_never_worse_than_start(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             values = rng.random(16)
-            result = durr_hoyer_min(values, 16, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng)
             assert result.min_value == values[result.min_index]
 
     def test_round_thresholds_strictly_decrease(self):
-        result = durr_hoyer_min(list(range(32, 0, -1)), 32, rng_seed=3)
+        result = durr_hoyer_min(list(range(32, 0, -1)), rng_seed=3)
         thresholds = [t for t, _ in result.rounds]
         assert thresholds == sorted(thresholds, reverse=True)
         assert len(set(thresholds)) == len(thresholds)
@@ -96,19 +107,15 @@ class TestDurrHoyer:
         for rep in range(100):
             rng = np.random.default_rng(1000 + rep)
             values = rng.random(16)
-            result = durr_hoyer_min(values, 16, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng)
             found += result.min_value == values.min()
             calls.append(result.total_oracle_calls)
         assert found >= 90
         assert np.mean(calls) <= 4.5 * math.sqrt(16)
 
     def test_statevector_backend(self):
-        result = durr_hoyer_min([0.9, 0.1, 0.5, 0.7], 4, rng_seed=5, backend="statevector")
+        result = durr_hoyer_min([0.9, 0.1, 0.5, 0.7], rng_seed=5, backend="statevector")
         assert result.min_value == pytest.approx(0.1)
-
-    def test_callable_accessor(self):
-        result = durr_hoyer_min(lambda i: float((i - 5) ** 2), 16, rng_seed=9)
-        assert result.min_value == 0.0
 
 
 class TestEdgeFinder:

@@ -160,6 +160,87 @@ def test_serialize_parse_round_trip(n_nodes, edge_prob, rng_seed, undirected):
     assert parse_instance(serialize_instance(inst)) == inst
 
 
+KEYWORDS = ("nodes", "undirected", "seeds", "lambda")
+
+
+@given(
+    n_nodes=st.integers(1, 8),
+    edge_prob=st.floats(0.0, 1.0),
+    rng_seed=st.integers(0, 2**32 - 1),
+    undirected=st.booleans(),
+    names=st.lists(
+        st.from_regex(r"[A-Za-z][A-Za-z0-9_.-]{0,7}", fullmatch=True).filter(
+            lambda name: name not in KEYWORDS
+        ),
+        min_size=8, max_size=8, unique=True,
+    ),
+)
+@settings(max_examples=50, deadline=None)
+def test_symbolic_names_parse_like_integer_ids(n_nodes, edge_prob, rng_seed, undirected, names):
+    inst = generate_random_instance(n_nodes, edge_prob, n_seeds=2 if n_nodes > 1 else 1,
+                                    lam=0.25, rng_seed=rng_seed)
+    text = serialize_instance(inst)
+    if undirected:
+        text = text.replace("\n", "\nundirected\n", 1)
+        text = "\n".join(
+            line for line in text.splitlines()
+            if len(line.split()) != 4 or int(line.split()[0]) < int(line.split()[1])
+        ) + "\n"
+    by_ints = parse_instance(text)
+    # the parser numbers names in order of first use: edge lines, then seeds
+    order: list[int] = []
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] == "seeds" or len(tokens) == 4:
+            ids = tokens[1:] if tokens[0] == "seeds" else tokens[:2]
+            for t in ids:
+                if int(t) not in order:
+                    order.append(int(t))
+            named = [names[order.index(int(t))] for t in ids]
+            tokens = ["seeds", *named] if tokens[0] == "seeds" else [*named, *tokens[2:]]
+        lines.append(" ".join(tokens))
+    by_names = parse_instance("\n".join(lines) + "\n")
+    new_id = {v: k for k, v in enumerate(order)}
+    g = by_ints.graph
+    edges = [Edge(new_id[e.src], new_id[e.dst], e.p, e.i) for e in g.edges]
+    assert by_names.graph == Graph(g.node_count, edges, undirected=g.undirected)
+    assert by_names.seeds == frozenset(new_id[s] for s in by_ints.seeds)
+    assert by_names.lam == by_ints.lam
+
+
+INSTANCE_TOKENS = [
+    "#", "# note", "0", "1", "2", "3", "-1", "0.5", "1.0", "-0.5", "1e308", "1e400",
+    "-1e400", "99999999999999999999", "nan", "NaN", "inf", "-inf", "a", "b", "x_1", "0x1", "1_0",
+]
+# a line starts with a keyword or a token; lines of the right shape let the
+# soup get past the header checks to node resolution and the range checks
+SOUP_LINE = st.one_of(
+    st.sampled_from([
+        "nodes 3", "seeds 0", "seeds a", "lambda 0.5", "lambda 2", "lambda nan", "lambda a",
+        "0 1 0.5 0.5", "a b 0.5 0.5",
+    ]),
+    st.builds(
+        lambda head, rest: " ".join([head, *rest]),
+        st.one_of(st.sampled_from(KEYWORDS), st.sampled_from(INSTANCE_TOKENS)),
+        st.lists(st.sampled_from([*KEYWORDS, *INSTANCE_TOKENS]), max_size=4),
+    ),
+)
+
+
+@given(
+    header=st.sets(st.sampled_from(["nodes 3", "seeds 0", "lambda 0.5"])),
+    lines=st.lists(SOUP_LINE, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_token_soup_parses_or_raises_parse_error(header, lines):
+    try:
+        inst = parse_instance("\n".join([*sorted(header), *lines]))
+    except ParseError:
+        return
+    assert isinstance(inst, ProblemInstance)
+
+
 @given(rng_seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_removal_composes(rng_seed, data):

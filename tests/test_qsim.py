@@ -44,6 +44,17 @@ def test_ry_encodes_probability():
     assert qsim.probability_of(state, 0, 1) == pytest.approx(0.3, abs=1e-12)
 
 
+def test_ry_indexed_rotates_each_pair_by_its_angle():
+    rng = np.random.default_rng(9)
+    state = rng.normal(size=8) + 1j * rng.normal(size=8)
+    angles = rng.uniform(-3.0, 3.0, size=8)
+    out = qsim.apply_ry_indexed(state, 1, lambda ix: angles[ix])
+    for i0 in (0, 1, 4, 5):
+        c, s = np.cos(angles[i0] / 2), np.sin(angles[i0] / 2)
+        pair = [i0, i0 | 2]
+        assert np.allclose(out[pair], np.array([[c, -s], [s, c]]) @ state[pair], atol=1e-12)
+
+
 def test_probability_of_basis_states():
     assert qsim.probability_of(qsim.init_state(1), 0, 0) == pytest.approx(1.0)
     plus = qsim.apply_h(qsim.init_state(1), 0)
@@ -81,18 +92,6 @@ class TestDiffusion:
             other = qsim.apply_h(other, q)
         # H^n (2|0><0| - I) H^n = 2|s><s| - I
         assert np.allclose(via_d, other, atol=1e-10)
-
-    def test_subset_register(self):
-        # diffusion over qubit 0 only: reflect each (q1, q2) block about its mean
-        rng = np.random.default_rng(7)
-        state = rng.normal(size=8).astype(complex)
-        state /= np.linalg.norm(state)
-        out = qsim.diffusion(state, qubits=[0])
-        for high in range(4):
-            a, b = state[2 * high], state[2 * high + 1]
-            mean = (a + b) / 2
-            assert out[2 * high] == pytest.approx(2 * mean - a)
-            assert out[2 * high + 1] == pytest.approx(2 * mean - b)
 
 
 class TestFourier:
@@ -162,14 +161,6 @@ def test_norm_preserved_and_adjoint_returns(seed, ops):
         else:
             state = qsim.apply_ry(state, q, -angle)
     assert np.allclose(state, start, atol=1e-9)
-
-
-def test_register_distribution_marginalizes():
-    state = qsim.apply_h(qsim.init_state(2), 0)
-    dist = qsim.register_distribution(state, [0])
-    assert np.allclose(dist, [0.5, 0.5])
-    dist = qsim.register_distribution(state, [1])
-    assert np.allclose(dist, [1.0, 0.0])
 
 
 def test_invalid_qubit_index():

@@ -14,6 +14,7 @@ import numpy as np
 from . import qsim
 from .cascade import exact_influence, mc_influence
 from .containment import (
+    RunAccounting,
     greedy_contain,
     linear_finder,
     make_exact_estimator,
@@ -27,7 +28,7 @@ from .graph import (
     parse_instance,
     serialize_instance,
 )
-from .qae import qae_estimate, qae_influence
+from .qae import check_evaluation_qubits, qae_estimate, qae_influence
 
 
 def _load_instance(path: str):
@@ -72,19 +73,15 @@ def cmd_gen(args) -> int:
 def cmd_estimate(args) -> int:
     inst = _load_instance(args.instance)
     if args.method == "exact":
-        result = exact_influence(inst)
-        n = inst.graph.node_count
-        # work units: the live-edge configurations whose probability sigma sums
-        sigma, norm, err, work = result.sigma, result.sigma / n, None, 1 << len(inst.graph.edges)
+        est = make_exact_estimator()(inst, (), RunAccounting())
     elif args.method == "mc":
         est = mc_influence(inst, args.trials, args.rng)
-        sigma, norm, err, work = est.sigma, est.sigma_normalized, est.std_error, est.trials_or_calls
     elif args.method == "qae":
         mode = "analytic" if args.analytic else "statevector"
         est = qae_influence(inst, epsilon=args.epsilon, rng_seed=args.rng, mode=mode)
-        sigma, norm, err, work = est.sigma, est.sigma_normalized, est.std_error, est.trials_or_calls
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.method)
+    sigma, norm, err, work = est.sigma, est.sigma_normalized, est.std_error, est.trials_or_calls
 
     lines = [
         f"method {args.method}",
@@ -158,11 +155,13 @@ def cmd_contain(args) -> int:
 
 def cmd_bench_estimation(args) -> int:
     inst = _load_instance(args.instance)
+    mc_grid = [int(t) for t in args.mc_trials.split(",")]
+    m_grid = [int(m) for m in args.qae_m.split(",")]
+    for m in m_grid:
+        check_evaluation_qubits(m)
     truth = exact_influence(inst)
     n = inst.graph.node_count
     a_true = truth.sigma / n
-    mc_grid = [int(t) for t in args.mc_trials.split(",")]
-    m_grid = [int(m) for m in args.qae_m.split(",")]
     rows = []
     for rep in range(args.reps):
         seed_seq = np.random.SeedSequence(entropy=args.rng, spawn_key=(rep,))
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mc", "exact", "qae"], required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--analytic", action="store_true", help="use the closed-form QAE sampler")
+    p.add_argument("--analytic", action="store_true", help="QAE readout from the exact amplitude, no statevector")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("contain", help="greedy edge-removal containment")

@@ -41,8 +41,6 @@ class ObjectiveValue:
     total: float
     influence_term: float
     impact_term: float
-    sigma_used: float
-    oi_used: float
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,12 @@ def operational_impact(edges: Iterable[int], graph: Graph) -> float:
 def objective(
     instance: ProblemInstance, removal: Iterable[int], sigma: float
 ) -> ObjectiveValue:
-    oi = operational_impact(removal, instance.graph)
     influence_term = instance.lam * sigma
-    impact_term = (1.0 - instance.lam) * oi
+    impact_term = (1.0 - instance.lam) * operational_impact(removal, instance.graph)
     return ObjectiveValue(
         total=influence_term + impact_term,
         influence_term=influence_term,
         impact_term=impact_term,
-        sigma_used=sigma,
-        oi_used=oi,
     )
 
 
@@ -184,6 +179,7 @@ def make_exact_estimator() -> Estimator:
             sigma=result.sigma,
             sigma_normalized=result.sigma / n,
             std_error=None,
+            # work units: the live-edge configurations whose probability sigma sums
             trials_or_calls=1 << len(sub.graph.edges),
             method="exact",
         )

@@ -179,6 +179,8 @@ def parse_instance(text: str) -> ProblemInstance:
                 lam = float(tokens[1])
             except ValueError:
                 raise ParseError(lineno, f"bad lambda {tokens[1]!r}") from None
+            if not (0.0 <= lam <= 1.0):
+                raise ParseError(lineno, f"lambda out of range: {lam}")
         else:
             if len(tokens) != 4:
                 raise ParseError(lineno, f"malformed line {line!r}")

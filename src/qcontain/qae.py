@@ -14,10 +14,10 @@ Two interchangeable modes:
   instead of running the controlled-Q ladder. The block holds as many
   amplitudes as the full s+m qubit register, so evaluation qubits still count
   toward the qubit cap.
-* ``analytic`` -- computes a exactly with the exact oracle and samples the
-  phase-estimation outcome from its closed-form distribution; identical
-  output contract, no statevector, so it is not bound by the qubit cap, only
-  by the exact oracle's work budget.
+* ``analytic`` -- computes a exactly with the exact oracle and runs the same
+  readout on the two coordinates of the plane Q rotates; identical output
+  contract, no statevector, so it is bound by the exact oracle's work budget
+  and the evaluation-register cap, not by the qubit cap.
 """
 from __future__ import annotations
 
@@ -49,34 +49,26 @@ class AOperatorSpec:
 @dataclass(frozen=True)
 class AmplitudeEstimate:
     a_hat: float
-    theta_hat: float
-    m: int
     q_applications: int
     a_applications: int
-    mode: str
 
 
-def build_a_operator(
-    instance: ProblemInstance,
-    removal: tuple[int, ...] = (),
-    eval_qubits: int = 0,
-) -> AOperatorSpec:
-    """A operator for the instance without ``removal``.
+def build_a_operator(instance: ProblemInstance, eval_qubits: int = 0) -> AOperatorSpec:
+    """A operator for ``instance``, one edge qubit per arc of its graph.
 
     The qubit cap covers the edge qubits, the ancilla and the ``eval_qubits``
     of phase estimation, and is checked before the f_table is enumerated.
     """
-    sub = instance.without_edges(removal)
-    g = sub.graph
+    g = instance.graph
     n_edges = len(g.edges)
     needed = n_edges + 1 + eval_qubits
     if needed > qsim.MAX_QUBITS:
         raise ValueError(
             f"statevector QAE needs {needed} qubits ({n_edges} edges + 1 ancilla + "
             f"{eval_qubits} evaluation) > cap {qsim.MAX_QUBITS}; "
-            "rerun with --analytic to use the closed-form sampler"
+            "rerun with --analytic, which simulates no statevector"
         )
-    f_table = live_edge_reachability(g, sub.seeds) / g.node_count
+    f_table = live_edge_reachability(g, instance.seeds) / g.node_count
     angles = tuple(2.0 * asin(sqrt(e.p)) for e in g.edges)
     return AOperatorSpec(
         n_edge_qubits=n_edges,
@@ -114,29 +106,24 @@ def build_q_operator(psi: np.ndarray):
     return apply_q
 
 
+def _readout(block: np.ndarray) -> np.ndarray:
+    """Outcome distribution from the state before the inverse QFT; row y pairs with outcome y."""
+    # numpy's forward FFT has the inverse QFT's sign, exp(-2 pi i k y / M)
+    block = np.fft.fft(block, axis=0) / sqrt(len(block))
+    return np.sum(np.abs(block) ** 2, axis=1)
+
+
 def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
     """Exact phase-estimation outcome distribution for amplitude a.
 
-    A|0> splits evenly between the two Q eigenvectors with eigenphases
-    +-theta/pi; the readout is the matching mixture of Fejer-type kernels.
+    A|0> = cos(theta)|bad> + sin(theta)|good> with a = sin^2 theta, and Q
+    rotates the (bad, good) plane by 2 theta, so Q^y A|0> has coordinates
+    (cos, sin)((2y + 1) theta) there. The readout is the statevector one on
+    these 2 coordinates instead of 2^s.
     """
-    theta = asin(sqrt(a))
     dim = 1 << m
-    y = np.arange(dim)
-    phis = [theta / pi % 1.0]
-    weights = [1.0]
-    if 0.0 < a < 1.0:
-        phis = [theta / pi % 1.0, (-theta / pi) % 1.0]
-        weights = [0.5, 0.5]
-    dist = np.zeros(dim)
-    for phi, w in zip(phis, weights):
-        delta = phi - y / dim
-        num = np.sin(pi * dim * delta)
-        den = dim * np.sin(pi * delta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = np.where(np.abs(den) < 1e-12, 1.0, (num / np.where(den == 0, 1, den)) ** 2)
-        dist += w * kernel
-    return dist / dist.sum()
+    angles = (2 * np.arange(dim) + 1) * asin(sqrt(a))
+    return _readout(np.stack([np.cos(angles), np.sin(angles)], axis=1) / sqrt(dim))
 
 
 def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
@@ -144,9 +131,9 @@ def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
 
     The evaluation register only controls Q, so before the inverse QFT the
     state is sum_y |y> Q^y |psi> / sqrt(M). Row y of the (M, 2^s) block holds
-    Q^y psi / sqrt(M); the inverse DFT runs down the rows. The block holds the
-    same 2^(s+m) amplitudes as the full register, hence the s + m qubit cap
-    that ``build_a_operator(eval_qubits=m)`` checks.
+    Q^y psi / sqrt(M). The block holds the same 2^(s+m) amplitudes as the
+    full register, hence the s + m qubit cap that
+    ``build_a_operator(eval_qubits=m)`` checks.
     """
     psi = apply_a(qsim.init_state(spec.n_qubits), spec)
     apply_q = build_q_operator(psi)
@@ -155,9 +142,13 @@ def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
     block[0] = psi / sqrt(dim)
     for y in range(1, dim):
         block[y] = apply_q(block[y - 1])
-    # numpy's forward FFT has the inverse QFT's sign, exp(-2 pi i k y / M)
-    block = np.fft.fft(block, axis=0) / sqrt(dim)
-    return np.sum(np.abs(block) ** 2, axis=1)
+    return _readout(block)
+
+
+def check_evaluation_qubits(m: int) -> None:
+    """Reject an evaluation register outside [1, MAX_QUBITS] qubits."""
+    if not (1 <= m <= qsim.MAX_QUBITS):
+        raise ValueError(f"evaluation qubits m = {m} must be in [1, {qsim.MAX_QUBITS}]")
 
 
 def qae_estimate(
@@ -167,29 +158,21 @@ def qae_estimate(
     rng_seed: int | np.random.Generator = 0,
     mode: str = "statevector",
 ) -> AmplitudeEstimate:
-    if not (1 <= m <= qsim.MAX_QUBITS):
-        raise ValueError(f"evaluation qubits m = {m} must be in [1, {qsim.MAX_QUBITS}]")
+    check_evaluation_qubits(m)
     rng = np.random.default_rng(rng_seed)
+    sub = instance.without_edges(removal)
     if mode == "statevector":
-        spec = build_a_operator(instance, removal, eval_qubits=m)
-        dist = _statevector_qpe_distribution(spec, m)
+        dist = _statevector_qpe_distribution(build_a_operator(sub, eval_qubits=m), m)
     elif mode == "analytic":
-        sub = instance.without_edges(removal)
-        a = exact_influence(sub).sigma / sub.graph.node_count
-        dist = qpe_outcome_distribution(a, m)
+        dist = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     y = int(rng.choice(1 << m, p=dist))
-    theta_hat = pi * y / (1 << m)
-    a_hat = float(np.sin(theta_hat) ** 2)
     q_apps = (1 << m) - 1
     return AmplitudeEstimate(
-        a_hat=a_hat,
-        theta_hat=theta_hat,
-        m=m,
+        a_hat=float(np.sin(pi * y / (1 << m)) ** 2),
         q_applications=q_apps,
         a_applications=2 * q_apps + 1,
-        mode=mode,
     )
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qcontain import cli
 from qcontain.cli import main
 from qcontain.graph import MAX_NODES
 from qcontain.qsim import MAX_QUBITS
@@ -307,6 +308,19 @@ def test_qpe_register_over_cap_exits_2(instance_file, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"must be in [1, {MAX_QUBITS}]" in proc.stderr
+
+
+def test_bench_estimation_checks_qae_m_before_the_sweep(instance_file, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started before --qae-m was checked")
+
+    monkeypatch.setattr(cli, "exact_influence", refuse)
+    monkeypatch.setattr(cli, "mc_influence", refuse)
+    code, _, err = run(
+        ["bench-estimation", "--instance", instance_file, "--qae-m", "4,40", "--reps", "1"], capsys
+    )
+    assert code == 2
+    assert err == f"error: evaluation qubits m = 40 must be in [1, {MAX_QUBITS}]\n"
 
 
 def test_minfind_size_over_cap_exits_2():

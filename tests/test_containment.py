@@ -100,7 +100,7 @@ class TestGreedy:
         assert plan.removed == (0,)
         k, edge, obj = plan.trace[0]
         assert (k, edge) == (1, 0)
-        assert obj.sigma_used == pytest.approx(1.1)
+        assert obj.influence_term == pytest.approx(1.1)
 
     def test_lambda_zero_yields_empty_plan(self):
         g = Graph(3, [Edge(0, 1, 1.0, 0.1), Edge(0, 2, 0.1, 0.1)])

@@ -27,6 +27,12 @@ class TestParse:
         with pytest.raises(ParseError, match="probability out of range"):
             parse_instance("nodes 2\n0 1 1.5 0.3\nseeds 0\nlambda 1.0\n")
 
+    @pytest.mark.parametrize("lam", ["2.0", "nan"])
+    def test_lambda_out_of_range_names_its_line(self, lam):
+        with pytest.raises(ParseError, match="lambda out of range") as info:
+            parse_instance(f"nodes 2\n0 1 0.5 0.3\nseeds 0\nlambda {lam}\n")
+        assert info.value.lineno == 4
+
     def test_duplicate_edge(self):
         text = "nodes 2\n0 1 0.5 0.3\n0 1 0.2 0.1\nseeds 0\nlambda 1.0\n"
         with pytest.raises(ParseError, match="duplicate edge"):

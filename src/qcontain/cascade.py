@@ -48,10 +48,8 @@ COIN_CHUNK_BYTES = 8 << 20
 @dataclass(frozen=True)
 class InfluenceEstimate:
     sigma: float
-    sigma_normalized: float
     std_error: float | None
     trials_or_calls: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -129,13 +127,7 @@ def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> Influ
         counts[start : start + len(coins)] = _batch_infected_counts(g, instance.seeds, coins)
     sigma = float(counts.mean())
     std_error = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return InfluenceEstimate(
-        sigma=sigma,
-        sigma_normalized=sigma / g.node_count,
-        std_error=std_error,
-        trials_or_calls=trials,
-        method="monte_carlo",
-    )
+    return InfluenceEstimate(sigma=sigma, std_error=std_error, trials_or_calls=trials)
 
 
 def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:

@@ -22,12 +22,7 @@ from .containment import (
     make_qae_estimator,
 )
 from .gmf import durr_hoyer_min, make_gmf_finder
-from .graph import (
-    ParseError,
-    generate_random_instance,
-    parse_instance,
-    serialize_instance,
-)
+from .graph import generate_random_instance, parse_instance, serialize_instance
 from .qae import check_evaluation_qubits, qae_estimate, qae_influence
 
 
@@ -81,7 +76,8 @@ def cmd_estimate(args) -> int:
         est = qae_influence(inst, epsilon=args.epsilon, rng_seed=args.rng, mode=mode)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.method)
-    sigma, norm, err, work = est.sigma, est.sigma_normalized, est.std_error, est.trials_or_calls
+    sigma, err, work = est.sigma, est.std_error, est.trials_or_calls
+    norm = sigma / inst.graph.node_count
 
     lines = [
         f"method {args.method}",
@@ -168,7 +164,7 @@ def cmd_bench_estimation(args) -> int:
         seeds = seed_seq.generate_state(2)
         for trials in mc_grid:
             est = mc_influence(inst, trials, np.random.SeedSequence(int(seeds[0]), spawn_key=(trials,)))
-            rows.append(("mc", trials, abs(est.sigma_normalized - a_true), rep))
+            rows.append(("mc", trials, abs(est.sigma / n - a_true), rep))
         for m in m_grid:
             est = qae_estimate(
                 inst,
@@ -275,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

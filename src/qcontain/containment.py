@@ -73,16 +73,12 @@ def objective(
 
 
 def _reachable_nodes(graph: Graph, seeds: frozenset[int]) -> set[int]:
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for k in graph.out_edges(v):
-            d = graph.edges[k].dst
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return seen
+    reached = set(seeds)
+    size = 0
+    while size < len(reached):
+        size = len(reached)
+        reached.update([e.dst for e in graph.edges if e.src in reached])
+    return reached
 
 
 def candidate_edges(
@@ -173,15 +169,11 @@ def greedy_contain(
 def make_exact_estimator() -> Estimator:
     def estimator(instance, removal, accounting):
         sub = instance.without_edges(removal)
-        result = exact_influence(sub)
-        n = sub.graph.node_count
         return InfluenceEstimate(
-            sigma=result.sigma,
-            sigma_normalized=result.sigma / n,
+            sigma=exact_influence(sub).sigma,
             std_error=None,
             # work units: the live-edge configurations whose probability sigma sums
             trials_or_calls=1 << len(sub.graph.edges),
-            method="exact",
         )
 
     return estimator

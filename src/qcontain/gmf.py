@@ -30,17 +30,11 @@ _MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True)
-class GroverRun:
-    found_index: int | None
-    oracle_calls: int
-
-
-@dataclass(frozen=True)
 class MinFindResult:
     min_index: int
     min_value: float
     total_oracle_calls: int
-    rounds: tuple[tuple[float, GroverRun], ...]
+    rounds: tuple[tuple[float, int], ...]
 
 
 def _padded_size(size: int) -> int:
@@ -66,7 +60,7 @@ def grover_search(
     iterations: int,
     rng_seed: int | np.random.Generator = 0,
     backend: str = "analytic",
-) -> GroverRun:
+) -> int | None:
     """One Grover run over the items of the boolean mask ``marked``; returns
     the sampled index only if it is marked."""
     if len(marked) < 1:
@@ -90,8 +84,7 @@ def grover_search(
         found = outcome if mask[outcome] else None
     else:
         raise ValueError(f"unknown backend {backend!r}")
-
-    return GroverRun(found_index=found, oracle_calls=iterations)
+    return found
 
 
 def durr_hoyer_min(
@@ -124,7 +117,7 @@ def durr_hoyer_min(
     if n_items == 1:
         return MinFindResult(best, best_val, 0, ())
     calls = 0
-    rounds: list[tuple[float, GroverRun]] = []
+    rounds: list[tuple[float, int]] = []
     r = 0
     fail_calls = 0
     while calls < budget and fail_calls < fail_budget and r < _MAX_ROUNDS:
@@ -132,16 +125,16 @@ def durr_hoyer_min(
         k = int(rng.integers(0, cap + 1))
         k = min(k, budget - calls)
         threshold = best_val
-        run = grover_search(values < threshold, k, rng_seed=rng, backend=backend)
-        calls += run.oracle_calls
-        if run.found_index is not None:
+        found = grover_search(values < threshold, k, rng_seed=rng, backend=backend)
+        calls += k
+        if found is not None:
             calls += 1  # classical verification of the returned candidate
-            rounds.append((threshold, run))
-            best = run.found_index
+            rounds.append((threshold, found))
+            best = found
             best_val = float(values[best])
             fail_calls = 0
         else:
-            fail_calls += run.oracle_calls
+            fail_calls += k
         r += 1
     return MinFindResult(
         min_index=best,

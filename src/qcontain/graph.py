@@ -6,8 +6,8 @@ arc of a pair removes both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class Edge:
             raise ValueError("negative node id")
 
 
+@dataclass(frozen=True)
 class Graph:
     """Immutable directed graph over dense integer node ids.
 
@@ -49,56 +50,31 @@ class Graph:
     gives the index of the reverse arc (None for purely directed arcs).
     """
 
-    def __init__(self, node_count: int, edges: Sequence[Edge], undirected: bool = False):
-        if node_count < 1:
+    node_count: int
+    edges: tuple[Edge, ...]
+    undirected: bool = False
+    partner: tuple[int | None, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.node_count < 1:
             raise ValueError("node_count must be positive")
-        edges = tuple(edges)
+        edges = tuple(self.edges)
         seen: dict[tuple[int, int], int] = {}
         for k, e in enumerate(edges):
-            if e.src >= node_count or e.dst >= node_count:
+            if e.src >= self.node_count or e.dst >= self.node_count:
                 raise ValueError(f"edge {e.src}->{e.dst} references unknown node")
             if (e.src, e.dst) in seen:
                 raise ValueError(f"duplicate edge {e.src}->{e.dst}")
             seen[(e.src, e.dst)] = k
-        partner: list[int | None] = [None] * len(edges)
-        if undirected:
-            for k, e in enumerate(edges):
-                partner[k] = seen.get((e.dst, e.src))
-        self.node_count = node_count
-        self.edges = edges
-        self.undirected = undirected
-        self.partner = tuple(partner)
-        adj: dict[int, list[int]] = {}
-        for k, e in enumerate(edges):
-            adj.setdefault(e.src, []).append(k)
-        self._adjacency = adj
-
-    def out_edges(self, node: int) -> list[int]:
-        return self._adjacency.get(node, [])
+        partner = tuple(seen.get((e.dst, e.src)) if self.undirected else None for e in edges)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "partner", partner)
 
     def represents_pair(self, k: int) -> bool:
         """Whether arc k stands for its logical edge: it is directed, or the
         lower-indexed arc of an undirected pair."""
         mate = self.partner[k]
         return mate is None or k < mate
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.node_count == other.node_count
-            and self.edges == other.edges
-            and self.undirected == other.undirected
-        )
-
-    def __hash__(self):
-        return hash((self.node_count, self.edges, self.undirected))
-
-    def __repr__(self):
-        return (
-            f"Graph(node_count={self.node_count}, edges={len(self.edges)}, "
-            f"undirected={self.undirected})"
-        )
 
 
 @dataclass(frozen=True)
@@ -281,6 +257,11 @@ def generate_random_instance(
         raise ValueError("n_seeds > n_nodes" if n_seeds > n_nodes else "n_seeds must be >= 1")
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError("edge_prob out of range")
+    for name, (lo, hi) in (("p_range", p_range), ("i_range", i_range)):
+        if not (0.0 <= lo <= hi <= 1.0):
+            raise ValueError(f"{name} ({lo}, {hi}) must satisfy 0 <= min <= max <= 1")
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lambda out of range: {lam}")
     rng = np.random.default_rng(rng_seed)
     edges = []
     for src in range(n_nodes):

@@ -202,8 +202,6 @@ def qae_influence(
     sigma = min(max(a_hat * n, float(n_seeds)), float(n))
     return InfluenceEstimate(
         sigma=sigma,
-        sigma_normalized=sigma / n,
         std_error=epsilon * n,
         trials_or_calls=sum(e.q_applications for e in estimates),
-        method="qae",
     )

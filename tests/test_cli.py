@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qcontain import cli
+from qcontain import cli, graph
 from qcontain.cli import main
 from qcontain.graph import MAX_NODES
 from qcontain.qsim import MAX_QUBITS
@@ -59,6 +59,31 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert err == f"error: n_nodes must be in [1, {MAX_NODES}]\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--p-min", "-1"],
+            ["--i-max", "7"],
+            ["--p-min", "0.9", "--p-max", "0.1"],
+            ["--i-min", "nan"],
+        ],
+    )
+    def test_ranges_out_of_bounds_exit_2(self, flags, capsys):
+        code, out, err = run(["gen", "--nodes", "3", "--edge-prob", "0"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("must satisfy 0 <= min <= max <= 1\n")
+
+    def test_lambda_checked_before_drawing(self, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the generator drew before checking lambda")
+
+        monkeypatch.setattr(graph.np.random, "default_rng", no_draw)
+        argv = ["gen", "--nodes", "2500", "--edge-prob", "0.01", "--lam", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == "error: lambda out of range: 2.0\n"
 
     def test_generated_instance_parses(self, tmp_path, capsys):
         out = tmp_path / "g.txt"

@@ -64,10 +64,20 @@ class TestCandidates:
     def test_all(self, chain3):
         assert candidate_edges(chain3, strategy="all") == (0, 1)
 
-    def test_frontier_excludes_unreachable_sources(self):
-        g = Graph(3, [Edge(0, 1, 0.5, 0.1), Edge(2, 1, 0.5, 0.1)])
+    @pytest.mark.parametrize(
+        "n_nodes, arcs, removed, expected",
+        [
+            (3, [(0, 1), (2, 1)], (), (0,)),
+            # reach spans several hops, and a removal cuts it
+            (5, [(0, 1), (1, 2), (2, 3), (4, 3)], (), (0, 1, 2)),
+            (5, [(0, 1), (1, 2), (2, 3), (4, 3)], (1,), (0,)),
+        ],
+        ids=["one-hop", "multi-hop", "cut-by-removal"],
+    )
+    def test_frontier_excludes_unreachable_sources(self, n_nodes, arcs, removed, expected):
+        g = Graph(n_nodes, [Edge(a, b, 0.5, 0.1) for a, b in arcs])
         inst = ProblemInstance(g, frozenset({0}), 1.0)
-        assert candidate_edges(inst, strategy="frontier") == (0,)
+        assert candidate_edges(inst, removed=removed, strategy="frontier") == expected
 
     def test_top_p_truncates(self):
         g = Graph(4, [Edge(0, 1, 0.9, 0.1), Edge(1, 2, 0.5, 0.1), Edge(2, 3, 0.1, 0.1)])

@@ -29,9 +29,7 @@ class TestGroverSearch:
     def test_single_marked_in_four_is_certain_after_one_iteration(self):
         p = statevector_success(4, [2], 1)
         assert p == pytest.approx(1.0, abs=1e-12)
-        run = grover_search(mask_of(4, [2]), 1, rng_seed=0, backend="statevector")
-        assert run.found_index == 2
-        assert run.oracle_calls == 1
+        assert grover_search(mask_of(4, [2]), 1, rng_seed=0, backend="statevector") == 2
 
     def test_closed_form_n8(self):
         theta = math.asin(math.sqrt(1 / 8))
@@ -40,14 +38,12 @@ class TestGroverSearch:
         hits = 0
         rng = np.random.default_rng(1)
         for _ in range(2000):
-            run = grover_search(mask_of(8, [5]), 2, rng_seed=rng, backend="analytic")
-            hits += run.found_index is not None
+            hits += grover_search(mask_of(8, [5]), 2, rng_seed=rng, backend="analytic") is not None
         assert abs(hits / 2000 - expected) < 0.03
 
     def test_zero_marked_never_found(self):
         for backend in ("analytic", "statevector"):
-            run = grover_search(mask_of(8, []), 3, rng_seed=2, backend=backend)
-            assert run.found_index is None
+            assert grover_search(mask_of(8, []), 3, rng_seed=2, backend=backend) is None
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +54,7 @@ class TestGroverSearch:
         marked = np.ones(5, dtype=bool)
         for backend in ("analytic", "statevector"):
             found = [
-                grover_search(marked, k, rng_seed=seed, backend=backend).found_index
+                grover_search(marked, k, rng_seed=seed, backend=backend)
                 for seed in range(20)
                 for k in (0, 1, 2)
             ]

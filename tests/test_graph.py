@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,3 +268,31 @@ def test_removal_composes(rng_seed, data):
         if any(inst.graph.edges[j] == e for j in second)
     ]
     assert remove_edges(step, remap) == combined
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+MODULES = ["graph", "cascade", "containment", "qae", "gmf", "qsim", "cli"]
+
+
+def import_in_fresh_interpreter(module: str) -> subprocess.CompletedProcess:
+    """Import ``qcontain.<module>`` alone and print the qcontain modules it loaded."""
+    code = (
+        f"import sys, qcontain.{module}; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'qcontain')))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    proc = import_in_fresh_interpreter(module)
+    assert proc.returncode == 0, proc.stderr
+    assert f"qcontain.{module}" in proc.stdout.split()
+
+
+def test_graph_import_loads_no_other_module():
+    proc = import_in_fresh_interpreter("graph")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["qcontain", "qcontain.graph"]

@@ -292,7 +292,6 @@ class TestQaeInfluence:
     def test_single_edge_estimate(self, single_edge):
         est = qae_influence(single_edge, epsilon=0.05, rng_seed=4, mode="analytic")
         assert abs(est.sigma - 1.5) <= 0.05 * 2
-        assert est.method == "qae"
         m = evaluation_qubits_for(0.05)
         assert est.trials_or_calls == 3 * (2**m - 1)
 

@@ -23,7 +23,8 @@ feed it live bits:
 * ``_batch_infected_counts`` -- packed ``coins < p`` for Monte Carlo trials;
   its counts equal per-trial simulation exactly. ``mc_influence`` draws the
   coins in chunks of at most ``COIN_CHUNK_BYTES``; the generator fills its
-  stream in C order, so the estimate is the same as from one draw.
+  stream in C order, so the estimate is the same as from one draw. It keeps
+  a histogram of the counts, |V| + 1 bins, not one count per trial.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -121,12 +122,15 @@ def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> Influ
     g = instance.graph
     rng = np.random.default_rng(rng_seed)
     rows = _chunk_rows(len(g.edges))
-    counts = np.empty(trials, dtype=np.int64)
+    hist = np.zeros(g.node_count + 1, dtype=np.int64)  # trials per infected count
     for start in range(0, trials, rows):
         coins = rng.random((min(rows, trials - start), len(g.edges)))
-        counts[start : start + len(coins)] = _batch_infected_counts(g, instance.seeds, coins)
-    sigma = float(counts.mean())
-    std_error = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        counts = _batch_infected_counts(g, instance.seeds, coins)
+        hist += np.bincount(counts, minlength=len(hist))
+    sizes = np.arange(len(hist))
+    sigma = int(hist @ sizes) / trials
+    squares = hist @ (sizes - sigma) ** 2
+    std_error = float(np.sqrt(squares / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return InfluenceEstimate(sigma=sigma, std_error=std_error, trials_or_calls=trials)
 
 

@@ -15,6 +15,7 @@ from . import qsim
 from .cascade import exact_influence, mc_influence
 from .containment import (
     RunAccounting,
+    call_seeds,
     greedy_contain,
     linear_finder,
     make_exact_estimator,
@@ -23,7 +24,7 @@ from .containment import (
 )
 from .gmf import durr_hoyer_min, make_gmf_finder
 from .graph import generate_random_instance, parse_instance, serialize_instance
-from .qae import check_evaluation_qubits, qae_estimate, qae_influence
+from .qae import check_evaluation_qubits, qae_estimate
 
 
 def _load_instance(path: str):
@@ -39,11 +40,25 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _write_csv(path: str | None, notes: list[str], header: str, rows) -> None:
+    """The '# ' note lines, the header, then each row's fields by str (repr for a float)."""
+    lines = [f"# {note}" for note in notes] + [header]
+    lines += [",".join(map(str, row)) for row in rows]
+    _write_out(path, "\n".join(lines) + "\n")
+
+
 def _common_flags(sub: argparse.ArgumentParser, instance: bool = True) -> None:
     sub.add_argument("--rng", type=int, default=0, help="random seed")
     sub.add_argument("--out", default=None, help="output file path")
     if instance:
         sub.add_argument("--instance", required=True, help="instance file path")
+
+
+def _estimator_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--trials", type=int, default=10000)
+    sub.add_argument("--epsilon", type=float, default=0.05)
+    sub.add_argument("--analytic", dest="mode", action="store_const", const="analytic",
+                     default="statevector", help="QAE readout from the exact amplitude, no statevector")
 
 
 def cmd_gen(args) -> int:
@@ -65,68 +80,54 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _build_estimator(method: str, args, seeds):
+    """The estimator ``method`` names; its call k is seeded by the k-th item of ``seeds``."""
+    if method == "exact":
+        return make_exact_estimator()
+    if method == "mc":
+        return make_mc_estimator(args.trials, seeds)
+    return make_qae_estimator(args.epsilon, seeds, args.mode)
+
+
 def cmd_estimate(args) -> int:
     inst = _load_instance(args.instance)
-    if args.method == "exact":
-        est = make_exact_estimator()(inst, (), RunAccounting())
-    elif args.method == "mc":
-        est = mc_influence(inst, args.trials, args.rng)
-    elif args.method == "qae":
-        mode = "analytic" if args.analytic else "statevector"
-        est = qae_influence(inst, epsilon=args.epsilon, rng_seed=args.rng, mode=mode)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.method)
-    sigma, err, work = est.sigma, est.std_error, est.trials_or_calls
-    norm = sigma / inst.graph.node_count
+    est = _build_estimator(args.method, args, iter([args.rng]))(inst, (), RunAccounting())
+    norm = est.sigma / inst.graph.node_count
+    err = "na" if est.std_error is None else est.std_error
 
     lines = [
         f"method {args.method}",
-        f"sigma {sigma!r}",
+        f"sigma {est.sigma!r}",
         f"sigma_normalized {norm!r}",
-        f"error {'na' if err is None else repr(err)}",
-        f"work_units {work}",
+        f"error {err}",
+        f"work_units {est.trials_or_calls}",
     ]
     print("\n".join(lines))
     if args.out:
-        csv = (
-            "# columns: method,work_units,sigma,sigma_normalized,error,rng_seed\n"
-            f"method,work_units,sigma,sigma_normalized,error,rng_seed\n"
-            f"{args.method},{work},{sigma!r},{norm!r},"
-            f"{'na' if err is None else repr(err)},{args.rng}\n"
-        )
-        _write_out(args.out, csv)
+        header = "method,work_units,sigma,sigma_normalized,error,rng_seed"
+        row = (args.method, est.trials_or_calls, est.sigma, norm, err, args.rng)
+        _write_csv(args.out, [f"columns: {header}"], header, [row])
     return 0
-
-
-def _build_estimator(args):
-    if args.estimator == "exact":
-        return make_exact_estimator()
-    if args.estimator == "mc":
-        return make_mc_estimator(args.trials, args.rng)
-    if args.estimator == "qae":
-        mode = "analytic" if args.analytic else "statevector"
-        return make_qae_estimator(args.epsilon, args.rng, mode=mode)
-    raise ValueError(args.estimator)
 
 
 def cmd_contain(args) -> int:
     inst = _load_instance(args.instance)
-    estimator = _build_estimator(args)
-    finder = linear_finder if args.finder == "linear" else make_gmf_finder(args.rng)
+    finder = linear_finder if args.finder == "linear" else make_gmf_finder(call_seeds(args.rng))
     plan = greedy_contain(
         inst,
-        estimator,
+        _build_estimator(args.estimator, args, call_seeds(args.rng)),
         finder,
         strategy=args.strategy,
         k_max=args.k_max,
         top_p_cap=args.top_p_cap,
     )
     g = inst.graph
-    for k, e, obj in plan.trace:
-        edge = g.edges[e]
+    rows = [(k, e, g.edges[e].src, g.edges[e].dst, obj.total, obj.influence_term, obj.impact_term)
+            for k, e, obj in plan.trace]
+    for k, e, src, dst, total, influence, impact in rows:
         print(
-            f"k={k} edge={edge.src}->{edge.dst} idx={e} total={obj.total!r} "
-            f"influence={obj.influence_term!r} impact={obj.impact_term!r}"
+            f"k={k} edge={src}->{dst} idx={e} total={total!r} "
+            f"influence={influence!r} impact={impact!r}"
         )
     acc = plan.accounting
     print(
@@ -135,17 +136,8 @@ def cmd_contain(args) -> int:
         f"grover_oracle_calls={acc.grover_oracle_calls} linear_steps={acc.linear_steps}"
     )
     if args.out:
-        rows = [
-            "# columns: k,edge_index,src,dst,total,influence_term,impact_term",
-            "k,edge_index,src,dst,total,influence_term,impact_term",
-        ]
-        for k, e, obj in plan.trace:
-            edge = g.edges[e]
-            rows.append(
-                f"{k},{e},{edge.src},{edge.dst},{obj.total!r},"
-                f"{obj.influence_term!r},{obj.impact_term!r}"
-            )
-        _write_out(args.out, "\n".join(rows) + "\n")
+        header = "k,edge_index,src,dst,total,influence_term,impact_term"
+        _write_csv(args.out, [f"columns: {header}"], header, rows)
     return 0
 
 
@@ -159,30 +151,20 @@ def cmd_bench_estimation(args) -> int:
     n = inst.graph.node_count
     a_true = truth.sigma / n
     rows = []
-    for rep in range(args.reps):
-        seed_seq = np.random.SeedSequence(entropy=args.rng, spawn_key=(rep,))
-        seeds = seed_seq.generate_state(2)
+    for rep, seq in zip(range(args.reps), call_seeds(args.rng)):
+        seeds = seq.generate_state(2)
         for trials in mc_grid:
             est = mc_influence(inst, trials, np.random.SeedSequence(int(seeds[0]), spawn_key=(trials,)))
             rows.append(("mc", trials, abs(est.sigma / n - a_true), rep))
         for m in m_grid:
-            est = qae_estimate(
-                inst,
-                m=m,
-                rng_seed=np.random.default_rng(
-                    np.random.SeedSequence(int(seeds[1]), spawn_key=(m,))
-                ),
-                mode="analytic",
-            )
+            rng = np.random.default_rng(np.random.SeedSequence(int(seeds[1]), spawn_key=(m,)))
+            est = qae_estimate(inst, m=m, rng_seed=rng, mode="analytic")
             rows.append(("qae", est.q_applications, abs(est.a_hat - a_true), rep))
-    out = [
-        "# work_units: mc = Monte Carlo trials; qae = Grover-operator (Q) applications",
-        "# error: absolute error in the normalized influence vs the exact live-edge oracle",
-        "method,work_units,error,rng_seed",
+    notes = [
+        "work_units: mc = Monte Carlo trials; qae = Grover-operator (Q) applications",
+        "error: absolute error in the normalized influence vs the exact live-edge oracle",
     ]
-    for method, work, err, rep in rows:
-        out.append(f"{method},{work},{err!r},{rep}")
-    _write_out(args.out, "\n".join(out) + "\n")
+    _write_csv(args.out, notes, "method,work_units,error,rng_seed", rows)
     return 0
 
 
@@ -190,23 +172,22 @@ def cmd_bench_minfind(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     if any(not (1 <= s <= 1 << qsim.MAX_QUBITS) for s in sizes):
         raise ValueError(f"list sizes must be in [1, {1 << qsim.MAX_QUBITS}]")
-    out = [
-        "# work_units: linear = list length; gmf = Grover oracle calls plus verification evaluations",
-        "method,n_items,work_units,found_value,true_min,rng_seed",
-    ]
+    rows = []
     for n_items in sizes:
         for rep in range(args.reps):
             seq = np.random.SeedSequence(entropy=args.rng, spawn_key=(n_items, rep))
             rng = np.random.default_rng(seq)
             values = rng.random(n_items)
             true_min = float(values.min())
-            out.append(f"linear,{n_items},{n_items},{true_min!r},{true_min!r},{rep}")
+            rows.append(("linear", n_items, n_items, true_min, true_min, rep))
             result = durr_hoyer_min(values, rng_seed=rng)
-            out.append(
-                f"gmf,{n_items},{result.total_oracle_calls},"
-                f"{result.min_value!r},{true_min!r},{rep}"
-            )
-    _write_out(args.out, "\n".join(out) + "\n")
+            rows.append(("gmf", n_items, result.total_oracle_calls, result.min_value, true_min, rep))
+    _write_csv(
+        args.out,
+        ["work_units: linear = list length; gmf = Grover oracle calls plus verification evaluations"],
+        "method,n_items,work_units,found_value,true_min,rng_seed",
+        rows,
+    )
     return 0
 
 
@@ -233,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate expected influence")
     _common_flags(p)
     p.add_argument("--method", choices=["mc", "exact", "qae"], required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--analytic", action="store_true", help="QAE readout from the exact amplitude, no statevector")
+    _estimator_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("contain", help="greedy edge-removal containment")
@@ -245,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["all", "frontier", "top_p"], default="all")
     p.add_argument("--top-p-cap", type=int, default=None)
     p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--analytic", action="store_true")
+    _estimator_flags(p)
     p.set_defaults(func=cmd_contain)
 
     p = sub.add_parser("bench-estimation", help="MC vs QAE error-vs-work sweep (CSV)")
@@ -266,9 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -184,9 +184,7 @@ def call_seeds(rng_seed: int) -> Iterator[np.random.SeedSequence]:
     return (np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)) for k in count())
 
 
-def make_mc_estimator(trials: int, rng_seed: int) -> Estimator:
-    seeds = call_seeds(rng_seed)
-
+def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
     def estimator(instance, removal, accounting):
         seq = next(seeds)
         sub = instance.without_edges(removal)
@@ -197,9 +195,7 @@ def make_mc_estimator(trials: int, rng_seed: int) -> Estimator:
     return estimator
 
 
-def make_qae_estimator(epsilon: float, rng_seed: int, mode: str = "statevector") -> Estimator:
-    seeds = call_seeds(rng_seed)
-
+def make_qae_estimator(epsilon: float, seeds: Iterator, mode: str) -> Estimator:
     def estimator(instance, removal, accounting):
         est = qae.qae_influence(
             instance, removal, epsilon=epsilon, rng_seed=next(seeds), mode=mode

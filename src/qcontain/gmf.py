@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import asin, ceil, sin, sqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import qsim
-from .containment import call_seeds
 
 GROWTH = 8 / 7
 BUDGET_CONSTANT = 9.0
@@ -144,13 +143,12 @@ def durr_hoyer_min(
     )
 
 
-def make_gmf_finder(rng_seed: int):
+def make_gmf_finder(seeds: Iterator):
     """Minimum-finder callback for the greedy containment loop.
 
-    Successive invocations use independent substreams of ``rng_seed`` and
-    add their oracle calls to ``accounting.grover_oracle_calls``.
+    Invocation k is seeded by the k-th item of ``seeds``; each adds its
+    oracle calls to ``accounting.grover_oracle_calls``.
     """
-    seeds = call_seeds(rng_seed)
 
     def finder(scores: Sequence[float], accounting) -> int:
         result = durr_hoyer_min(scores, rng_seed=next(seeds))

@@ -15,6 +15,7 @@ from qcontain import qsim
 from qcontain.cascade import exact_influence, mc_influence
 from qcontain.cli import main as cli_main
 from qcontain.containment import (
+    call_seeds,
     greedy_contain,
     linear_finder,
     make_exact_estimator,
@@ -249,7 +250,7 @@ def test_criterion_7_finder_equivalence(report):
         made += 1
         linear = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=3)
         quantum = greedy_contain(
-            inst, make_exact_estimator(), make_gmf_finder(rng_seed=900 + made), k_max=3
+            inst, make_exact_estimator(), make_gmf_finder(call_seeds(900 + made)), k_max=3
         )
         if abs(final_objective(inst, linear) - final_objective(inst, quantum)) <= 1e-9:
             agree += 1

@@ -307,6 +307,19 @@ def test_mc_counts_seeds_without_a_row_each():
     assert peak < 4 << 20
 
 
+def test_mc_memory_does_not_grow_with_trials():
+    # one int64 count per trial (plus the std temporary) peaked at 68 MiB here
+    inst = parse_instance("nodes 2\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n")
+    tracemalloc.start()
+    try:
+        est = mc_influence(inst, 4_000_000, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(est.sigma - 1.5) < 5 * est.std_error
+    assert peak < 32 << 20
+
+
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
 def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
     inst = generate_random_instance(nodes, edge_prob, n_seeds=1, rng_seed=nodes)

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import os
 import resource
 import subprocess
@@ -6,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontain import cli, graph
 from qcontain.cli import main
@@ -354,3 +359,115 @@ def test_minfind_size_over_cap_exits_2():
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--method", "exact"],
+        ["contain", "--estimator", "exact", "--finder", "gmf"],
+    ],
+    ids=["estimate", "contain"],
+)
+def test_main_leaves_no_reference_cycles(instance_file, argv, capsys):
+    # a parser built per call left ~340 objects in reference cycles per call
+    argv = [*argv, "--instance", instance_file]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage < 20
+
+
+# instance files of the tests above: valid ones, and two that exit 2
+FUZZ_INSTANCES = {
+    "edge": "nodes 2\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n",
+    "star": "nodes 4\n0 1 0.9 0.1\n0 2 0.5 0.1\n0 3 0.1 0.1\nseeds 0\nlambda 1.0\n",
+    "undirected": "nodes 3\nundirected\n0 1 0.5 0.3\n1 2 0.4 0.2\nseeds 0\nlambda 1.0\n",
+    "more-names": "nodes 2\na b 0.5 0.3\nb c 0.5 0.3\nseeds a\nlambda 1.0\n",
+    "mixed-names": "nodes 3\na b 1.0 0.1\n0 2 1.0 0.1\nseeds a\nlambda 1.0\n",
+}
+# flag values as (plain, odd); None omits the flag. A call gives at most one
+# flag an odd value, and omits each other optional flag or gives it a plain one.
+INTS = (["0", "1", "3"], ["-3", "", "x", "nan", "2.5"])
+PROBS = (["0", "0.3", "1"], ["-0.5", "2", "nan", "inf", "-inf", "", "x"])
+RNG = (["0", "7"], ["-1", "", "x"])
+REPS = (["0", "1", "2"], ["-1", "x"])  # never omitted: the default of 50 reps is slow
+INSTANCE = (["edge", "star", "undirected"], [None, "more-names", "mixed-names"])
+ESTIMATOR_FLAGS = {
+    "--trials": (["1", "200"], ["-3", "0", "", "x", "nan", "2.5"]),
+    "--epsilon": (["0.3", "0.5"], ["-0.5", "0", "1", "2", "nan", "inf", "-inf", "", "x", "1e-9"]),
+    "--rng": RNG,
+    "--instance": INSTANCE,
+}
+FUZZ_FLAGS = {
+    "gen": {
+        "--nodes": (["1", "3", "6"], [None, "-1", "0", "x", ""]),
+        "--edge-prob": (["0", "0.5", "1"], [None, "nan", "inf", "-inf", "", "x"]),
+        "--p-min": (["0", "0.3"], PROBS[1]),
+        "--p-max": (["0.5", "1"], PROBS[1]),
+        "--i-min": (["0", "0.3"], PROBS[1]),
+        "--i-max": (["0.5", "1"], PROBS[1]),
+        "--lam": PROBS,
+        "--seeds": (["1"], ["-3", "0", "7", "", "x"]),
+        "--rng": RNG,
+    },
+    "estimate": {"--method": (["mc", "exact", "qae"], [None, "x"]), **ESTIMATOR_FLAGS},
+    "contain": {
+        "--estimator": (["mc", "exact", "qae"], ["x"]),
+        "--finder": (["linear", "gmf"], ["x"]),
+        "--strategy": (["all", "frontier", "top_p"], ["x"]),
+        "--top-p-cap": INTS,
+        "--k-max": INTS,
+        **ESTIMATOR_FLAGS,
+    },
+    "bench-estimation": {
+        "--mc-trials": (["10,20", "1"], ["0", "-1", "", "x", "5,nan"]),
+        "--qae-m": (["3", "3,5"], ["0", "-1", "40", "", "x"]),
+        "--reps": REPS,
+        "--rng": RNG,
+        "--instance": INSTANCE,
+    },
+    "bench-minfind": {
+        "--sizes": (["4,16", "1"], ["0", "-3", "", "x", "20000000"]),
+        "--reps": REPS,
+        "--rng": RNG,
+    },
+}
+REQUIRED = {"--nodes", "--edge-prob", "--method", "--instance", "--reps"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_INSTANCES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_fuzzed_flags_exit_0_or_2(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    odd = data.draw(st.none() | st.sampled_from(list(flags)), label="odd flag")
+    argv = [command]
+    for flag, (plain, strange) in flags.items():
+        omit = [] if flag in REQUIRED else [None]
+        value = data.draw(st.sampled_from(strange if flag == odd else [*omit, *plain]), label=flag)
+        if value is not None:
+            argv += [flag, str(fuzz_dir / value) if flag == "--instance" else value]
+    if command in ("estimate", "contain") and data.draw(st.booleans(), label="--analytic"):
+        argv.append("--analytic")
+    if data.draw(st.booleans(), label="--out"):
+        argv += ["--out", str(fuzz_dir / "out.txt")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 2), argv

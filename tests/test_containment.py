@@ -4,6 +4,7 @@ from qcontain import cascade
 from qcontain.cli import main
 from qcontain.containment import (
     RunAccounting,
+    call_seeds,
     candidate_edges,
     greedy_contain,
     linear_finder,
@@ -139,12 +140,12 @@ class TestGreedy:
 
     def test_finder_equivalence_on_star(self, star):
         linear = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=1)
-        gmf = greedy_contain(star, make_exact_estimator(), make_gmf_finder(3), k_max=1)
+        gmf = greedy_contain(star, make_exact_estimator(), make_gmf_finder(call_seeds(3)), k_max=1)
         assert gmf.trace[0][2].total == pytest.approx(linear.trace[0][2].total, abs=1e-9)
         assert gmf.accounting.grover_oracle_calls > 0
 
     def test_mc_estimator_runs(self, star):
-        plan = greedy_contain(star, make_mc_estimator(2000, rng_seed=0), linear_finder, k_max=1)
+        plan = greedy_contain(star, make_mc_estimator(2000, call_seeds(0)), linear_finder, k_max=1)
         assert plan.removed == (0,)
         assert plan.accounting.mc_trials == 2000 * 3  # baseline + 2 candidates
 
@@ -175,7 +176,7 @@ def test_qae_a_applications_follow_repetitions(monkeypatch, single_edge):
 
     monkeypatch.setattr(qae, "QPE_REPETITIONS", 5)
     acc = RunAccounting()
-    est = make_qae_estimator(0.2, rng_seed=0, mode="analytic")(single_edge, (), acc)
+    est = make_qae_estimator(0.2, call_seeds(0), mode="analytic")(single_edge, (), acc)
     q = (1 << qae.evaluation_qubits_for(0.2)) - 1
     assert est.trials_or_calls == acc.q_applications == 5 * q
     assert acc.a_applications == 5 * (2 * q + 1)

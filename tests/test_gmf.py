@@ -10,7 +10,7 @@ from qcontain.gmf import (
     grover_search,
     make_gmf_finder,
 )
-from qcontain.containment import RunAccounting
+from qcontain.containment import RunAccounting, call_seeds
 
 
 def mask_of(n_items, marked):
@@ -116,20 +116,20 @@ class TestDurrHoyer:
 
 class TestEdgeFinder:
     def test_picks_minimum(self):
-        finder = make_gmf_finder(rng_seed=0)
+        finder = make_gmf_finder(call_seeds(0))
         acc = RunAccounting()
         idx = finder([0.9, 0.2, 0.5], acc)
         assert idx == 1
         assert acc.grover_oracle_calls > 0
 
     def test_single_candidate(self):
-        finder = make_gmf_finder(rng_seed=0)
+        finder = make_gmf_finder(call_seeds(0))
         acc = RunAccounting()
         assert finder([0.42], acc) == 0
         assert acc.grover_oracle_calls == 0
 
     def test_all_equal_scores(self):
-        finder = make_gmf_finder(rng_seed=1)
+        finder = make_gmf_finder(call_seeds(1))
         acc = RunAccounting()
         idx = finder([0.5, 0.5, 0.5], acc)
         assert idx in (0, 1, 2)
@@ -137,8 +137,8 @@ class TestEdgeFinder:
     def test_calls_are_deterministic_per_seed(self):
         scores = [0.8, 0.3, 0.6, 0.1, 0.9]
         a1, a2 = RunAccounting(), RunAccounting()
-        i1 = make_gmf_finder(rng_seed=4)(scores, a1)
-        i2 = make_gmf_finder(rng_seed=4)(scores, a2)
+        i1 = make_gmf_finder(call_seeds(4))(scores, a1)
+        i2 = make_gmf_finder(call_seeds(4))(scores, a2)
         assert i1 == i2
         assert a1.grover_oracle_calls == a2.grover_oracle_calls
 

@@ -142,6 +142,8 @@ def cmd_contain(args) -> int:
 
 
 def cmd_bench_estimation(args) -> int:
+    if args.reps < 1:
+        raise ValueError("reps must be >= 1")
     inst = _load_instance(args.instance)
     mc_grid = [int(t) for t in args.mc_trials.split(",")]
     m_grid = [int(m) for m in args.qae_m.split(",")]
@@ -169,6 +171,8 @@ def cmd_bench_estimation(args) -> int:
 
 
 def cmd_bench_minfind(args) -> int:
+    if args.reps < 1:
+        raise ValueError("reps must be >= 1")
     sizes = [int(s) for s in args.sizes.split(",")]
     if any(not (1 <= s <= 1 << qsim.MAX_QUBITS) for s in sizes):
         raise ValueError(f"list sizes must be in [1, {1 << qsim.MAX_QUBITS}]")

@@ -92,6 +92,8 @@ def candidate_edges(
     For undirected graphs one arc per logical pair is returned; removing it
     drops both arcs.
     """
+    if top_p_cap is not None and top_p_cap < 1:
+        raise ValueError("top_p_cap must be >= 1")
     g = instance.graph
     gone = closed_removal(g, removed)
     base = [k for k in range(len(g.edges)) if k not in gone and g.represents_pair(k)]
@@ -103,8 +105,6 @@ def candidate_edges(
         return tuple(k for k in base if g.edges[k].src in reachable)
     if strategy == "top_p":
         cap = top_p_cap if top_p_cap is not None else 8
-        if cap < 1:
-            raise ValueError("top_p_cap must be >= 1")
         ranked = sorted(base, key=lambda k: (-g.edges[k].p, k))
         return tuple(sorted(ranked[:cap]))
     raise ValueError(f"unknown candidate strategy {strategy!r}")

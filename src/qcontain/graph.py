@@ -94,7 +94,9 @@ class ProblemInstance:
             raise ValueError(f"lambda out of range: {self.lam}")
 
     def without_edges(self, removal: Iterable[int]) -> "ProblemInstance":
-        return ProblemInstance(remove_edges(self.graph, removal), self.seeds, self.lam)
+        """This instance without the given arcs; itself when nothing is removed."""
+        graph = remove_edges(self.graph, removal)
+        return self if graph is self.graph else ProblemInstance(graph, self.seeds, self.lam)
 
 
 def closed_removal(graph: Graph, removal: Iterable[int]) -> frozenset[int]:
@@ -111,8 +113,11 @@ def closed_removal(graph: Graph, removal: Iterable[int]) -> frozenset[int]:
 
 
 def remove_edges(graph: Graph, removal: Iterable[int]) -> Graph:
-    """New graph without the given arcs (and their undirected partners)."""
+    """New graph without the given arcs (and their undirected partners);
+    ``graph`` itself when nothing is removed."""
     drop = closed_removal(graph, removal)
+    if not drop:
+        return graph
     kept = [e for k, e in enumerate(graph.edges) if k not in drop]
     return Graph(graph.node_count, kept, graph.undirected)
 

@@ -79,12 +79,11 @@ def build_a_operator(instance: ProblemInstance, eval_qubits: int = 0) -> AOperat
 
 
 def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
-    """Apply A to the low edge+ancilla qubits of ``state``."""
+    """Apply A to the low edge+ancilla qubits of ``state``; the ancilla's angles
+    are indexed by the edge qubits alone, whatever any qubits above it hold."""
     for q, angle in enumerate(spec.edge_angles):
         state = qsim.apply_ry(state, q, angle)
-    mask = (1 << spec.n_edge_qubits) - 1
-    theta = 2.0 * np.arcsin(np.sqrt(spec.f_table))
-    return qsim.apply_ry_indexed(state, spec.ancilla, lambda ix: theta[ix & mask])
+    return qsim.apply_ry_indexed(state, spec.ancilla, 2.0 * np.arcsin(np.sqrt(spec.f_table)))
 
 
 def build_q_operator(psi: np.ndarray):

@@ -4,14 +4,17 @@ States are 1-D complex numpy arrays of length 2^n; qubit 0 is the least
 significant bit of the basis index. All operations return new arrays and
 leave their input untouched.
 
-Basis-index-conditioned operations (phase flips from a mask, rotations
-whose angle is a function of the basis index) are applied by direct iteration
-over amplitudes; this implements classical oracles without reversible-logic
-synthesis while staying exactly unitary.
+Qubits are addressed by reshaping, not by basis-index arrays. A gate on qubit
+q views the state as (2^(n-1-q), 2, 2^q), so axis 1 is the qubit and each
+(high, low) cell of the other two axes is one amplitude pair. A register of
+the contiguous qubits [lo, lo + m) is the axis of length 2^m in the view
+(2^(n-lo-m), 2^m, 2^lo). Classical oracles enter as arrays over these views
+(rotation angles per pair) or as a boolean mask over the basis states (phase
+flips), which keeps them exactly unitary without reversible-logic synthesis.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,25 +36,23 @@ def init_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _pairs(state: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with ``qubit`` clear and, pairwise, the same with it set."""
+def _pair_view(state: np.ndarray, qubit: int) -> np.ndarray:
+    """``state`` as (2^(n-1-qubit), 2, 2^qubit): axis 1 is ``qubit``."""
     if not (0 <= qubit < n_qubits_of(state)):
         raise ValueError("qubit index out of range")
-    idx = np.arange(len(state))
-    i0 = idx[((idx >> qubit) & 1) == 0]
-    return i0, i0 | (1 << qubit)
+    return state.reshape(-1, 2, 1 << qubit)
 
 
-def _apply_1q(state: np.ndarray, pairs, matrix) -> np.ndarray:
-    """Mix each amplitude pair (i0, i1) by the 2x2 ``matrix``, given as nested
-    tuples whose entries are scalars or per-pair arrays."""
-    i0, i1 = pairs
+def _apply_1q(state: np.ndarray, qubit: int, matrix) -> np.ndarray:
+    """Mix each amplitude pair of ``qubit`` by the 2x2 ``matrix``, given as nested
+    tuples whose entries are scalars or arrays over the (high, low) pair grid."""
+    pairs = _pair_view(state, qubit)
     (m00, m01), (m10, m11) = matrix
-    out = state.copy()
-    a0, a1 = state[i0], state[i1]
-    out[i0] = m00 * a0 + m01 * a1
-    out[i1] = m10 * a0 + m11 * a1
-    return out
+    a0, a1 = pairs[:, 0], pairs[:, 1]
+    out = np.empty_like(pairs)
+    out[:, 0] = m00 * a0 + m01 * a1
+    out[:, 1] = m10 * a0 + m11 * a1
+    return out.reshape(-1)
 
 
 _H = tuple(map(tuple, np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)))
@@ -65,29 +66,25 @@ def _ry(angle):
 
 
 def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
-    return _apply_1q(state, _pairs(state, qubit), _H)
+    return _apply_1q(state, qubit, _H)
 
 
 def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
-    return _apply_1q(state, _pairs(state, qubit), _X)
+    return _apply_1q(state, qubit, _X)
 
 
 def apply_ry(state: np.ndarray, qubit: int, angle: float) -> np.ndarray:
-    return _apply_1q(state, _pairs(state, qubit), _ry(angle))
+    return _apply_1q(state, qubit, _ry(angle))
 
 
-def apply_ry_indexed(
-    state: np.ndarray,
-    qubit: int,
-    angle_of_index: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Ry on ``qubit`` with the angle computed per basis index.
+def apply_ry_indexed(state: np.ndarray, qubit: int, angles: np.ndarray) -> np.ndarray:
+    """Ry on ``qubit`` with one angle per amplitude pair.
 
-    ``angle_of_index`` receives the basis indices with the target bit cleared
-    (vectorized over an integer array) and returns the rotation angles.
+    ``angles`` broadcasts over the (2^(n-1-qubit), 2^qubit) grid of pairs: an
+    array of length 2^qubit gives each value of the qubits below ``qubit`` its
+    angle, whatever the qubits above it hold.
     """
-    pairs = _pairs(state, qubit)
-    return _apply_1q(state, pairs, _ry(np.asarray(angle_of_index(pairs[0]), dtype=float)))
+    return _apply_1q(state, qubit, _ry(np.asarray(angles, dtype=float)))
 
 
 def phase_flip_if(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -97,27 +94,14 @@ def phase_flip_if(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _register_view(state: np.ndarray, register: Sequence[int]):
-    """Reshape so the register forms the leading axis of size 2^m.
-
-    Returns (block, restore) where block has shape (2^m, rest) and restore
-    maps a modified block back to a flat state.
-    """
+def _register_view(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
+    """``state`` as (2^(n-lo-m), 2^m, 2^lo) for the register [lo, lo + m), whose
+    first qubit is the least significant bit of its value."""
     n = n_qubits_of(state)
-    m = len(register)
-    if len(set(register)) != m or any(not (0 <= q < n) for q in register):
-        raise ValueError("bad register")
-    arr = state.reshape([2] * n)
-    src_axes = [n - 1 - q for q in reversed(register)]  # MSB of y first
-    moved = np.moveaxis(arr, src_axes, range(m))
-    shape = moved.shape
-    block = moved.reshape(1 << m, -1)
-
-    def restore(new_block: np.ndarray) -> np.ndarray:
-        back = np.moveaxis(new_block.reshape(shape), range(m), src_axes)
-        return np.ascontiguousarray(back).reshape(-1)
-
-    return block, restore
+    lo, m = min(register, default=0), len(register)
+    if not (m and 0 <= lo and lo + m <= n and list(register) == list(range(lo, lo + m))):
+        raise ValueError("register must be a non-empty ascending run of qubits")
+    return state.reshape(-1, 1 << m, 1 << lo)
 
 
 def diffusion(state: np.ndarray) -> np.ndarray:
@@ -127,18 +111,15 @@ def diffusion(state: np.ndarray) -> np.ndarray:
 
 def qft(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
     # the QFT's exp(+2 pi i k y / M) is numpy's inverse FFT sign
-    block, restore = _register_view(state, register)
-    return restore(np.fft.ifft(block, axis=0, norm="ortho"))
+    return np.fft.ifft(_register_view(state, register), axis=1, norm="ortho").reshape(-1)
 
 
 def inverse_qft(state: np.ndarray, register: Sequence[int]) -> np.ndarray:
-    block, restore = _register_view(state, register)
-    return restore(np.fft.fft(block, axis=0, norm="ortho"))
+    return np.fft.fft(_register_view(state, register), axis=1, norm="ortho").reshape(-1)
 
 
 def probability_of(state: np.ndarray, qubit: int, outcome: int) -> float:
-    pair = _pairs(state, qubit)[outcome]
-    return float(np.sum(np.abs(state[pair]) ** 2))
+    return float(np.sum(np.abs(_pair_view(state, qubit)[:, outcome]) ** 2))
 
 
 def register_distribution(state: np.ndarray) -> np.ndarray:

@@ -212,6 +212,29 @@ def test_mc_agrees_with_exact_oracle():
         assert abs(est.sigma - truth) < band
 
 
+def test_mc_standard_error_matches_exact_variance():
+    # Var of the infected count over live-edge configurations, exactly: the
+    # counts of every configuration weighted by its probability
+    checked = 0
+    for s in range(30):
+        inst = generate_random_instance(6, 0.35, rng_seed=s)
+        if not (1 <= len(inst.graph.edges) <= 12):
+            continue
+        weights = live_edge_weights(inst.graph)
+        counts = live_edge_reachability(inst.graph, inst.seeds)
+        mean = weights @ counts
+        variance = weights @ (counts - mean) ** 2
+        if variance < 1e-12:
+            continue
+        trials = 20_000
+        est = mc_influence(inst, trials, rng_seed=1000 + s)
+        exact_se = np.sqrt(variance / trials)
+        assert 0.9 <= est.std_error / exact_se <= 1.1, s
+        assert abs(est.sigma - mean) <= 5 * exact_se, s
+        checked += 1
+    assert checked >= 20
+
+
 @st.composite
 def small_instances(draw, probs=st.floats(0.0, 1.0), max_pairs=None, undirected=st.booleans()):
     n = draw(st.integers(1, 7))

@@ -3,6 +3,7 @@ import gc
 import io
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from qcontain.graph import MAX_NODES
 from qcontain.qsim import MAX_QUBITS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 # the address-space cap of the child only, in KiB: a size check that is
 # missing shows as a MemoryError traceback instead of exhausting the machine
 CHILD_AS_KIB = 3_000_000
@@ -192,13 +194,15 @@ class TestContain:
     def test_top_p_cap_below_one_exits_2(self, tmp_path, capsys, cap):
         star = tmp_path / "star.txt"
         star.write_text("nodes 4\n0 1 0.9 0.1\n0 2 0.5 0.1\n0 3 0.1 0.1\nseeds 0\nlambda 1.0\n")
-        code, out, err = run(
-            ["contain", "--instance", str(star), "--strategy", "top_p", "--top-p-cap", cap],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: top_p_cap must be >= 1\n"
+        # the cap is checked whatever the strategy, not only where top_p reads it
+        for strategy in ("top_p", "all", "frontier"):
+            code, out, err = run(
+                ["contain", "--instance", str(star), "--strategy", strategy, "--top-p-cap", cap],
+                capsys,
+            )
+            assert code == 2, strategy
+            assert out == ""
+            assert err == "error: top_p_cap must be >= 1\n"
 
     def test_k_max_zero(self, instance_file, capsys):
         code, out, _ = run(
@@ -239,6 +243,18 @@ class TestBenchmarks:
             assert r[3] == r[4]
         gmf_n1 = [r for r in rows if r[0] == "gmf" and r[1] == "1"]
         assert all(int(r[2]) == 0 for r in gmf_n1)
+
+    @pytest.mark.parametrize("command", ["bench-estimation", "bench-minfind"])
+    @pytest.mark.parametrize("reps", ["-1", "0"])
+    def test_reps_below_one_exits_2(self, instance_file, tmp_path, capsys, command, reps):
+        out = tmp_path / "out.csv"
+        argv = [command, "--reps", reps, "--out", str(out)]
+        if command == "bench-estimation":
+            argv += ["--instance", instance_file]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert (stdout, err) == ("", "error: reps must be >= 1\n")
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, instance_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -396,7 +412,7 @@ FUZZ_INSTANCES = {
 INTS = (["0", "1", "3"], ["-3", "", "x", "nan", "2.5"])
 PROBS = (["0", "0.3", "1"], ["-0.5", "2", "nan", "inf", "-inf", "", "x"])
 RNG = (["0", "7"], ["-1", "", "x"])
-REPS = (["0", "1", "2"], ["-1", "x"])  # never omitted: the default of 50 reps is slow
+REPS = (["1", "2"], ["0", "-1", "x"])  # never omitted: the default of 50 reps is slow
 INSTANCE = (["edge", "star", "undirected"], [None, "more-names", "mixed-names"])
 ESTIMATOR_FLAGS = {
     "--trials": (["1", "200"], ["-3", "0", "", "x", "nan", "2.5"]),
@@ -471,3 +487,14 @@ def test_fuzzed_flags_exit_0_or_2(fuzz_dir, data):
         except SystemExit as exc:  # argparse rejects the flags
             code = exc.code
     assert code in (0, 2), argv
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # every `qcontain ...` line of README's CLI block, in order: gen writes the
+    # inst.txt the later lines read
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qcontain ")]
+    assert examples and examples[0][0] == "gen"
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) == 0, argv

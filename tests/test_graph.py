@@ -96,6 +96,9 @@ class TestRemoveEdges:
     def test_remove_nothing(self, chain3):
         assert remove_edges(chain3.graph, ()) == chain3.graph
 
+    def test_instance_without_nothing_is_itself(self, chain3):
+        assert chain3.without_edges(()) is chain3
+
     def test_remove_only_edge(self):
         g = Graph(2, [Edge(0, 1, 0.5, 0.3)])
         out = remove_edges(g, [0])

@@ -11,6 +11,7 @@ from qcontain.cascade import exact_influence
 from qcontain.cli import main
 from qcontain.graph import Graph, ProblemInstance, generate_random_instance, parse_instance
 from qcontain.qae import (
+    QPE_REPETITIONS,
     _statevector_qpe_distribution,
     apply_a,
     build_a_operator,
@@ -33,9 +34,7 @@ def ancilla_p1(spec):
 
 def apply_a_adjoint(state, spec):
     """A^dagger: the ancilla rotation undone, then the edge rotations in reverse."""
-    mask = (1 << spec.n_edge_qubits) - 1
-    theta = 2.0 * np.arcsin(np.sqrt(spec.f_table))
-    state = qsim.apply_ry_indexed(state, spec.ancilla, lambda ix: -theta[ix & mask])
+    state = qsim.apply_ry_indexed(state, spec.ancilla, -2.0 * np.arcsin(np.sqrt(spec.f_table)))
     for q in reversed(range(spec.n_edge_qubits)):
         state = qsim.apply_ry(state, q, -spec.edge_angles[q])
     return state
@@ -298,6 +297,23 @@ class TestQaeInfluence:
     def test_sigma_clamped_to_bounds(self, single_edge):
         est = qae_influence(single_edge, epsilon=0.2, rng_seed=0, mode="analytic")
         assert 1.0 <= est.sigma <= 2.0
+
+    @pytest.mark.parametrize("epsilon", [0.4, 0.2, 0.1, 0.05])
+    def test_median_fails_its_stated_error_at_most_1_percent(self, epsilon):
+        # One repetition fails with p, the exact outcome mass farther than
+        # epsilon from a; the median of three fails when two do: 3p^2 - 2p^3.
+        assert QPE_REPETITIONS == 3
+        m = evaluation_qubits_for(epsilon)
+        grid = np.sin(np.pi * np.arange(1 << m) / (1 << m)) ** 2
+        for s in range(30):
+            inst = generate_random_instance(5, 0.3, rng_seed=s)
+            a = exact_influence(inst).sigma / inst.graph.node_count
+            dists = [qpe_outcome_distribution(a, m)]
+            if len(inst.graph.edges) + 1 + m <= 14:
+                dists.append(_statevector_qpe_distribution(build_a_operator(inst, m), m))
+            for dist in dists:
+                p = dist[np.abs(grid - a) > epsilon].sum()
+                assert 3 * p**2 - 2 * p**3 <= 0.01, (s, p)
 
 
 PINNED_INSTANCE = """nodes 5

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,12 +49,14 @@ def test_ry_encodes_probability():
 def test_ry_indexed_rotates_each_pair_by_its_angle():
     rng = np.random.default_rng(9)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
-    angles = rng.uniform(-3.0, 3.0, size=8)
-    out = qsim.apply_ry_indexed(state, 1, lambda ix: angles[ix])
-    for i0 in (0, 1, 4, 5):
-        c, s = np.cos(angles[i0] / 2), np.sin(angles[i0] / 2)
-        pair = [i0, i0 | 2]
-        assert np.allclose(out[pair], np.array([[c, -s], [s, c]]) @ state[pair], atol=1e-12)
+    # qubit 1 of 3: one angle per (qubit 2, qubit 0) cell
+    angles = rng.uniform(-3.0, 3.0, size=(2, 2))
+    out = qsim.apply_ry_indexed(state, 1, angles)
+    for high in (0, 1):
+        for low in (0, 1):
+            c, s = np.cos(angles[high, low] / 2), np.sin(angles[high, low] / 2)
+            pair = [4 * high + low, 4 * high + 2 + low]
+            assert np.allclose(out[pair], np.array([[c, -s], [s, c]]) @ state[pair], atol=1e-12)
 
 
 def test_probability_of_basis_states():
@@ -120,6 +124,12 @@ class TestFourier:
         expected[k] = 1
         assert np.allclose(np.abs(out), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("transform", [qsim.qft, qsim.inverse_qft])
+    @pytest.mark.parametrize("register", [[], [0, 2], [1, 0], [2, 3], [-1, 0]])
+    def test_register_not_a_contiguous_run_raises(self, transform, register):
+        with pytest.raises(ValueError):
+            transform(qsim.init_state(3), register)
+
     def test_partial_register(self):
         # iQFT over the low 2 qubits of a 3-qubit product state leaves qubit 2 alone
         state = qsim.init_state(3)
@@ -166,3 +176,56 @@ def test_norm_preserved_and_adjoint_returns(seed, ops):
 def test_invalid_qubit_index():
     with pytest.raises(ValueError):
         qsim.apply_h(qsim.init_state(2), 2)
+
+
+def ry_matrix(angle):
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def projector(k, dim):
+    """|k><k| on a dim-dimensional factor."""
+    return np.diag((np.arange(dim) == k).astype(float))
+
+
+def embed(gate, qubit, n):
+    """``gate`` on ``qubit`` of an n-qubit register; qubit 0 is the rightmost factor."""
+    return np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), gate), np.eye(1 << qubit))
+
+
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), angle=st.floats(-3.0, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_gates_equal_dense_kronecker_matrices(n, seed, angle):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    flip = np.array([[0, 1], [1, 0]])
+    for q in range(n):
+        high, low = 1 << (n - 1 - q), 1 << q
+        angles = rng.uniform(-3.0, 3.0, size=(high, low))
+        # one Ry per pair: the sum over cells of |h><h| (x) Ry(angle[h, l]) (x) |l><l|
+        indexed = sum(
+            np.kron(np.kron(projector(h, high), ry_matrix(angles[h, l])), projector(l, low))
+            for h in range(high)
+            for l in range(low)
+        )
+        cases = [
+            (qsim.apply_h(state, q), embed(hadamard, q, n)),
+            (qsim.apply_x(state, q), embed(flip, q, n)),
+            (qsim.apply_ry(state, q, angle), embed(ry_matrix(angle), q, n)),
+            (qsim.apply_ry_indexed(state, q, angles), indexed),
+        ]
+        for got, matrix in cases:
+            assert np.allclose(got, matrix @ state, atol=1e-12)
+
+
+def test_gate_peak_memory_on_20_qubits():
+    # the output and the two products of one half each: 32 MiB at 20 qubits
+    state = qsim.init_state(20)
+    tracemalloc.start()
+    try:
+        qsim.apply_ry(state, 7, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

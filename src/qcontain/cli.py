@@ -24,7 +24,7 @@ from .containment import (
 )
 from .gmf import durr_hoyer_min, make_gmf_finder
 from .graph import generate_random_instance, parse_instance, serialize_instance
-from .qae import check_evaluation_qubits, qae_estimate
+from .qae import check_evaluation_qubits, qpe_outcome_distribution, read_estimate
 
 
 def _load_instance(path: str):
@@ -112,10 +112,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_contain(args) -> int:
     inst = _load_instance(args.instance)
-    finder = linear_finder if args.finder == "linear" else make_gmf_finder(call_seeds(args.rng))
+    # the estimator and the finder draw from one stream, so no two calls share a seed
+    seeds = call_seeds(args.rng)
+    finder = linear_finder if args.finder == "linear" else make_gmf_finder(seeds)
     plan = greedy_contain(
         inst,
-        _build_estimator(args.estimator, args, call_seeds(args.rng)),
+        _build_estimator(args.estimator, args, seeds),
         finder,
         strategy=args.strategy,
         k_max=args.k_max,
@@ -149,9 +151,10 @@ def cmd_bench_estimation(args) -> int:
     m_grid = [int(m) for m in args.qae_m.split(",")]
     for m in m_grid:
         check_evaluation_qubits(m)
-    truth = exact_influence(inst)
     n = inst.graph.node_count
-    a_true = truth.sigma / n
+    a_true = exact_influence(inst).sigma / n
+    # QAE rows are read from the exact amplitude's outcome distribution, built once per m
+    dists = {m: qpe_outcome_distribution(a_true, m) for m in m_grid}
     rows = []
     for rep, seq in zip(range(args.reps), call_seeds(args.rng)):
         seeds = seq.generate_state(2)
@@ -160,7 +163,7 @@ def cmd_bench_estimation(args) -> int:
             rows.append(("mc", trials, abs(est.sigma / n - a_true), rep))
         for m in m_grid:
             rng = np.random.default_rng(np.random.SeedSequence(int(seeds[1]), spawn_key=(m,)))
-            est = qae_estimate(inst, m=m, rng_seed=rng, mode="analytic")
+            est = read_estimate(dists[m], rng)
             rows.append(("qae", est.q_applications, abs(est.a_hat - a_true), rep))
     notes = [
         "work_units: mc = Monte Carlo trials; qae = Grover-operator (Q) applications",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qae
 from .cascade import InfluenceEstimate, exact_influence, mc_influence
-from .graph import Graph, ProblemInstance, closed_removal, remove_edges
+from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
 
@@ -100,8 +100,7 @@ def candidate_edges(
     if strategy == "all":
         return tuple(base)
     if strategy == "frontier":
-        current = remove_edges(g, removed)
-        reachable = _reachable_nodes(current, instance.seeds)
+        reachable = _reachable_nodes(instance.without_edges(removed).graph, instance.seeds)
         return tuple(k for k in base if g.edges[k].src in reachable)
     if strategy == "top_p":
         cap = top_p_cap if top_p_cap is not None else 8
@@ -132,6 +131,8 @@ def greedy_contain(
     strictly improves the combined objective."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if top_p_cap is not None and top_p_cap < 1:
+        raise ValueError("top_p_cap must be >= 1")
     acc = RunAccounting()
     removed: list[int] = []
     trace: list[tuple[int, int, ObjectiveValue]] = []

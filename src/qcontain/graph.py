@@ -94,9 +94,13 @@ class ProblemInstance:
             raise ValueError(f"lambda out of range: {self.lam}")
 
     def without_edges(self, removal: Iterable[int]) -> "ProblemInstance":
-        """This instance without the given arcs; itself when nothing is removed."""
-        graph = remove_edges(self.graph, removal)
-        return self if graph is self.graph else ProblemInstance(graph, self.seeds, self.lam)
+        """Without the given arcs and their undirected partners; itself when nothing is removed."""
+        g = self.graph
+        drop = closed_removal(g, removal)
+        if not drop:
+            return self
+        kept = [e for k, e in enumerate(g.edges) if k not in drop]
+        return ProblemInstance(Graph(g.node_count, kept, g.undirected), self.seeds, self.lam)
 
 
 def closed_removal(graph: Graph, removal: Iterable[int]) -> frozenset[int]:
@@ -110,16 +114,6 @@ def closed_removal(graph: Graph, removal: Iterable[int]) -> frozenset[int]:
         if mate is not None:
             out.add(mate)
     return frozenset(out)
-
-
-def remove_edges(graph: Graph, removal: Iterable[int]) -> Graph:
-    """New graph without the given arcs (and their undirected partners);
-    ``graph`` itself when nothing is removed."""
-    drop = closed_removal(graph, removal)
-    if not drop:
-        return graph
-    kept = [e for k, e in enumerate(graph.edges) if k not in drop]
-    return Graph(graph.node_count, kept, graph.undirected)
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -203,34 +197,25 @@ def parse_instance(text: str) -> ProblemInstance:
             raise ParseError(lineno, f"unknown node {token}")
         return idx
 
+    # Edge checks p, i and self-loops; resolve, the header and this loop leave
+    # Graph and ProblemInstance nothing to reject.
     edges = []
     seen_arcs: set[tuple[int, int]] = set()
     for lineno, s_tok, d_tok, p, i in edge_lines:
         src = resolve(lineno, s_tok)
         dst = resolve(lineno, d_tok)
-        if not (0.0 <= p <= 1.0):
-            raise ParseError(lineno, "probability out of range")
-        if not (0.0 <= i <= 1.0):
-            raise ParseError(lineno, "importance out of range")
-        if src == dst:
-            raise ParseError(lineno, "self-loop")
-        arcs = [(src, dst)] + ([(dst, src)] if undirected else [])
-        for a, b in arcs:
-            if (a, b) in seen_arcs:
+        try:
+            arcs = [Edge(src, dst, p, i)] + ([Edge(dst, src, p, i)] if undirected else [])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        for e in arcs:
+            if (e.src, e.dst) in seen_arcs:
                 raise ParseError(lineno, f"duplicate edge {s_tok} {d_tok}")
-            seen_arcs.add((a, b))
-            edges.append(Edge(a, b, p, i))
-
-    try:
-        graph = Graph(node_count, edges, undirected=undirected)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+            seen_arcs.add((e.src, e.dst))
+        edges += arcs
 
     seeds = frozenset(resolve(ln, t) for ln, t in seeds_tokens)
-    try:
-        return ProblemInstance(graph, seeds, lam)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    return ProblemInstance(Graph(node_count, edges, undirected=undirected), seeds, lam)
 
 
 def serialize_instance(inst: ProblemInstance) -> str:

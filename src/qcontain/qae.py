@@ -150,6 +150,19 @@ def check_evaluation_qubits(m: int) -> None:
         raise ValueError(f"evaluation qubits m = {m} must be in [1, {qsim.MAX_QUBITS}]")
 
 
+def read_estimate(dist: np.ndarray, rng: np.random.Generator) -> AmplitudeEstimate:
+    """One phase-estimation run: outcome y drawn from ``dist`` over M outcomes
+    gives a_hat = sin^2(pi y / M), after M - 1 applications of Q."""
+    dim = len(dist)
+    y = int(rng.choice(dim, p=dist))
+    q_apps = dim - 1
+    return AmplitudeEstimate(
+        a_hat=float(np.sin(pi * y / dim) ** 2),
+        q_applications=q_apps,
+        a_applications=2 * q_apps + 1,
+    )
+
+
 def qae_estimate(
     instance: ProblemInstance,
     removal: tuple[int, ...] = (),
@@ -158,7 +171,6 @@ def qae_estimate(
     mode: str = "statevector",
 ) -> AmplitudeEstimate:
     check_evaluation_qubits(m)
-    rng = np.random.default_rng(rng_seed)
     sub = instance.without_edges(removal)
     if mode == "statevector":
         dist = _statevector_qpe_distribution(build_a_operator(sub, eval_qubits=m), m)
@@ -166,13 +178,7 @@ def qae_estimate(
         dist = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    y = int(rng.choice(1 << m, p=dist))
-    q_apps = (1 << m) - 1
-    return AmplitudeEstimate(
-        a_hat=float(np.sin(pi * y / (1 << m)) ** 2),
-        q_applications=q_apps,
-        a_applications=2 * q_apps + 1,
-    )
+    return read_estimate(dist, np.random.default_rng(rng_seed))
 
 
 def evaluation_qubits_for(epsilon: float) -> int:

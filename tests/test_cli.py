@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontain import cli, graph
+from qcontain import cli, containment, gmf, graph, qae
+from qcontain.cascade import exact_influence
 from qcontain.cli import main
 from qcontain.graph import MAX_NODES
 from qcontain.qsim import MAX_QUBITS
@@ -194,15 +195,51 @@ class TestContain:
     def test_top_p_cap_below_one_exits_2(self, tmp_path, capsys, cap):
         star = tmp_path / "star.txt"
         star.write_text("nodes 4\n0 1 0.9 0.1\n0 2 0.5 0.1\n0 3 0.1 0.1\nseeds 0\nlambda 1.0\n")
-        # the cap is checked whatever the strategy, not only where top_p reads it
+        # the cap is checked whatever the strategy, not only where top_p reads it,
+        # and also when no greedy iteration runs
         for strategy in ("top_p", "all", "frontier"):
-            code, out, err = run(
-                ["contain", "--instance", str(star), "--strategy", strategy, "--top-p-cap", cap],
-                capsys,
-            )
-            assert code == 2, strategy
-            assert out == ""
-            assert err == "error: top_p_cap must be >= 1\n"
+            for k_max in ("10", "0"):
+                code, out, err = run(
+                    ["contain", "--instance", str(star), "--strategy", strategy,
+                     "--top-p-cap", cap, "--k-max", k_max],
+                    capsys,
+                )
+                assert code == 2, (strategy, k_max)
+                assert out == ""
+                assert err == "error: top_p_cap must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [["mc", "--trials", "200"], ["qae", "--epsilon", "0.2", "--analytic"]],
+        ids=["mc", "qae"],
+    )
+    def test_estimator_and_gmf_finder_share_one_seed_stream(
+        self, tmp_path, monkeypatch, capsys, estimator
+    ):
+        star = tmp_path / "star.txt"
+        star.write_text("nodes 4\n0 1 0.9 0.1\n0 2 0.5 0.1\n0 3 0.1 0.1\nseeds 0\nlambda 1.0\n")
+        drawn = []
+
+        def record(module, name, caller):
+            original = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                seq = kwargs["rng_seed"] if "rng_seed" in kwargs else args[2]
+                drawn.append((caller, seq.entropy, seq.spawn_key))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        record(containment, "mc_influence", "estimator")
+        record(qae, "qae_influence", "estimator")
+        record(gmf, "durr_hoyer_min", "finder")
+        argv = ["contain", "--instance", str(star), "--estimator", *estimator,
+                "--finder", "gmf", "--k-max", "2", "--rng", "3"]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert {caller for caller, _, _ in drawn} == {"estimator", "finder"}
+        seeds = [(entropy, key) for _, entropy, key in drawn]
+        assert len(set(seeds)) == len(seeds)
 
     def test_k_max_zero(self, instance_file, capsys):
         code, out, _ = run(
@@ -367,6 +404,22 @@ def test_bench_estimation_checks_qae_m_before_the_sweep(instance_file, monkeypat
     )
     assert code == 2
     assert err == f"error: evaluation qubits m = 40 must be in [1, {MAX_QUBITS}]\n"
+
+
+def test_bench_estimation_runs_the_exact_oracle_once(instance_file, monkeypatch, capsys):
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return exact_influence(inst)
+
+    monkeypatch.setattr(cli, "exact_influence", counted)
+    monkeypatch.setattr(qae, "exact_influence", counted)
+    code, _, _ = run(
+        ["bench-estimation", "--instance", instance_file, "--qae-m", "3,4,3", "--reps", "4"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_minfind_size_over_cap_exits_2():

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ from qcontain.graph import (
     ProblemInstance,
     generate_random_instance,
     parse_instance,
-    remove_edges,
     serialize_instance,
 )
 
@@ -30,6 +30,24 @@ class TestParse:
     def test_probability_out_of_range(self):
         with pytest.raises(ParseError, match="probability out of range"):
             parse_instance("nodes 2\n0 1 1.5 0.3\nseeds 0\nlambda 1.0\n")
+
+    @pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+    @pytest.mark.parametrize(
+        "arc, message",
+        [
+            pytest.param("0 1 1.5 0.3", "probability out of range: 1.5", id="p-above-1"),
+            pytest.param("0 1 nan 0.3", "probability out of range: nan", id="p-nan"),
+            pytest.param("0 1 0.5 1.5", "importance out of range: 1.5", id="i-above-1"),
+            pytest.param("1 1 0.5 0.3", "self-loop at node 1", id="self-loop"),
+        ],
+    )
+    def test_bad_arc_names_its_line_with_edges_message(self, arc, message, undirected):
+        header = "nodes 3\nundirected\n" if undirected else "nodes 3\n"
+        lineno = 4 if undirected else 3
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"{header}0 2 0.5 0.3\n{arc}\nseeds 0\nlambda 1.0\n")
+        assert info.value.lineno == lineno
+        assert str(info.value) == f"line {lineno}: {message}"
 
     @pytest.mark.parametrize("lam", ["2.0", "nan"])
     def test_lambda_out_of_range_names_its_line(self, lam):
@@ -94,33 +112,33 @@ class TestParse:
 
 class TestRemoveEdges:
     def test_remove_nothing(self, chain3):
-        assert remove_edges(chain3.graph, ()) == chain3.graph
+        assert chain3.without_edges(()).graph == chain3.graph
 
     def test_instance_without_nothing_is_itself(self, chain3):
         assert chain3.without_edges(()) is chain3
 
     def test_remove_only_edge(self):
-        g = Graph(2, [Edge(0, 1, 0.5, 0.3)])
-        out = remove_edges(g, [0])
+        inst = ProblemInstance(Graph(2, [Edge(0, 1, 0.5, 0.3)]), {0}, 1.0)
+        out = inst.without_edges([0]).graph
         assert out.node_count == 2
         assert out.edges == ()
 
     def test_remove_from_triangle(self):
         g = Graph(3, [Edge(0, 1, 0.5, 0.1), Edge(1, 2, 0.5, 0.1), Edge(0, 2, 0.5, 0.1)])
-        out = remove_edges(g, [1])
+        out = ProblemInstance(g, {0}, 1.0).without_edges([1]).graph
         assert [(e.src, e.dst) for e in out.edges] == [(0, 1), (0, 2)]
 
     def test_invalid_index(self, chain3):
         with pytest.raises(ValueError):
-            remove_edges(chain3.graph, [7])
+            chain3.without_edges([7])
 
     def test_original_unmodified(self, chain3):
-        remove_edges(chain3.graph, [0])
+        chain3.without_edges([0])
         assert len(chain3.graph.edges) == 2
 
     def test_undirected_removes_both_arcs(self):
         inst = parse_instance("nodes 3\nundirected\n0 1 0.5 0.3\n1 2 0.4 0.2\nseeds 0\nlambda 1.0\n")
-        out = remove_edges(inst.graph, [0])
+        out = inst.without_edges([0]).graph
         assert [(e.src, e.dst) for e in out.edges] == [(1, 2), (2, 1)]
 
 
@@ -263,14 +281,14 @@ def test_removal_composes(rng_seed, data):
         return
     first = data.draw(st.sets(st.integers(0, n_edges - 1)))
     second = data.draw(st.sets(st.integers(0, n_edges - 1)))
-    combined = remove_edges(inst.graph, first | second)
-    step = remove_edges(inst.graph, first)
+    combined = inst.without_edges(first | second)
+    step = inst.without_edges(first)
     remap = [
         k
-        for k, e in enumerate(step.edges)
+        for k, e in enumerate(step.graph.edges)
         if any(inst.graph.edges[j] == e for j in second)
     ]
-    assert remove_edges(step, remap) == combined
+    assert step.without_edges(remap) == combined
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -293,6 +311,39 @@ def test_each_module_imports_on_its_own(module):
     proc = import_in_fresh_interpreter(module)
     assert proc.returncode == 0, proc.stderr
     assert f"qcontain.{module}" in proc.stdout.split()
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; a name inside a string
+    annotation counts as read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    quoted = [
+        ast.parse(n.value, mode="eval")
+        for ann in annotations if ann is not None
+        for n in ast.walk(ann) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    used = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_guard_sees_string_annotations():
+    source = "from a import B, C, D\nimport e.f\ndef g(x: 'B') -> 'list[C]':\n    pass\n"
+    assert unused_imports(source) == ["D", "e"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(Path(SRC, "qcontain").glob("*.py"))
+    assert {path.stem for path in paths} >= set(MODULES)
+    unused = {path.name: unused_imports(path.read_text()) for path in paths}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_graph_import_loads_no_other_module():

@@ -20,6 +20,7 @@ from qcontain.qae import (
     qae_estimate,
     qae_influence,
     qpe_outcome_distribution,
+    read_estimate,
 )
 
 
@@ -276,6 +277,15 @@ class TestQaeEstimate:
     def test_m_must_be_positive(self, single_edge):
         with pytest.raises(ValueError):
             qae_estimate(single_edge, m=0)
+
+    def test_readout_of_the_analytic_distribution_is_analytic_mode(self, chain3):
+        a = exact_influence(chain3).sigma / chain3.graph.node_count
+        for m in (1, 3, 6):
+            dist = qpe_outcome_distribution(a, m)
+            for seed in range(8):
+                read = read_estimate(dist, np.random.default_rng(seed))
+                est = qae_estimate(chain3, m=m, rng_seed=np.random.default_rng(seed), mode="analytic")
+                assert read == est
 
 
 class TestQaeInfluence:

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end containment demo on a generated instance.
 
-Runs the greedy edge-removal loop twice on the same instance, once with the
-linear finder and once with the Grover minimum finder, so the traces and
-work accounting can be compared side by side.
+Runs the greedy edge-removal loop three times on the same instance: with the
+exact estimator and the linear finder, with the exact estimator and the
+Grover minimum finder, so the traces and work accounting can be compared
+side by side, and with the Monte Carlo estimator (2000 trials), whose
+candidates of each greedy iteration share one live-edge draw.
 
 Usage: python3 scripts/run_containment_demo.py [outdir]
 """
@@ -18,11 +20,12 @@ instance = outdir / "demo_instance.txt"
 
 rc = main(["gen", "--nodes", "7", "--edge-prob", "0.3", "--seeds", "1",
            "--lam", "0.7", "--rng", "21", "--out", str(instance)])
-for finder in ("linear", "gmf"):
+runs = [("exact", "linear", []), ("exact", "gmf", []), ("mc", "linear", ["--trials", "2000"])]
+for estimator, finder, flags in runs:
     if rc != 0:
         break
-    print(f"\n== finder: {finder} ==")
-    rc = main(["contain", "--instance", str(instance), "--estimator", "exact",
+    print(f"\n== estimator: {estimator}, finder: {finder} ==")
+    rc = main(["contain", "--instance", str(instance), "--estimator", estimator, *flags,
                "--finder", finder, "--k-max", "3", "--rng", "5",
-               "--out", str(outdir / f"containment_{finder}.csv")])
+               "--out", str(outdir / f"containment_{estimator}_{finder}.csv")])
 sys.exit(rc)

@@ -17,14 +17,17 @@ cascades per machine word and keeps rows of active bits only for the seeds
 that are arc sources and the other arc heads, the only nodes whose bits can
 matter; each round gathers the active bits of every arc's source, ANDs them
 with the arc's live bits and ORs them into the arc's destination, until a
-round adds nothing. It returns each cascade's infected count. Two callers
-feed it live bits:
+round adds nothing. It returns each cascade's infected count. It can leave
+a removal's arcs out, so a removal is scored on the live bits of the whole
+graph. Two callers feed it live bits:
 
-* ``_batch_infected_counts`` -- packed ``coins < p`` for Monte Carlo trials;
-  its counts equal per-trial simulation exactly. ``mc_influence`` draws the
-  coins in chunks of at most ``COIN_CHUNK_BYTES``; the generator fills its
-  stream in C order, so the estimate is the same as from one draw. It keeps
-  a histogram of the counts, |V| + 1 bins, not one count per trial.
+* ``mc_influence`` -- packed ``coins < p`` for Monte Carlo trials; its counts
+  equal per-trial simulation exactly. Coins are drawn in chunks of at most
+  ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
+  estimate is the same as from one draw. Given a seed, it streams the
+  chunks; given a ``LiveDraw`` from ``draw_live``, it scores a removal on
+  live bits packed once for several calls, |E| / 8 bytes per trial. It
+  keeps a histogram of the counts, |V| + 1 bins, not one count per trial.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -35,14 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, ProblemInstance
+from .graph import Graph, ProblemInstance, closed_removal
 
 # Subset transitions exact_influence may expand: the sum of 2^|uncertain joiners| over states.
 EXACT_WORK_BUDGET = 1 << 19
-# Coin memory per chunk in mc_influence; a chunk is a multiple of 64 trials, at least 64.
+# Coin memory per chunk of a Monte Carlo draw; a chunk is a multiple of 64 trials, at least 64.
 COIN_CHUNK_BYTES = 8 << 20
 
 
@@ -59,11 +63,27 @@ class ExactInfluence:
     node_probs: dict[int, float]
 
 
-def _propagate(graph: Graph, seeds: frozenset[int], live: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class LiveDraw:
+    """Packed live bits of ``trials`` Monte Carlo cascades over every arc of a graph.
+
+    Each chunk is arc-major, like ``_propagate``'s ``live``; the chunks hold
+    the cascades in draw order, and the padding cascades of the last word
+    are dead on every arc.
+    """
+
+    trials: int
+    chunks: tuple[np.ndarray, ...]
+
+
+def _propagate(
+    graph: Graph, seeds: frozenset[int], live: np.ndarray, removed: frozenset[int] = frozenset()
+) -> np.ndarray:
     """Infected count (int64) of each of the 64 * words cascades over the live arcs ``live``.
 
     ``live`` is arc-major, one row per arc in graph order: bit t of
-    live[k, w] is set iff arc k is live in cascade 64*w + t. Seeds are
+    live[k, w] is set iff arc k is live in cascade 64*w + t. The arcs in
+    ``removed`` are left out, as if dead in every cascade. Seeds are
     active in every cascade, and a node that is neither a seed nor an arc
     head never is, so the active bit table has rows only for the seeds that
     are arc sources and the other arc heads; only arcs from a row into a
@@ -72,14 +92,15 @@ def _propagate(graph: Graph, seeds: frozenset[int], live: np.ndarray) -> np.ndar
     nodes r live hops from the seeds.
     """
     edges = graph.edges
-    heads = {e.dst for e in edges} - seeds
-    nodes = [*seeds.intersection(e.src for e in edges), *heads]
+    kept = [k for k in range(len(edges)) if k not in removed]
+    heads = {edges[k].dst for k in kept} - seeds
+    nodes = [*seeds.intersection(edges[k].src for k in kept), *heads]
     row = {v: r for r, v in enumerate(nodes)}
     lit = len(nodes) - len(heads)
     active = np.zeros((len(nodes), live.shape[1]), dtype=np.uint64)
     active[:lit] = ~np.uint64(0)
     arcs = sorted(
-        (k for k, e in enumerate(edges) if e.src in row and e.dst in heads),
+        (k for k in kept if edges[k].src in row and edges[k].dst in heads),
         key=lambda k: edges[k].dst,
     )
     if arcs:
@@ -99,33 +120,61 @@ def _propagate(graph: Graph, seeds: frozenset[int], live: np.ndarray) -> np.ndar
     return len(seeds) + infected.sum(axis=0, dtype=np.int64)
 
 
-def _batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
-    """Final infected-set sizes for each row of a (trials x edges) coin matrix.
+def _pack_live(graph: Graph, coins: np.ndarray) -> np.ndarray:
+    """Arc-major packed ``coins < p`` of a (trials x edges) coin matrix, for ``_propagate``.
 
-    The padding trials of the last word are dead on every arc and cut off.
+    The padding trials of the last word are dead on every arc.
     """
     trials = coins.shape[0]
     p = np.array([e.p for e in graph.edges])
     live = np.zeros((len(graph.edges), -(-trials // 64) * 64), dtype=bool)
     live[:, :trials] = (coins < p).T
-    live = np.packbits(live, axis=1, bitorder="little").view(np.uint64)
-    return _propagate(graph, seeds, live)[:trials]
+    return np.packbits(live, axis=1, bitorder="little").view(np.uint64)
 
 
 def _chunk_rows(n_edges: int) -> int:
     return max(64, COIN_CHUNK_BYTES // (8 * max(n_edges, 1)) // 64 * 64)
 
 
-def mc_influence(instance: ProblemInstance, trials: int, rng_seed: int) -> InfluenceEstimate:
+def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[np.ndarray]:
+    """Packed live bits of ``trials`` cascades from ``rng_seed``'s coins, chunk by chunk."""
+    rng = np.random.default_rng(rng_seed)
+    rows = _chunk_rows(len(graph.edges))
+    for start in range(0, trials, rows):
+        yield _pack_live(graph, rng.random((min(rows, trials - start), len(graph.edges))))
+
+
+def draw_live(graph: Graph, trials: int, rng_seed) -> LiveDraw:
+    """One Monte Carlo draw over every arc of ``graph``, packed once for many ``mc_influence`` calls."""
+    return LiveDraw(trials, tuple(_live_chunks(graph, trials, rng_seed)))
+
+
+def mc_influence(
+    instance: ProblemInstance, trials: int, rng_seed, removal: Iterable[int] = ()
+) -> InfluenceEstimate:
+    """Monte Carlo estimate of sigma for ``instance`` without the arcs of ``removal``.
+
+    ``rng_seed`` seeds a fresh draw, or is a ``LiveDraw`` of ``trials``
+    cascades over ``instance.graph`` that several removals share. The
+    removal's arcs and their undirected partners are left out of the
+    kernel, so each count is the one ``instance.without_edges(removal)``
+    gives on the same coins without the removed columns.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     g = instance.graph
-    rng = np.random.default_rng(rng_seed)
-    rows = _chunk_rows(len(g.edges))
+    if isinstance(rng_seed, LiveDraw):
+        if rng_seed.trials != trials:
+            raise ValueError(f"draw holds {rng_seed.trials} trials, not {trials}")
+        chunks: Iterable[np.ndarray] = rng_seed.chunks
+    else:
+        chunks = _live_chunks(g, trials, rng_seed)
+    removed = closed_removal(g, removal)
     hist = np.zeros(g.node_count + 1, dtype=np.int64)  # trials per infected count
-    for start in range(0, trials, rows):
-        coins = rng.random((min(rows, trials - start), len(g.edges)))
-        counts = _batch_infected_counts(g, instance.seeds, coins)
+    done = 0
+    for live in chunks:
+        counts = _propagate(g, instance.seeds, live, removed)[: trials - done]
+        done += len(counts)
         hist += np.bincount(counts, minlength=len(hist))
     sizes = np.arange(len(hist))
     sigma = int(hist @ sizes) / trials

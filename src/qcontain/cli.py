@@ -91,7 +91,7 @@ def _build_estimator(method: str, args, seeds):
 
 def cmd_estimate(args) -> int:
     inst = _load_instance(args.instance)
-    est = _build_estimator(args.method, args, iter([args.rng]))(inst, (), RunAccounting())
+    (est,) = _build_estimator(args.method, args, iter([args.rng]))(inst, [()], RunAccounting())
     norm = est.sigma / inst.graph.node_count
     err = "na" if est.std_error is None else est.std_error
 
@@ -149,6 +149,10 @@ def cmd_bench_estimation(args) -> int:
     inst = _load_instance(args.instance)
     mc_grid = [int(t) for t in args.mc_trials.split(",")]
     m_grid = [int(m) for m in args.qae_m.split(",")]
+    # a row's stream is seeded by its grid value, so a repeat would replay it
+    for flag, grid in (("--mc-trials", mc_grid), ("--qae-m", m_grid)):
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"{flag} repeats a value: {','.join(map(str, grid))}")
     for m in m_grid:
         check_evaluation_qubits(m)
     n = inst.graph.node_count

@@ -2,12 +2,16 @@
 
 The loop is parameterized over an influence estimator and a minimum finder:
 
-* estimator(instance, removal, accounting) -> InfluenceEstimate for the
-  graph with those edges removed;
+* estimator(instance, removals, accounting) -> one InfluenceEstimate per
+  removal, for the graph with those edges removed; a greedy iteration asks
+  for all of its candidates at once;
 * finder(scores, accounting) -> index of the minimizing candidate.
 
-Removal indices always refer to the original instance graph; the current
-subgraph is recomputed from the cumulative removal set each iteration.
+Removal indices always refer to the original instance graph. The exact and
+QAE estimators score each removal on its own subgraph, QAE with one seed per
+removal. The Monte Carlo estimator takes one seed per call and packs one
+live-edge draw over the original arcs; every removal is scored on that draw
+with its arcs left out (Kimura, Saito and Motoda 2009).
 """
 from __future__ import annotations
 
@@ -18,12 +22,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import qae
-from .cascade import InfluenceEstimate, exact_influence, mc_influence
+from .cascade import InfluenceEstimate, draw_live, exact_influence, mc_influence
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
 
-Estimator = Callable[[ProblemInstance, tuple[int, ...], "RunAccounting"], InfluenceEstimate]
+Estimator = Callable[
+    [ProblemInstance, Sequence[tuple[int, ...]], "RunAccounting"], list[InfluenceEstimate]
+]
 Finder = Callable[[Sequence[float], "RunAccounting"], int]
 
 
@@ -139,25 +145,21 @@ def greedy_contain(
     if k_max == 0:
         return ContainmentPlan((), (), acc)
 
-    base_est = estimator(instance, (), acc)
+    (base_est,) = estimator(instance, [()], acc)
     current = objective(instance, (), base_est.sigma)
 
     for k in range(1, k_max + 1):
         cands = candidate_edges(instance, tuple(removed), strategy, top_p_cap)
         if not cands:
             break
-        scored: list[ObjectiveValue] = []
-        errors: list[float | None] = []
-        for e in cands:
-            trial_removal = tuple(removed) + (e,)
-            est = estimator(instance, trial_removal, acc)
-            scored.append(objective(instance, trial_removal, est.sigma))
-            errors.append(est.std_error)
+        removals = [(*removed, e) for e in cands]
+        ests = estimator(instance, removals, acc)
+        scored = [objective(instance, r, est.sigma) for r, est in zip(removals, ests)]
         idx = finder([v.total for v in scored], acc)
         chosen = scored[idx]
         tau = EXACT_TOLERANCE
-        if errors[idx]:
-            tau = max(tau, 2.0 * errors[idx])
+        if ests[idx].std_error:
+            tau = max(tau, 2.0 * ests[idx].std_error)
         if chosen.total < current.total - tau:
             removed.append(cands[idx])
             trace.append((k, cands[idx], chosen))
@@ -168,7 +170,7 @@ def greedy_contain(
 
 
 def make_exact_estimator() -> Estimator:
-    def estimator(instance, removal, accounting):
+    def one(instance, removal):
         sub = instance.without_edges(removal)
         return InfluenceEstimate(
             sigma=exact_influence(sub).sigma,
@@ -176,6 +178,9 @@ def make_exact_estimator() -> Estimator:
             # work units: the live-edge configurations whose probability sigma sums
             trials_or_calls=1 << len(sub.graph.edges),
         )
+
+    def estimator(instance, removals, accounting):
+        return [one(instance, removal) for removal in removals]
 
     return estimator
 
@@ -186,18 +191,19 @@ def call_seeds(rng_seed: int) -> Iterator[np.random.SeedSequence]:
 
 
 def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
-    def estimator(instance, removal, accounting):
-        seq = next(seeds)
-        sub = instance.without_edges(removal)
-        est = mc_influence(sub, trials, seq)
-        accounting.mc_trials += trials
-        return est
+    def estimator(instance, removals, accounting):
+        # one removal streams its coins; several share one packed draw
+        draw = next(seeds)
+        if len(removals) > 1:
+            draw = draw_live(instance.graph, trials, draw)
+        accounting.mc_trials += trials * len(removals)
+        return [mc_influence(instance, trials, draw, removal) for removal in removals]
 
     return estimator
 
 
 def make_qae_estimator(epsilon: float, seeds: Iterator, mode: str) -> Estimator:
-    def estimator(instance, removal, accounting):
+    def one(instance, removal, accounting):
         est = qae.qae_influence(
             instance, removal, epsilon=epsilon, rng_seed=next(seeds), mode=mode
         )
@@ -205,5 +211,8 @@ def make_qae_estimator(epsilon: float, seeds: Iterator, mode: str) -> Estimator:
         # each repetition applies A 2q + 1 times for its q applications of Q
         accounting.a_applications += 2 * est.trials_or_calls + qae.QPE_REPETITIONS
         return est
+
+    def estimator(instance, removals, accounting):
+        return [one(instance, removal, accounting) for removal in removals]
 
     return estimator

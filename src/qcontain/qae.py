@@ -108,7 +108,8 @@ def build_q_operator(psi: np.ndarray):
 def _readout(block: np.ndarray) -> np.ndarray:
     """Outcome distribution from the state before the inverse QFT; row y pairs with outcome y."""
     # numpy's forward FFT has the inverse QFT's sign, exp(-2 pi i k y / M)
-    block = np.fft.fft(block, axis=0) / sqrt(len(block))
+    block = np.fft.fft(block, axis=0)
+    block /= sqrt(len(block))
     return np.sum(np.abs(block) ** 2, axis=1)
 
 
@@ -122,7 +123,10 @@ def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
     """
     dim = 1 << m
     angles = (2 * np.arange(dim) + 1) * asin(sqrt(a))
-    return _readout(np.stack([np.cos(angles), np.sin(angles)], axis=1) / sqrt(dim))
+    block = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    del angles  # a quarter of the complex block, not kept through the FFT
+    block /= sqrt(dim)
+    return _readout(block)
 
 
 def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:

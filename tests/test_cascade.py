@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from qcontain import cascade
 from qcontain.cascade import (
-    _batch_infected_counts,
     exact_influence,
     live_edge_reachability,
     mc_influence,
 )
 from qcontain.cli import main
+from qcontain.containment import RunAccounting, call_seeds, candidate_edges, make_mc_estimator
 from qcontain.graph import (
     Edge,
     Graph,
     ProblemInstance,
+    closed_removal,
     generate_random_instance,
     parse_instance,
 )
@@ -45,6 +46,11 @@ def cascade_from_coins(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -
         frontier = new
         steps += 1
     return CascadeTrial(frozenset(active), steps)
+
+
+def batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
+    """The propagation kernel's infected count for each row of a (trials x edges) coin matrix."""
+    return cascade._propagate(graph, seeds, cascade._pack_live(graph, coins))[: len(coins)]
 
 
 def simulate_ic(instance: ProblemInstance, rng: np.random.Generator) -> CascadeTrial:
@@ -139,7 +145,7 @@ def test_batch_matches_sequential_simulation():
     g = inst.graph
     rng = np.random.default_rng(21)
     coins = rng.random((64, len(g.edges)))
-    batch = _batch_infected_counts(g, inst.seeds, coins)
+    batch = batch_infected_counts(g, inst.seeds, coins)
     for t in range(64):
         trial = cascade_from_coins(g, inst.seeds, coins[t])
         assert len(trial.infected) == batch[t]
@@ -232,6 +238,32 @@ def test_mc_standard_error_matches_exact_variance():
     assert checked >= 20
 
 
+def test_shared_draw_standard_errors_match_exact_variance():
+    # every candidate of one greedy iteration, scored on the iteration's one draw
+    trials = 20_000
+    checked = 0
+    for s in range(30):
+        inst = generate_random_instance(6, 0.35, rng_seed=s)
+        removals = [(k,) for k in candidate_edges(inst)]
+        if not (1 <= len(inst.graph.edges) <= 12 and len(removals) > 1):
+            continue
+        ests = make_mc_estimator(trials, call_seeds(2000 + s))(inst, removals, RunAccounting())
+        for removal, est in zip(removals, ests):
+            sub = inst.without_edges(removal)
+            weights = live_edge_weights(sub.graph)
+            counts = live_edge_reachability(sub.graph, sub.seeds)
+            mean = weights @ counts
+            variance = weights @ (counts - mean) ** 2
+            if variance < 1e-12:
+                assert est.std_error == 0.0 and est.sigma == pytest.approx(mean), (s, removal)
+                continue
+            exact_se = np.sqrt(variance / trials)
+            assert 0.9 <= est.std_error / exact_se <= 1.1, (s, removal)
+            assert abs(est.sigma - mean) <= 5 * exact_se, (s, removal)
+            checked += 1
+    assert checked >= 100
+
+
 @st.composite
 def small_instances(draw, probs=st.floats(0.0, 1.0), max_pairs=None, undirected=st.booleans()):
     n = draw(st.integers(1, 7))
@@ -260,10 +292,26 @@ def small_instances(draw, probs=st.floats(0.0, 1.0), max_pairs=None, undirected=
 def test_bit_parallel_kernel_matches_per_trial_cascades(inst, trials, coin_seed):
     g = inst.graph
     coins = np.random.default_rng(coin_seed).random((trials, len(g.edges)))
-    batch = _batch_infected_counts(g, inst.seeds, coins)
+    batch = batch_infected_counts(g, inst.seeds, coins)
     assert batch.dtype == np.int64
     expected = [len(cascade_from_coins(g, inst.seeds, row).infected) for row in coins]
     assert batch.tolist() == expected
+
+
+@given(data=st.data(), trials=st.sampled_from([1, 63, 65, 130]), coin_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_removal_mask_matches_the_cut_graph(data, trials, coin_seed):
+    # one arc of an undirected pair removes both; the cut graph's coins are
+    # the same rows without the removed columns
+    inst = data.draw(small_instances())
+    g = inst.graph
+    removal = data.draw(st.lists(st.sampled_from(range(len(g.edges))), max_size=3)) if g.edges else []
+    coins = np.random.default_rng(coin_seed).random((trials, len(g.edges)))
+    removed = closed_removal(g, removal)
+    masked = cascade._propagate(g, inst.seeds, cascade._pack_live(g, coins), removed)[:trials]
+    sub = inst.without_edges(removal)
+    kept = np.delete(coins, sorted(removed), axis=1)
+    assert masked.tolist() == batch_infected_counts(sub.graph, sub.seeds, kept).tolist()
 
 
 @given(
@@ -370,16 +418,28 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     assert cascade._chunk_rows(len(inst.graph.edges)) == 64
     calls = []
+    pack = cascade._pack_live
 
-    def counting(graph, seeds, coins):
+    def counting(graph, coins):
         calls.append(coins.shape[0])
-        return _batch_infected_counts(graph, seeds, coins)
+        return pack(graph, coins)
 
-    monkeypatch.setattr(cascade, "_batch_infected_counts", counting)
+    monkeypatch.setattr(cascade, "_pack_live", counting)
     for t, est in whole.items():
         calls.clear()
         assert mc_influence(inst, t, rng_seed=3) == est
         assert sum(calls) == t and max(calls) <= 64
+        calls.clear()
+        draw = cascade.draw_live(inst.graph, t, 3)
+        assert sum(calls) == t and max(calls) <= 64
+        assert len(draw.chunks) == len(calls)
+        assert mc_influence(inst, t, draw) == est
+
+
+def test_shared_draw_must_hold_the_trials_asked_for(chain3):
+    draw = cascade.draw_live(chain3.graph, 200, 0)
+    with pytest.raises(ValueError, match="draw holds 200 trials, not 100"):
+        mc_influence(chain3, 100, draw)
 
 
 PINNED_MC_INSTANCE = """nodes 6
@@ -396,7 +456,8 @@ lambda 0.8
 
 
 class TestPinnedCliOutput:
-    """MC output, byte for byte as the per-arc boolean kernel printed it."""
+    """MC output, byte for byte: ``estimate`` as the per-arc boolean kernel
+    printed it, ``contain`` as it prints with one shared draw per iteration."""
 
     @pytest.fixture
     def pinned(self, tmp_path):
@@ -409,7 +470,7 @@ class TestPinnedCliOutput:
                 "--finder", "linear", "--k-max", "3", "--rng", "5"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (
-            "k=1 edge=0->1 idx=0 total=1.556 influence=1.536 impact=0.019999999999999997\n"
+            "k=1 edge=0->1 idx=0 total=1.5688 influence=1.5488 impact=0.019999999999999997\n"
             "k=2 edge=0->2 idx=2 total=0.88 influence=0.8 impact=0.07999999999999999\n"
             "removed=2 mc_trials=8000 a_applications=0 q_applications=0 "
             "grover_oracle_calls=0 linear_steps=15\n"

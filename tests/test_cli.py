@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontain import cli, containment, gmf, graph, qae
+from qcontain import cascade, cli, gmf, graph, qae
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
 from qcontain.graph import MAX_NODES
@@ -230,7 +230,8 @@ class TestContain:
 
             monkeypatch.setattr(module, name, recorded)
 
-        record(containment, "mc_influence", "estimator")
+        # Monte Carlo seeds become coins here, once per iteration's shared draw
+        record(cascade, "_live_chunks", "estimator")
         record(qae, "qae_influence", "estimator")
         record(gmf, "durr_hoyer_min", "finder")
         argv = ["contain", "--instance", str(star), "--estimator", *estimator,
@@ -416,10 +417,33 @@ def test_bench_estimation_runs_the_exact_oracle_once(instance_file, monkeypatch,
     monkeypatch.setattr(cli, "exact_influence", counted)
     monkeypatch.setattr(qae, "exact_influence", counted)
     code, _, _ = run(
-        ["bench-estimation", "--instance", instance_file, "--qae-m", "3,4,3", "--reps", "4"], capsys
+        ["bench-estimation", "--instance", instance_file, "--qae-m", "3,4", "--reps", "4"], capsys
     )
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "grid", [["--mc-trials", "100,100"], ["--qae-m", "3,5,3"]], ids=["mc-trials", "qae-m"]
+)
+def test_bench_estimation_rejects_repeated_grid_values(
+    instance_file, tmp_path, monkeypatch, capsys, grid
+):
+    # a row's stream is seeded by its grid value, so a repeat would replay one stream
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started before the grids were checked")
+
+    monkeypatch.setattr(cli, "exact_influence", refuse)
+    monkeypatch.setattr(cli, "mc_influence", refuse)
+    out = tmp_path / "bench.csv"
+    code, stdout, err = run(
+        ["bench-estimation", "--instance", instance_file, *grid, "--reps", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {grid[0]} repeats a value: {grid[1]}\n"
+    assert not out.exists()
 
 
 def test_minfind_size_over_cap_exits_2():

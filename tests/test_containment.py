@@ -176,7 +176,7 @@ def test_qae_a_applications_follow_repetitions(monkeypatch, single_edge):
 
     monkeypatch.setattr(qae, "QPE_REPETITIONS", 5)
     acc = RunAccounting()
-    est = make_qae_estimator(0.2, call_seeds(0), mode="analytic")(single_edge, (), acc)
+    (est,) = make_qae_estimator(0.2, call_seeds(0), mode="analytic")(single_edge, [()], acc)
     q = (1 << qae.evaluation_qubits_for(0.2)) - 1
     assert est.trials_or_calls == acc.q_applications == 5 * q
     assert acc.a_applications == 5 * (2 * q + 1)

@@ -215,6 +215,21 @@ class TestQpeReadout:
         assert np.abs(dist - fejer_qpe_distribution(a, m)).max() <= 1e-10
         assert abs(dist.sum() - 1.0) <= 1e-12
 
+    def test_readout_peak_memory(self):
+        # the (2^m x 2) complex block is 32 MiB at m = 20. The real input is
+        # half a block, and numpy 2's FFT takes a complex copy of it beside
+        # its output, a block each: 2.5 blocks. The angle array, kept alive
+        # through the FFT, made it 2.75
+        block = (1 << 20) * 2 * 16
+        tracemalloc.start()
+        try:
+            dist = qpe_outcome_distribution(0.3, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(dist.sum() - 1.0) <= 1e-9
+        assert peak < 2.6 * block
+
     def test_modes_agree(self, single_edge):
         spec = build_a_operator(single_edge)
         for m in (2, 3, 4, 5):

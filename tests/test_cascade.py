@@ -388,6 +388,23 @@ def test_mc_memory_does_not_grow_with_trials():
     assert peak < 32 << 20
 
 
+def test_mc_estimator_streams_a_single_removal(monkeypatch):
+    # a packed draw of all 2^20 trials over 8 arcs would hold 1 MiB; one 64 KiB chunk at a time does not
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 64 << 10)
+    arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 9))
+    inst = parse_instance(f"nodes 9\n{arcs}seeds 0\nlambda 1.0\n")
+    make_mc_estimator(64, call_seeds(0))(inst, [()], RunAccounting())  # lazy imports
+    tracemalloc.start()
+    try:
+        [est] = make_mc_estimator(1 << 20, call_seeds(0))(inst, [()], RunAccounting())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    seed = next(call_seeds(0))
+    assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst.graph, 1 << 20, seed))
+    assert peak < 512 << 10
+
+
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
 def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
     inst = generate_random_instance(nodes, edge_prob, n_seeds=1, rng_seed=nodes)

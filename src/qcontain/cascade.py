@@ -25,9 +25,12 @@ graph. Two callers feed it live bits:
   equal per-trial simulation exactly. Coins are drawn in chunks of at most
   ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
   estimate is the same as from one draw. Given a seed, it streams the
-  chunks; given a ``LiveDraw`` from ``draw_live``, it scores a removal on
-  live bits packed once for several calls, |E| / 8 bytes per trial. It
-  keeps a histogram of the counts, |V| + 1 bins, not one count per trial.
+  chunks; given a ``LiveDraw``, it scores a removal on live bits packed
+  once for several calls. ``draw_live`` alone decides which one several
+  calls share, by the draw's packed size: a draw is held only if its packed
+  bits take no more memory than one chunk of its coins, so no draw holds
+  more than that, whatever the trial count. It keeps a histogram of the
+  counts, |V| + 1 bins, not one count per trial.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -144,8 +147,17 @@ def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[np.ndarray]:
         yield _pack_live(graph, rng.random((min(rows, trials - start), len(graph.edges))))
 
 
-def draw_live(graph: Graph, trials: int, rng_seed) -> LiveDraw:
-    """One Monte Carlo draw over every arc of ``graph``, packed once for many ``mc_influence`` calls."""
+def draw_live(graph: Graph, trials: int, rng_seed):
+    """One Monte Carlo draw over every arc of ``graph``, for many ``mc_influence`` calls.
+
+    The draw is packed once and held in a ``LiveDraw`` if its packed bits,
+    |E| * ceil(trials / 64) words, take no more memory than one chunk of
+    its coins (``COIN_CHUNK_BYTES``, or 64 trials' coins if that is more).
+    A larger draw is returned as ``rng_seed``, so each call streams the same
+    coins again, one chunk at a time; the counts are the same either way.
+    """
+    if -(-trials // 64) > _chunk_rows(len(graph.edges)):
+        return rng_seed
     return LiveDraw(trials, tuple(_live_chunks(graph, trials, rng_seed)))
 
 

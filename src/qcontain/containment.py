@@ -9,9 +9,11 @@ The loop is parameterized over an influence estimator and a minimum finder:
 
 Removal indices always refer to the original instance graph. The exact and
 QAE estimators score each removal on its own subgraph, QAE with one seed per
-removal. The Monte Carlo estimator takes one seed per call and packs one
-live-edge draw over the original arcs; every removal is scored on that draw
-with its arcs left out (Kimura, Saito and Motoda 2009).
+removal. The Monte Carlo estimator takes one seed per call, and every removal
+is scored on that call's live-edge draw over the original arcs with its arcs
+left out (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` decides
+whether the draw is packed once and held or streamed again for each removal.
+Candidate selection walks the original arcs too, so it builds no subgraph.
 """
 from __future__ import annotations
 
@@ -78,12 +80,14 @@ def objective(
     )
 
 
-def _reachable_nodes(graph: Graph, seeds: frozenset[int]) -> set[int]:
+def _reachable_nodes(graph: Graph, seeds: frozenset[int], gone: frozenset[int]) -> set[int]:
+    """Nodes reachable from ``seeds`` over the arcs of ``graph`` not in ``gone``."""
+    arcs = [e for k, e in enumerate(graph.edges) if k not in gone]
     reached = set(seeds)
     size = 0
     while size < len(reached):
         size = len(reached)
-        reached.update([e.dst for e in graph.edges if e.src in reached])
+        reached.update([e.dst for e in arcs if e.src in reached])
     return reached
 
 
@@ -106,7 +110,7 @@ def candidate_edges(
     if strategy == "all":
         return tuple(base)
     if strategy == "frontier":
-        reachable = _reachable_nodes(instance.without_edges(removed).graph, instance.seeds)
+        reachable = _reachable_nodes(g, instance.seeds, gone)
         return tuple(k for k in base if g.edges[k].src in reachable)
     if strategy == "top_p":
         cap = top_p_cap if top_p_cap is not None else 8
@@ -192,10 +196,7 @@ def call_seeds(rng_seed: int) -> Iterator[np.random.SeedSequence]:
 
 def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
     def estimator(instance, removals, accounting):
-        # one removal streams its coins; several share one packed draw
-        draw = next(seeds)
-        if len(removals) > 1:
-            draw = draw_live(instance.graph, trials, draw)
+        draw = draw_live(instance.graph, trials, next(seeds))
         accounting.mc_trials += trials * len(removals)
         return [mc_influence(instance, trials, draw, removal) for removal in removals]
 

@@ -388,20 +388,35 @@ def test_mc_memory_does_not_grow_with_trials():
     assert peak < 32 << 20
 
 
-def test_mc_estimator_streams_a_single_removal(monkeypatch):
-    # a packed draw of all 2^20 trials over 8 arcs would hold 1 MiB; one 64 KiB chunk at a time does not
+def star_estimator_peak(monkeypatch, removals):
+    """Estimates and tracemalloc peak of one 2^20-trial MC estimator call on an
+    8-arc star with 64 KiB coin chunks, where a packed draw would hold 1 MiB."""
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 64 << 10)
     arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 9))
     inst = parse_instance(f"nodes 9\n{arcs}seeds 0\nlambda 1.0\n")
-    make_mc_estimator(64, call_seeds(0))(inst, [()], RunAccounting())  # lazy imports
+    make_mc_estimator(64, call_seeds(0))(inst, removals, RunAccounting())  # lazy imports
     tracemalloc.start()
     try:
-        [est] = make_mc_estimator(1 << 20, call_seeds(0))(inst, [()], RunAccounting())
+        ests = make_mc_estimator(1 << 20, call_seeds(0))(inst, removals, RunAccounting())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return inst, ests, peak
+
+
+def test_mc_estimator_streams_a_single_removal(monkeypatch):
+    inst, [est], peak = star_estimator_peak(monkeypatch, [()])
     seed = next(call_seeds(0))
     assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst.graph, 1 << 20, seed))
+    assert peak < 512 << 10
+
+
+def test_mc_estimator_streams_a_draw_too_large_to_hold(monkeypatch):
+    # packing the draw once for three removals held 1.4 MiB
+    removals = [(0,), (3,), (5, 7)]
+    inst, ests, peak = star_estimator_peak(monkeypatch, removals)
+    seed = next(call_seeds(0))
+    assert ests == [mc_influence(inst, 1 << 20, seed, removal) for removal in removals]
     assert peak < 512 << 10
 
 
@@ -431,7 +446,7 @@ def test_chunk_rows_bound_coin_memory():
 
 def test_chunked_coins_give_the_same_estimate(monkeypatch):
     inst = generate_random_instance(7, 0.4, n_seeds=2, rng_seed=13)
-    whole = {t: mc_influence(inst, t, rng_seed=3) for t in (1, 63, 64, 65, 1000)}
+    whole = {t: mc_influence(inst, t, rng_seed=3) for t in (1, 63, 64, 65, 1000, 4096, 4097, 6000)}
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     assert cascade._chunk_rows(len(inst.graph.edges)) == 64
     calls = []
@@ -448,8 +463,11 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
         assert sum(calls) == t and max(calls) <= 64
         calls.clear()
         draw = cascade.draw_live(inst.graph, t, 3)
-        assert sum(calls) == t and max(calls) <= 64
-        assert len(draw.chunks) == len(calls)
+        if t > 64 * 64:  # more packed words per arc than a chunk has trials: not held
+            assert draw == 3 and calls == []
+        else:
+            assert sum(calls) == t and max(calls) <= 64
+            assert len(draw.chunks) == len(calls)
         assert mc_influence(inst, t, draw) == est
 
 

@@ -361,11 +361,11 @@ def test_exact_and_analytic_past_24_edges(tmp_path, capsys, flags, sigma):
     assert float(out.splitlines()[1].split()[1]) == pytest.approx(sigma, abs=1e-3)
 
 
-def run_capped(argv):
+def run_capped(argv, cap_kib=CHILD_AS_KIB):
     """Run the CLI in a child process whose address space is capped."""
 
     def cap():
-        limit = CHILD_AS_KIB * 1024
+        limit = cap_kib * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -392,6 +392,22 @@ def test_qpe_register_over_cap_exits_2(instance_file, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"must be in [1, {MAX_QUBITS}]" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # m = 24 evaluation qubits: valid, but the readout needs more than 1 GiB
+        ["bench-estimation", "--qae-m", "24", "--mc-trials", "100", "--reps", "1"],
+        ["estimate", "--method", "qae", "--analytic", "--epsilon", "1e-6"],
+    ],
+    ids=["bench-estimation", "estimate"],
+)
+def test_out_of_memory_is_an_error_line(argv, instance_file):
+    proc = run_capped([*argv, "--instance", instance_file], cap_kib=1 << 20)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
 
 
 def test_bench_estimation_checks_qae_m_before_the_sweep(instance_file, monkeypatch, capsys):

@@ -85,25 +85,25 @@ def _propagate(
     """Infected count (int64) of each of the 64 * words cascades over the live arcs ``live``.
 
     ``live`` is arc-major, one row per arc in graph order: bit t of
-    live[k, w] is set iff arc k is live in cascade 64*w + t. The arcs in
-    ``removed`` are left out, as if dead in every cascade. Seeds are
+    live[k, w] is set iff arc k is live in cascade 64*w + t. Seeds are
     active in every cascade, and a node that is neither a seed nor an arc
     head never is, so the active bit table has rows only for the seeds that
-    are arc sources and the other arc heads; only arcs from a row into a
-    non-seed head can change it. Arcs are sorted by destination, so one
-    OR-reduce per round merges all arcs into a node. Round r activates the
-    nodes r live hops from the seeds.
+    are arc sources and the other arc heads; the table depends on the graph
+    and the seeds alone. Only arcs from a row into a non-seed head can
+    change it, and the arcs in ``removed`` are left out, as if dead in
+    every cascade. Arcs are sorted by destination, so one OR-reduce per
+    round merges all arcs into a node. Round r activates the nodes r live
+    hops from the seeds.
     """
     edges = graph.edges
-    kept = [k for k in range(len(edges)) if k not in removed]
-    heads = {edges[k].dst for k in kept} - seeds
-    nodes = [*seeds.intersection(edges[k].src for k in kept), *heads]
+    heads = {e.dst for e in edges} - seeds
+    nodes = [*seeds.intersection(e.src for e in edges), *heads]
     row = {v: r for r, v in enumerate(nodes)}
     lit = len(nodes) - len(heads)
     active = np.zeros((len(nodes), live.shape[1]), dtype=np.uint64)
     active[:lit] = ~np.uint64(0)
     arcs = sorted(
-        (k for k in kept if edges[k].src in row and edges[k].dst in heads),
+        (k for k, e in enumerate(edges) if k not in removed and e.src in row and e.dst in heads),
         key=lambda k: edges[k].dst,
     )
     if arcs:
@@ -155,7 +155,12 @@ def draw_live(graph: Graph, trials: int, rng_seed):
     its coins (``COIN_CHUNK_BYTES``, or 64 trials' coins if that is more).
     A larger draw is returned as ``rng_seed``, so each call streams the same
     coins again, one chunk at a time; the counts are the same either way.
+    ``rng_seed`` is an int or a ``SeedSequence``, which replays its coins;
+    a ``Generator`` or bit generator would go on drawing new ones in each
+    call, so it is a TypeError whatever the draw's size.
     """
+    if isinstance(rng_seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError("draw_live needs an int or SeedSequence seed, not a generator")
     if -(-trials // 64) > _chunk_rows(len(graph.edges)):
         return rng_seed
     return LiveDraw(trials, tuple(_live_chunks(graph, trials, rng_seed)))

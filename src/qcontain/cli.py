@@ -14,6 +14,7 @@ import numpy as np
 from . import qsim
 from .cascade import exact_influence, mc_influence
 from .containment import (
+    TOP_P_CAP,
     RunAccounting,
     call_seeds,
     greedy_contain,
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=["mc", "exact", "qae"], default="exact")
     p.add_argument("--finder", choices=["linear", "gmf"], default="linear")
     p.add_argument("--strategy", choices=["all", "frontier", "top_p"], default="all")
-    p.add_argument("--top-p-cap", type=int, default=None)
+    p.add_argument("--top-p-cap", type=int, default=TOP_P_CAP)
     p.add_argument("--k-max", type=int, default=10)
     _estimator_flags(p)
     p.set_defaults(func=cmd_contain)

@@ -28,6 +28,8 @@ from .cascade import InfluenceEstimate, draw_live, exact_influence, mc_influence
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
+# Candidates the "top_p" strategy keeps: the arcs of highest infection probability.
+TOP_P_CAP = 8
 
 Estimator = Callable[
     [ProblemInstance, Sequence[tuple[int, ...]], "RunAccounting"], list[InfluenceEstimate]
@@ -95,14 +97,14 @@ def candidate_edges(
     instance: ProblemInstance,
     removed: tuple[int, ...] = (),
     strategy: str = "all",
-    top_p_cap: int | None = None,
+    top_p_cap: int = TOP_P_CAP,
 ) -> tuple[int, ...]:
     """Edge indices (into the original graph) eligible for removal.
 
     For undirected graphs one arc per logical pair is returned; removing it
     drops both arcs.
     """
-    if top_p_cap is not None and top_p_cap < 1:
+    if top_p_cap < 1:
         raise ValueError("top_p_cap must be >= 1")
     g = instance.graph
     gone = closed_removal(g, removed)
@@ -113,9 +115,8 @@ def candidate_edges(
         reachable = _reachable_nodes(g, instance.seeds, gone)
         return tuple(k for k in base if g.edges[k].src in reachable)
     if strategy == "top_p":
-        cap = top_p_cap if top_p_cap is not None else 8
         ranked = sorted(base, key=lambda k: (-g.edges[k].p, k))
-        return tuple(sorted(ranked[:cap]))
+        return tuple(sorted(ranked[:top_p_cap]))
     raise ValueError(f"unknown candidate strategy {strategy!r}")
 
 
@@ -132,16 +133,16 @@ def linear_finder(scores: Sequence[float], accounting: RunAccounting) -> int:
 def greedy_contain(
     instance: ProblemInstance,
     estimator: Estimator,
-    finder: Finder = linear_finder,
+    finder: Finder,
+    k_max: int,
     strategy: str = "all",
-    k_max: int = 0,
-    top_p_cap: int | None = None,
+    top_p_cap: int = TOP_P_CAP,
 ) -> ContainmentPlan:
     """Greedy removal of up to k_max edges, stopping when no candidate
     strictly improves the combined objective."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if top_p_cap is not None and top_p_cap < 1:
+    if top_p_cap < 1:
         raise ValueError("top_p_cap must be >= 1")
     acc = RunAccounting()
     removed: list[int] = []

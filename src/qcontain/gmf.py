@@ -88,7 +88,7 @@ def grover_search(
 
 def durr_hoyer_min(
     values: Sequence[float] | np.ndarray,
-    rng_seed: int | np.random.Generator = 0,
+    rng_seed: int | np.random.Generator,
     backend: str = "analytic",
 ) -> MinFindResult:
     """Quantum minimum finding via repeated Grover searches below a threshold.

@@ -170,7 +170,8 @@ def read_estimate(dist: np.ndarray, rng: np.random.Generator) -> AmplitudeEstima
 def qae_estimate(
     instance: ProblemInstance,
     removal: tuple[int, ...] = (),
-    m: int = 4,
+    *,
+    m: int,
     rng_seed: int | np.random.Generator = 0,
     mode: str = "statevector",
 ) -> AmplitudeEstimate:
@@ -195,7 +196,8 @@ def evaluation_qubits_for(epsilon: float) -> int:
 def qae_influence(
     instance: ProblemInstance,
     removal: tuple[int, ...] = (),
-    epsilon: float = 0.05,
+    *,
+    epsilon: float,
     rng_seed: int = 0,
     mode: str = "statevector",
 ) -> InfluenceEstimate:

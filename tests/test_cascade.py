@@ -420,6 +420,17 @@ def test_mc_estimator_streams_a_draw_too_large_to_hold(monkeypatch):
     assert peak < 512 << 10
 
 
+@pytest.mark.parametrize("trials", [64, 4097])  # held, streamed
+def test_draw_live_takes_only_a_seed_it_can_replay(monkeypatch, chain3, trials):
+    # a streamed Generator went on drawing: one removal scored twice gave two sigmas
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
+    with pytest.raises(TypeError, match="not a generator"):
+        cascade.draw_live(chain3.graph, trials, np.random.default_rng(7))
+    for seed in (7, np.random.SeedSequence(7)):
+        draw = cascade.draw_live(chain3.graph, trials, seed)
+        assert mc_influence(chain3, trials, draw, (1,)) == mc_influence(chain3, trials, draw, (1,))
+
+
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
 def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
     inst = generate_random_instance(nodes, edge_prob, n_seeds=1, rng_seed=nodes)

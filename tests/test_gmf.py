@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcontain import gmf
 from qcontain.gmf import (
     _padded_size,
     _statevector_distribution,
@@ -112,6 +113,68 @@ class TestDurrHoyer:
     def test_statevector_backend(self):
         result = durr_hoyer_min([0.9, 0.1, 0.5, 0.7], rng_seed=5, backend="statevector")
         assert result.min_value == pytest.approx(0.1)
+
+
+def durr_hoyer_exact(n_items):
+    """Exact distribution of analytic ``durr_hoyer_min`` over ``n_items`` >= 2 distinct values.
+
+    Returns finished[rank, calls]: the probability that a run ends with
+    ``rank`` items below its best after ``calls`` oracle calls. A DP over
+    (rank of the current best, calls, failed calls), one step per round r,
+    following ``durr_hoyer_min``'s schedule and constants: a round draws k
+    uniformly from [0, cap], clips it to the calls left, finds a marked item
+    with probability sin^2((2k + 1) * asin(sqrt(rank / padded))), and a find
+    costs one more call and moves to a rank drawn uniformly below.
+    """
+    root = math.sqrt(n_items)
+    budget = math.ceil(gmf.BUDGET_CONSTANT * root)
+    fail_budget = max(math.ceil(gmf.FAILURE_CALL_CONSTANT * root), gmf.FAILURE_CALL_FLOOR)
+    iteration_cap = math.ceil(gmf.ITERATION_CAP_CONSTANT * root)
+    theta = np.arcsin(np.sqrt(np.arange(n_items) / _padded_size(n_items)))
+    # a find after the last clipped round costs budget + 1 calls
+    running = np.zeros((n_items, budget + 2, fail_budget + iteration_cap))
+    running[:, 0, 0] = 1 / n_items  # the start is a uniformly drawn item
+    finished = np.zeros((n_items, budget + 2))
+    for r in range(gmf._MAX_ROUNDS):
+        finished += running[:, :, fail_budget:].sum(axis=2)
+        running[:, :, fail_budget:] = 0
+        finished[:, budget:] += running[:, budget:].sum(axis=2)
+        running[:, budget:] = 0
+        cap = min(math.ceil(gmf.GROWTH**r), iteration_cap)
+        grown = np.zeros_like(running)
+        for k in range(cap + 1):
+            for calls in range(budget):
+                step = min(k, budget - calls)
+                hit = np.sin((2 * step + 1) * theta) ** 2
+                mass = running[:, calls, :fail_budget] / (cap + 1)
+                grown[:, calls + step, step : step + fail_budget] += mass * (1 - hit)[:, None]
+                # rank j moves to each of the ranks 0 .. j - 1 with probability 1/j
+                spread = (mass.sum(axis=1) * hit)[1:] / np.arange(1, n_items)
+                grown[:-1, calls + step + 1, 0] += np.cumsum(spread[::-1])[::-1]
+        running = grown
+    return finished + running.sum(axis=2)
+
+
+@pytest.mark.parametrize("n_items", [2, 4, 8])
+def test_durr_hoyer_matches_its_exact_statistics(n_items):
+    finished = durr_hoyer_exact(n_items)
+    assert finished.sum() == pytest.approx(1.0, abs=1e-12)
+    calls = np.arange(finished.shape[1])
+    p_min = finished[0].sum()
+    mean = finished.sum(axis=0) @ calls
+    var = finished.sum(axis=0) @ (calls - mean) ** 2
+    if n_items >= 4:  # criterion 6 starts at N = 4; at N = 2, E = 6.45 is above 4.5 * sqrt(2)
+        assert p_min >= 0.9 and mean <= 4.5 * math.sqrt(n_items)
+    runs = 1000
+    found, spent = [], []
+    for rep in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(n_items, rep)))
+        values = rng.random(n_items)
+        result = durr_hoyer_min(values, rng_seed=rng)
+        found.append(result.min_value == values.min())
+        spent.append(result.total_oracle_calls)
+    assert abs(np.mean(found) - p_min) <= 4 * math.sqrt(p_min * (1 - p_min) / runs)
+    assert abs(np.mean(spent) - mean) <= 4 * math.sqrt(var / runs)
 
 
 class TestEdgeFinder:

@@ -21,16 +21,15 @@ round adds nothing. It returns each cascade's infected count. It can leave
 a removal's arcs out, so a removal is scored on the live bits of the whole
 graph. Two callers feed it live bits:
 
-* ``mc_influence`` -- packed ``coins < p`` for Monte Carlo trials; its counts
+* ``draw_live`` -- packed ``coins < p`` for Monte Carlo trials; its counts
   equal per-trial simulation exactly. Coins are drawn in chunks of at most
   ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
-  estimate is the same as from one draw. Given a seed, it streams the
-  chunks; given a ``LiveDraw``, it scores a removal on live bits packed
-  once for several calls. ``draw_live`` alone decides which one several
-  calls share, by the draw's packed size: a draw is held only if its packed
-  bits take no more memory than one chunk of its coins, so no draw holds
-  more than that, whatever the trial count. It keeps a histogram of the
-  counts, |V| + 1 bins, not one count per trial.
+  estimate is the same as from one draw. Each chunk scores every removal
+  of a ``draw_live`` call: one propagation without the arcs they all
+  remove, then one tile of only the cascades each removal can change
+  (Kimura, Saito and Motoda 2009). Each removal keeps a histogram of its
+  counts, |V| + 1 bins, not one count per trial, and ``mc_influence``
+  reads its estimate from that histogram.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -67,16 +66,60 @@ class ExactInfluence:
 
 
 @dataclass(frozen=True)
-class LiveDraw:
-    """Packed live bits of ``trials`` Monte Carlo cascades over every arc of a graph.
+class ScoredDraw:
+    """The infected-count histograms of several removals on one draw of ``trials`` cascades.
 
-    Each chunk is arc-major, like ``_propagate``'s ``live``; the chunks hold
-    the cascades in draw order, and the padding cascades of the last word
-    are dead on every arc.
+    ``histograms`` maps each removal, closed under undirected partners, to
+    its trials per infected count, |V| + 1 bins.
     """
 
     trials: int
-    chunks: tuple[np.ndarray, ...]
+    histograms: dict[frozenset[int], np.ndarray]
+
+
+class _Kernel:
+    """``_propagate`` for one graph, seed set and removal, set up once for many live tables.
+
+    ``row`` maps each node of the active bit table to its row; the ``lit``
+    seed rows come first.
+    """
+
+    def __init__(self, graph: Graph, seeds: frozenset[int], removed: frozenset[int]):
+        edges = graph.edges
+        heads = {e.dst for e in edges} - seeds
+        nodes = [*seeds.intersection(e.src for e in edges), *heads]
+        self.row = {v: r for r, v in enumerate(nodes)}
+        self.lit = len(nodes) - len(heads)
+        self.n_seeds = len(seeds)
+        arcs = sorted(
+            (k for k, e in enumerate(edges) if k not in removed and e.src in self.row and e.dst in heads),
+            key=lambda k: edges[k].dst,
+        )
+        dst = [self.row[edges[k].dst] for k in arcs]
+        starts = [i for i in range(len(arcs)) if i == 0 or dst[i] != dst[i - 1]]
+        self.arcs = np.array(arcs, dtype=np.intp)
+        self.targets = np.array([dst[i] for i in starts], dtype=np.intp)
+        self.src = np.array([self.row[edges[k].src] for k in arcs], dtype=np.intp)
+        self.starts = np.array(starts, dtype=np.intp)
+
+    def active(self, live: np.ndarray) -> np.ndarray:
+        """The active bit table of the cascades of ``live``, one row per node of ``row``."""
+        active = np.zeros((len(self.row), live.shape[1]), dtype=np.uint64)
+        active[: self.lit] = ~np.uint64(0)
+        if len(self.arcs):
+            live = live[self.arcs]
+            reached = active[self.targets]
+            while True:
+                grown = np.bitwise_or.reduceat(active[self.src] & live, self.starts, axis=0) | reached
+                if (grown == reached).all():
+                    break
+                active[self.targets] = reached = grown
+        return active
+
+    def count(self, active: np.ndarray) -> np.ndarray:
+        """Infected count (int64) of each cascade of an active bit table."""
+        infected = np.unpackbits(active[self.lit :].view(np.uint8), axis=1, bitorder="little")
+        return self.n_seeds + infected.sum(axis=0, dtype=np.int64)
 
 
 def _propagate(
@@ -95,44 +138,23 @@ def _propagate(
     round merges all arcs into a node. Round r activates the nodes r live
     hops from the seeds.
     """
-    edges = graph.edges
-    heads = {e.dst for e in edges} - seeds
-    nodes = [*seeds.intersection(e.src for e in edges), *heads]
-    row = {v: r for r, v in enumerate(nodes)}
-    lit = len(nodes) - len(heads)
-    active = np.zeros((len(nodes), live.shape[1]), dtype=np.uint64)
-    active[:lit] = ~np.uint64(0)
-    arcs = sorted(
-        (k for k, e in enumerate(edges) if k not in removed and e.src in row and e.dst in heads),
-        key=lambda k: edges[k].dst,
-    )
-    if arcs:
-        dst = [row[edges[k].dst] for k in arcs]
-        starts = [i for i in range(len(arcs)) if i == 0 or dst[i] != dst[i - 1]]
-        targets = np.array([dst[i] for i in starts])
-        src = np.array([row[edges[k].src] for k in arcs])
-        starts = np.array(starts)
-        live = live[arcs]
-        reached = active[targets]
-        while True:
-            grown = np.bitwise_or.reduceat(active[src] & live, starts, axis=0) | reached
-            if (grown == reached).all():
-                break
-            active[targets] = reached = grown
-    infected = np.unpackbits(active[lit:].view(np.uint8), axis=1, bitorder="little")
-    return len(seeds) + infected.sum(axis=0, dtype=np.int64)
+    kernel = _Kernel(graph, seeds, removed)
+    return kernel.count(kernel.active(live))
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """``_propagate``'s packed ``live`` words of an (arcs x cascades) table of 0s and 1s.
+
+    The padding cascades of the last word are dead on every arc.
+    """
+    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
 def _pack_live(graph: Graph, coins: np.ndarray) -> np.ndarray:
-    """Arc-major packed ``coins < p`` of a (trials x edges) coin matrix, for ``_propagate``.
-
-    The padding trials of the last word are dead on every arc.
-    """
-    trials = coins.shape[0]
-    p = np.array([e.p for e in graph.edges])
-    live = np.zeros((len(graph.edges), -(-trials // 64) * 64), dtype=bool)
-    live[:, :trials] = (coins < p).T
-    return np.packbits(live, axis=1, bitorder="little").view(np.uint64)
+    """Packed live bits, ``coins < p``, of a (trials x edges) coin matrix."""
+    return _pack((coins < np.array([e.p for e in graph.edges])).T)
 
 
 def _chunk_rows(n_edges: int) -> int:
@@ -147,23 +169,89 @@ def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[np.ndarray]:
         yield _pack_live(graph, rng.random((min(rows, trials - start), len(graph.edges))))
 
 
-def draw_live(graph: Graph, trials: int, rng_seed):
-    """One Monte Carlo draw over every arc of ``graph``, for many ``mc_influence`` calls.
+def _score_chunk(
+    kernel: _Kernel, live: np.ndarray, n: int, extra: np.ndarray, hists: np.ndarray
+) -> None:
+    """Add the first ``n`` cascades of ``live`` to ``hists``, one row per removal.
 
-    The draw is packed once and held in a ``LiveDraw`` if its packed bits,
-    |E| * ceil(trials / 64) words, take no more memory than one chunk of
-    its coins (``COIN_CHUNK_BYTES``, or 64 trials' coins if that is more).
-    A larger draw is returned as ``rng_seed``, so each call streams the same
-    coins again, one chunk at a time; the counts are the same either way.
+    ``kernel`` leaves out the arcs every removal removes, so one
+    propagation gives every cascade's base count. ``extra`` holds the
+    (removal, arc, source row) of each other arc of a removal that can
+    change a cascade, which it does only where it is live from an active
+    source. So a removal's histogram is the base one with its affected
+    cascades' base counts swapped for new ones. The affected cascades of
+    all removals are gathered into the columns of one tile, each with its
+    removal's extra arcs cleared, and run again, at most one coin chunk's
+    rows per call.
+    """
+    active = kernel.active(live)
+    counts = kernel.count(active)[:n]
+    hists += np.bincount(counts, minlength=hists.shape[1])
+    cand, arcs, srcs = extra
+    if not len(cand):
+        return
+    first = np.flatnonzero(np.diff(cand, prepend=-1))
+    hit = np.bitwise_or.reduceat(live[arcs] & active[srcs], first, axis=0)
+    hit = np.unpackbits(hit.view(np.uint8), axis=1, count=n, bitorder="little")
+    who, cols = np.divmod(np.flatnonzero(hit), n)  # sorted by removal
+    who = cand[first][who]
+    bits = np.unpackbits(live.view(np.uint8), axis=1, count=n, bitorder="little")
+    step = _chunk_rows(len(live))
+    for start in range(0, len(cols), step):
+        c, t = who[start : start + step], cols[start : start + step]
+        tile = np.take(bits, t, axis=1)
+        lo, hi = np.searchsorted(c, cand).tolist(), np.searchsorted(c, cand, "right").tolist()
+        for k, a, b in zip(arcs.tolist(), lo, hi):
+            tile[k, a:b] = 0
+        np.subtract.at(hists, (c, counts[t]), 1)
+        np.add.at(hists, (c, kernel.count(kernel.active(_pack(tile)))[: len(t)]), 1)
+
+
+def removals_per_draw(graph: Graph) -> int:
+    """Removals whose histograms fit in ``COIN_CHUNK_BYTES``, at least one."""
+    return max(1, COIN_CHUNK_BYTES // (8 * (graph.node_count + 1)))
+
+
+def draw_live(
+    instance: ProblemInstance, trials: int, rng_seed, removals: Iterable[Iterable[int]]
+) -> ScoredDraw:
+    """Score each of ``removals`` on one Monte Carlo draw of ``trials`` cascades.
+
+    The coins are streamed once, one chunk at a time, and ``_score_chunk``
+    scores each chunk for every removal against the arcs they all remove,
+    so memory does not grow with ``trials``. The draw holds one histogram of
+    |V| + 1 bins per distinct removal, so callers score more removals than
+    ``removals_per_draw`` in groups, each replaying the seed.
     ``rng_seed`` is an int or a ``SeedSequence``, which replays its coins;
-    a ``Generator`` or bit generator would go on drawing new ones in each
-    call, so it is a TypeError whatever the draw's size.
+    a ``Generator`` or bit generator would draw new ones each time, so it is
+    a TypeError.
     """
     if isinstance(rng_seed, (np.random.Generator, np.random.BitGenerator)):
         raise TypeError("draw_live needs an int or SeedSequence seed, not a generator")
-    if -(-trials // 64) > _chunk_rows(len(graph.edges)):
-        return rng_seed
-    return LiveDraw(trials, tuple(_live_chunks(graph, trials, rng_seed)))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    g = instance.graph
+    closed = list(dict.fromkeys(closed_removal(g, r) for r in removals))
+    hists = np.zeros((len(closed), g.node_count + 1), dtype=np.int64)
+    if closed:
+        base = frozenset.intersection(*closed)
+        kernel = _Kernel(g, instance.seeds, base)
+        # an extra arc (u, v) changes no cascade if u never is active or v is a seed
+        extra = np.array(
+            [
+                (c, k, kernel.row[g.edges[k].src])
+                for c, removed in enumerate(closed)
+                for k in sorted(removed - base)
+                if g.edges[k].src in kernel.row and g.edges[k].dst not in instance.seeds
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 3).T
+        done = 0
+        for live in _live_chunks(g, trials, rng_seed):
+            n = min(trials - done, 64 * live.shape[1])
+            _score_chunk(kernel, live, n, extra, hists)
+            done += n
+    return ScoredDraw(trials, dict(zip(closed, hists)))
 
 
 def mc_influence(
@@ -171,28 +259,22 @@ def mc_influence(
 ) -> InfluenceEstimate:
     """Monte Carlo estimate of sigma for ``instance`` without the arcs of ``removal``.
 
-    ``rng_seed`` seeds a fresh draw, or is a ``LiveDraw`` of ``trials``
-    cascades over ``instance.graph`` that several removals share. The
+    ``rng_seed`` seeds a fresh draw that scores the removal alone, or is a
+    ``ScoredDraw`` of ``trials`` cascades that scored it among others. The
     removal's arcs and their undirected partners are left out of the
     kernel, so each count is the one ``instance.without_edges(removal)``
     gives on the same coins without the removed columns.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    g = instance.graph
-    if isinstance(rng_seed, LiveDraw):
-        if rng_seed.trials != trials:
-            raise ValueError(f"draw holds {rng_seed.trials} trials, not {trials}")
-        chunks: Iterable[np.ndarray] = rng_seed.chunks
+    if isinstance(rng_seed, ScoredDraw):
+        draw = rng_seed
     else:
-        chunks = _live_chunks(g, trials, rng_seed)
-    removed = closed_removal(g, removal)
-    hist = np.zeros(g.node_count + 1, dtype=np.int64)  # trials per infected count
-    done = 0
-    for live in chunks:
-        counts = _propagate(g, instance.seeds, live, removed)[: trials - done]
-        done += len(counts)
-        hist += np.bincount(counts, minlength=len(hist))
+        draw = draw_live(instance, trials, rng_seed, [removal])
+    if draw.trials != trials:
+        raise ValueError(f"draw holds {draw.trials} trials, not {trials}")
+    removed = closed_removal(instance.graph, removal)
+    if removed not in draw.histograms:
+        raise ValueError(f"draw did not score the removal {sorted(removed)}")
+    hist = draw.histograms[removed]  # trials per infected count
     sizes = np.arange(len(hist))
     sigma = int(hist @ sizes) / trials
     squares = hist @ (sizes - sigma) ** 2

@@ -14,6 +14,9 @@ import numpy as np
 # Largest node count an instance file may declare. Estimators allocate per-node
 # tables (MC bit rows, exact node probabilities), so the header is checked first.
 MAX_NODES = 10_000
+# Largest arc count of an instance, checked before the arc past it is built: the
+# most arcs for which a 64-trial chunk of Monte Carlo coins fits in 8 MiB.
+MAX_EDGES = 16_384
 
 
 class ParseError(ValueError):
@@ -202,6 +205,8 @@ def parse_instance(text: str) -> ProblemInstance:
     edges = []
     seen_arcs: set[tuple[int, int]] = set()
     for lineno, s_tok, d_tok, p, i in edge_lines:
+        if len(edges) + (2 if undirected else 1) > MAX_EDGES:
+            raise ParseError(lineno, f"more than {MAX_EDGES} arcs")
         src = resolve(lineno, s_tok)
         dst = resolve(lineno, d_tok)
         try:
@@ -259,6 +264,8 @@ def generate_random_instance(
             if src == dst:
                 continue
             if rng.random() < edge_prob:
+                if len(edges) == MAX_EDGES:
+                    raise ValueError(f"more than {MAX_EDGES} edges; lower the node count or edge_prob")
                 p = float(rng.uniform(*p_range))
                 i = float(rng.uniform(*i_range))
                 edges.append(Edge(src, dst, p, i))

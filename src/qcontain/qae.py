@@ -35,8 +35,8 @@ QPE_REPETITIONS = 3
 
 @dataclass(frozen=True)
 class AOperatorSpec:
+    # the edge qubits are 0 .. n_edge_qubits - 1 and the ancilla is the next one
     n_edge_qubits: int
-    ancilla: int
     edge_angles: tuple[float, ...]
     # fraction of infected nodes per edge-configuration basis index
     f_table: np.ndarray
@@ -72,7 +72,6 @@ def build_a_operator(instance: ProblemInstance, eval_qubits: int = 0) -> AOperat
     angles = tuple(2.0 * asin(sqrt(e.p)) for e in g.edges)
     return AOperatorSpec(
         n_edge_qubits=n_edges,
-        ancilla=n_edges,
         edge_angles=angles,
         f_table=f_table,
     )
@@ -83,7 +82,7 @@ def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
     are indexed by the edge qubits alone, whatever any qubits above it hold."""
     for q, angle in enumerate(spec.edge_angles):
         state = qsim.apply_ry(state, q, angle)
-    return qsim.apply_ry_indexed(state, spec.ancilla, 2.0 * np.arcsin(np.sqrt(spec.f_table)))
+    return qsim.apply_ry_indexed(state, spec.n_edge_qubits, 2.0 * np.arcsin(np.sqrt(spec.f_table)))
 
 
 def build_q_operator(psi: np.ndarray):

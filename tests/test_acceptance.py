@@ -118,7 +118,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
         a_true = exact_influence(inst).sigma / inst.graph.node_count
         spec = build_a_operator(inst)
         state = apply_a(qsim.init_state(spec.n_qubits), spec)
-        p1 = qsim.probability_of(state, spec.ancilla, 1)
+        p1 = qsim.probability_of(state, spec.n_edge_qubits, 1)
         worst_p1 = max(worst_p1, abs(p1 - a_true))
         # analytic mode uses the same exact a; its readout distribution must
         # match the statevector phase-estimation readout

@@ -407,7 +407,8 @@ def star_estimator_peak(monkeypatch, removals):
 def test_mc_estimator_streams_a_single_removal(monkeypatch):
     inst, [est], peak = star_estimator_peak(monkeypatch, [()])
     seed = next(call_seeds(0))
-    assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst.graph, 1 << 20, seed))
+    assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst, 1 << 20, seed, [()]))
+    assert est == mc_influence(inst, 1 << 20, seed)
     assert peak < 512 << 10
 
 
@@ -420,15 +421,59 @@ def test_mc_estimator_streams_a_draw_too_large_to_hold(monkeypatch):
     assert peak < 512 << 10
 
 
-@pytest.mark.parametrize("trials", [64, 4097])  # held, streamed
+def test_mc_estimator_holds_histograms_of_one_chunk(monkeypatch):
+    # one (|V| + 1)-bin histogram per candidate at once: 500 x 80 KB = 40 MB here
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 1 << 20)
+    arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 501))
+    inst = parse_instance(f"nodes 10000\n{arcs}seeds 0\nlambda 1.0\n")
+    removals = [(k,) for k in range(500)]
+    assert cascade.removals_per_draw(inst.graph) == 13
+    make_mc_estimator(64, call_seeds(0))(inst, removals[:2], RunAccounting())  # lazy imports
+    tracemalloc.start()
+    try:
+        ests = make_mc_estimator(256, call_seeds(0))(inst, removals, RunAccounting())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    seed = next(call_seeds(0))
+    assert ests[::50] == [mc_influence(inst, 256, seed, removal) for removal in removals[::50]]
+    assert peak < 3 << 20  # one group's histograms and one chunk of coins, 1 MiB each
+
+
+@given(data=st.data(), trials=st.sampled_from([1, 63, 65, 200]), coin_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_scored_draw_matches_a_full_propagation_per_removal(data, trials, coin_seed):
+    # 64-trial chunks and tiles; the removals need share no arc, and may repeat
+    inst = data.draw(small_instances())
+    g = inst.graph
+    arcs = st.lists(st.sampled_from(range(len(g.edges))), max_size=3) if g.edges else st.just([])
+    removals = data.draw(st.lists(arcs, min_size=1, max_size=6))
+    removals += data.draw(st.lists(st.sampled_from(removals), max_size=2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
+        draw = cascade.draw_live(inst, trials, coin_seed, removals)
+    live = cascade._pack_live(g, np.random.default_rng(coin_seed).random((trials, len(g.edges))))
+    for removal in removals:
+        removed = closed_removal(g, removal)
+        full = cascade._propagate(g, inst.seeds, live, removed)[:trials]
+        expected = np.bincount(full, minlength=g.node_count + 1)
+        assert draw.histograms[removed].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("trials", [64, 4097])  # one chunk, many
 def test_draw_live_takes_only_a_seed_it_can_replay(monkeypatch, chain3, trials):
-    # a streamed Generator went on drawing: one removal scored twice gave two sigmas
+    # one histogram per removal here, so each removal replays the iteration's
+    # seed; a Generator would go on drawing and give each removal new coins
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
+    assert cascade.removals_per_draw(chain3.graph) == 1
     with pytest.raises(TypeError, match="not a generator"):
-        cascade.draw_live(chain3.graph, trials, np.random.default_rng(7))
+        cascade.draw_live(chain3, trials, np.random.default_rng(7), [(1,)])
+    removals = [(0,), (1,), ()]
     for seed in (7, np.random.SeedSequence(7)):
-        draw = cascade.draw_live(chain3.graph, trials, seed)
-        assert mc_influence(chain3, trials, draw, (1,)) == mc_influence(chain3, trials, draw, (1,))
+        one = cascade.draw_live(chain3, trials, seed, removals)
+        ests = make_mc_estimator(trials, iter([seed]))(chain3, removals, RunAccounting())
+        assert ests == [mc_influence(chain3, trials, one, removal) for removal in removals]
+        assert ests == [mc_influence(chain3, trials, seed, removal) for removal in removals]
 
 
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
@@ -468,24 +513,25 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
         return pack(graph, coins)
 
     monkeypatch.setattr(cascade, "_pack_live", counting)
+    removals = [(), (0,), (1, 2), (0,)]
     for t, est in whole.items():
         calls.clear()
         assert mc_influence(inst, t, rng_seed=3) == est
         assert sum(calls) == t and max(calls) <= 64
         calls.clear()
-        draw = cascade.draw_live(inst.graph, t, 3)
-        if t > 64 * 64:  # more packed words per arc than a chunk has trials: not held
-            assert draw == 3 and calls == []
-        else:
-            assert sum(calls) == t and max(calls) <= 64
-            assert len(draw.chunks) == len(calls)
+        draw = cascade.draw_live(inst, t, 3, removals)  # the coins are drawn once for all
+        assert sum(calls) == t and max(calls) <= 64
         assert mc_influence(inst, t, draw) == est
+        for removal in removals[1:]:
+            assert mc_influence(inst, t, draw, removal) == mc_influence(inst, t, 3, removal)
 
 
 def test_shared_draw_must_hold_the_trials_asked_for(chain3):
-    draw = cascade.draw_live(chain3.graph, 200, 0)
+    draw = cascade.draw_live(chain3, 200, 0, [(), (0,)])
     with pytest.raises(ValueError, match="draw holds 200 trials, not 100"):
         mc_influence(chain3, 100, draw)
+    with pytest.raises(ValueError, match=r"did not score the removal \[1\]"):
+        mc_influence(chain3, 200, draw, (1,))
 
 
 PINNED_MC_INSTANCE = """nodes 6

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qcontain import cascade, cli, gmf, graph, qae
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
-from qcontain.graph import MAX_NODES
+from qcontain.graph import MAX_EDGES, MAX_NODES
 from qcontain.qsim import MAX_QUBITS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -460,6 +460,25 @@ def test_bench_estimation_rejects_repeated_grid_values(
     assert stdout == ""
     assert err == f"error: {grid[0]} repeats a value: {grid[1]}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["gen", "file"])
+def test_arc_count_over_limit_exits_2(tmp_path, source):
+    # --nodes 10000 --edge-prob 1 asks for about 10^8 arcs, some 30 GB of them
+    if source == "gen":
+        argv = ["gen", "--nodes", "10000", "--edge-prob", "1", "--out", str(tmp_path / "dense.txt")]
+        expected = f"error: more than {MAX_EDGES} edges"
+    else:
+        arcs = [f"{a} {b} 0.5 0.1\n" for a in range(200) for b in range(200) if a != b]
+        path = tmp_path / "over.txt"
+        path.write_text("nodes 200\n" + "".join(arcs[: MAX_EDGES + 1]) + "seeds 0\nlambda 1.0\n")
+        argv = ["estimate", "--instance", str(path), "--method", "mc", "--trials", "10"]
+        expected = f"error: line {MAX_EDGES + 2}: more than {MAX_EDGES} arcs"
+    proc = run_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(expected)
+    assert proc.stdout == ""
 
 
 def test_minfind_size_over_cap_exits_2():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcontain import graph
 from qcontain.graph import (
     MAX_NODES,
     Edge,
@@ -101,6 +102,19 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2: node count .* exceeds the limit"):
             parse_instance(text.format(MAX_NODES + 1))
 
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_arc_count_limit(self, monkeypatch, undirected):
+        monkeypatch.setattr(graph, "MAX_EDGES", 6)
+        head = "nodes 5\n" + ("undirected\n" if undirected else "")
+        pairs = [f"{a} {b} 0.5 0.1\n" for a in range(5) for b in range(a + 1, 5)]
+        lines = 3 if undirected else 6
+        text = head + "".join(pairs[:lines]) + "seeds 0\nlambda 1.0\n"
+        assert len(parse_instance(text).graph.edges) == 6
+        over = head + "".join(pairs[: lines + 1]) + "seeds 0\nlambda 1.0\n"
+        past = head.count("\n") + lines + 1
+        with pytest.raises(ParseError, match=f"line {past}: more than 6 arcs"):
+            parse_instance(over)
+
     def test_undirected_expands_to_two_arcs(self):
         text = "nodes 2\nundirected\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n"
         inst = parse_instance(text)
@@ -158,6 +172,12 @@ class TestGenerate:
         b = generate_random_instance(8, 0.3, n_seeds=2, lam=0.5, rng_seed=42)
         assert serialize_instance(a) == serialize_instance(b)
         assert a == b
+
+    def test_arc_count_limit(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_EDGES", 12)
+        assert len(generate_random_instance(4, 1.0).graph.edges) == 12
+        with pytest.raises(ValueError, match="more than 12 edges"):
+            generate_random_instance(5, 1.0)
 
     def test_too_many_seeds(self):
         with pytest.raises(ValueError, match="n_seeds > n_nodes"):

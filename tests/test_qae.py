@@ -30,12 +30,12 @@ def a_state(spec):
 
 
 def ancilla_p1(spec):
-    return qsim.probability_of(a_state(spec), spec.ancilla, 1)
+    return qsim.probability_of(a_state(spec), spec.n_edge_qubits, 1)
 
 
 def apply_a_adjoint(state, spec):
     """A^dagger: the ancilla rotation undone, then the edge rotations in reverse."""
-    state = qsim.apply_ry_indexed(state, spec.ancilla, -2.0 * np.arcsin(np.sqrt(spec.f_table)))
+    state = qsim.apply_ry_indexed(state, spec.n_edge_qubits, -2.0 * np.arcsin(np.sqrt(spec.f_table)))
     for q in reversed(range(spec.n_edge_qubits)):
         state = qsim.apply_ry(state, q, -spec.edge_angles[q])
     return state
@@ -50,7 +50,7 @@ def gate_q(state, spec, control=None):
     ix = np.arange(len(state))
     on = True if control is None else ((ix >> control) & 1) == 1
     system_mask = (1 << spec.n_qubits) - 1
-    state = qsim.phase_flip_if(state, (((ix >> spec.ancilla) & 1) == 1) & on)
+    state = qsim.phase_flip_if(state, (((ix >> spec.n_edge_qubits) & 1) == 1) & on)
     state = apply_a_adjoint(state, spec)
     state = qsim.phase_flip_if(state, ((ix & system_mask) != 0) & on)
     return apply_a(state, spec)
@@ -158,11 +158,11 @@ class TestQOperator:
         q = build_q_operator(state)
         theta = math.asin(math.sqrt(0.75))
         state = q(state)
-        assert qsim.probability_of(state, spec.ancilla, 1) == pytest.approx(
+        assert qsim.probability_of(state, spec.n_edge_qubits, 1) == pytest.approx(
             math.sin(3 * theta) ** 2, abs=1e-10
         )
         state = q(state)
-        assert qsim.probability_of(state, spec.ancilla, 1) == pytest.approx(
+        assert qsim.probability_of(state, spec.n_edge_qubits, 1) == pytest.approx(
             math.sin(5 * theta) ** 2, abs=1e-10
         )
 

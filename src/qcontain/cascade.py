@@ -147,7 +147,7 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
     The padding cascades of the last word are dead on every arc.
     """
-    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=np.uint8)
+    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bits.dtype)
     padded[:, : bits.shape[1]] = bits
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 

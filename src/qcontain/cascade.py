@@ -25,11 +25,11 @@ graph. Two callers feed it live bits:
   equal per-trial simulation exactly. Coins are drawn in chunks of at most
   ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
   estimate is the same as from one draw. Each chunk scores every removal
-  of a ``draw_live`` call: one propagation without the arcs they all
-  remove, then one tile of only the cascades each removal can change
-  (Kimura, Saito and Motoda 2009). Each removal keeps a histogram of its
-  counts, |V| + 1 bins, not one count per trial, and ``mc_influence``
-  reads its estimate from that histogram.
+  of a group: one propagation without the arcs they all remove, then one
+  tile of only the cascades each removal can change (Kimura, Saito and
+  Motoda 2009). Each removal keeps a histogram of its counts, |V| + 1
+  bins, not one count per trial, and ``mc_influence`` reads its estimate
+  from that histogram.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -63,18 +63,6 @@ class InfluenceEstimate:
 class ExactInfluence:
     sigma: float
     node_probs: dict[int, float]
-
-
-@dataclass(frozen=True)
-class ScoredDraw:
-    """The infected-count histograms of several removals on one draw of ``trials`` cascades.
-
-    ``histograms`` maps each removal, closed under undirected partners, to
-    its trials per infected count, |V| + 1 bins.
-    """
-
-    trials: int
-    histograms: dict[frozenset[int], np.ndarray]
 
 
 class _Kernel:
@@ -207,51 +195,50 @@ def _score_chunk(
         np.add.at(hists, (c, kernel.count(kernel.active(_pack(tile)))[: len(t)]), 1)
 
 
-def removals_per_draw(graph: Graph) -> int:
-    """Removals whose histograms fit in ``COIN_CHUNK_BYTES``, at least one."""
-    return max(1, COIN_CHUNK_BYTES // (8 * (graph.node_count + 1)))
+def _histograms(instance: ProblemInstance, trials: int, rng_seed, removals: list) -> np.ndarray:
+    """``draw_live``'s histograms of closed ``removals``, one row each, streaming the coins once."""
+    g = instance.graph
+    hists = np.zeros((len(removals), g.node_count + 1), dtype=np.int64)
+    base = frozenset.intersection(*removals)
+    kernel = _Kernel(g, instance.seeds, base)
+    # an extra arc (u, v) changes no cascade if u never is active or v is a seed
+    extra = np.array(
+        [
+            (c, k, kernel.row[g.edges[k].src])
+            for c, removed in enumerate(removals)
+            for k in sorted(removed - base)
+            if g.edges[k].src in kernel.row and g.edges[k].dst not in instance.seeds
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 3).T
+    done = 0
+    for live in _live_chunks(g, trials, rng_seed):
+        n = min(trials - done, 64 * live.shape[1])
+        _score_chunk(kernel, live, n, extra, hists)
+        done += n
+    return hists
 
 
 def draw_live(
     instance: ProblemInstance, trials: int, rng_seed, removals: Iterable[Iterable[int]]
-) -> ScoredDraw:
-    """Score each of ``removals`` on one Monte Carlo draw of ``trials`` cascades.
+) -> Iterator[np.ndarray]:
+    """Each removal's histogram, in order, on one Monte Carlo draw of ``trials`` cascades.
 
-    The coins are streamed once, one chunk at a time, and ``_score_chunk``
-    scores each chunk for every removal against the arcs they all remove,
-    so memory does not grow with ``trials``. The draw holds one histogram of
-    |V| + 1 bins per distinct removal, so callers score more removals than
-    ``removals_per_draw`` in groups, each replaying the seed.
-    ``rng_seed`` is an int or a ``SeedSequence``, which replays its coins;
-    a ``Generator`` or bit generator would draw new ones each time, so it is
-    a TypeError.
+    A histogram holds the trials per infected count, |V| + 1 bins (int64).
+    Removals are scored in groups whose histograms fit in ``COIN_CHUNK_BYTES``,
+    each on a replay of ``rng_seed``, an int or a ``SeedSequence``. A
+    ``Generator`` or bit generator would draw new coins each time, so it is a
+    TypeError, raised, like a bad ``trials``, when ``draw_live`` is called.
     """
     if isinstance(rng_seed, (np.random.Generator, np.random.BitGenerator)):
         raise TypeError("draw_live needs an int or SeedSequence seed, not a generator")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    g = instance.graph
-    closed = list(dict.fromkeys(closed_removal(g, r) for r in removals))
-    hists = np.zeros((len(closed), g.node_count + 1), dtype=np.int64)
-    if closed:
-        base = frozenset.intersection(*closed)
-        kernel = _Kernel(g, instance.seeds, base)
-        # an extra arc (u, v) changes no cascade if u never is active or v is a seed
-        extra = np.array(
-            [
-                (c, k, kernel.row[g.edges[k].src])
-                for c, removed in enumerate(closed)
-                for k in sorted(removed - base)
-                if g.edges[k].src in kernel.row and g.edges[k].dst not in instance.seeds
-            ],
-            dtype=np.intp,
-        ).reshape(-1, 3).T
-        done = 0
-        for live in _live_chunks(g, trials, rng_seed):
-            n = min(trials - done, 64 * live.shape[1])
-            _score_chunk(kernel, live, n, extra, hists)
-            done += n
-    return ScoredDraw(trials, dict(zip(closed, hists)))
+    closed = [closed_removal(instance.graph, r) for r in removals]
+    step = max(1, COIN_CHUNK_BYTES // (8 * (instance.graph.node_count + 1)))
+    groups = (closed[i : i + step] for i in range(0, len(closed), step))
+    # copied rows keep no finished group's histograms alive while the next is scored
+    return (h for g in groups for h in map(np.copy, _histograms(instance, trials, rng_seed, g)))
 
 
 def mc_influence(
@@ -259,22 +246,18 @@ def mc_influence(
 ) -> InfluenceEstimate:
     """Monte Carlo estimate of sigma for ``instance`` without the arcs of ``removal``.
 
-    ``rng_seed`` seeds a fresh draw that scores the removal alone, or is a
-    ``ScoredDraw`` of ``trials`` cascades that scored it among others. The
-    removal's arcs and their undirected partners are left out of the
-    kernel, so each count is the one ``instance.without_edges(removal)``
+    ``rng_seed`` seeds a fresh draw that scores the removal alone, or is the
+    histogram ``draw_live`` gave a removal, which ``removal`` then does not
+    name. The removal's arcs and their undirected partners are left out of
+    the kernel, so each count is the one ``instance.without_edges(removal)``
     gives on the same coins without the removed columns.
     """
-    if isinstance(rng_seed, ScoredDraw):
-        draw = rng_seed
+    if isinstance(rng_seed, np.ndarray):
+        hist = rng_seed  # trials per infected count
     else:
-        draw = draw_live(instance, trials, rng_seed, [removal])
-    if draw.trials != trials:
-        raise ValueError(f"draw holds {draw.trials} trials, not {trials}")
-    removed = closed_removal(instance.graph, removal)
-    if removed not in draw.histograms:
-        raise ValueError(f"draw did not score the removal {sorted(removed)}")
-    hist = draw.histograms[removed]  # trials per infected count
+        (hist,) = draw_live(instance, trials, rng_seed, [removal])
+    if hist.sum() != trials:
+        raise ValueError(f"draw holds {hist.sum()} trials, not {trials}")
     sizes = np.arange(len(hist))
     sigma = int(hist @ sizes) / trials
     squares = hist @ (sizes - sigma) ** 2

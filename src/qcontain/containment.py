@@ -11,9 +11,9 @@ Removal indices always refer to the original instance graph. The exact and
 QAE estimators score each removal on its own subgraph, QAE with one seed per
 removal. The Monte Carlo estimator takes one seed per call, and every removal
 is scored on that call's live-edge draw over the original arcs with its arcs
-left out (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` streams the
-draw once for as many removals as their histograms allow, and each
-removal's ``mc_influence`` call reads its estimate from that scored draw.
+left out (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` yields the
+removals' histograms in order, grouping them itself, and each removal's
+``mc_influence`` call reads its estimate from its histogram.
 Candidate selection walks the original arcs too, so it builds no subgraph.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import qae
-from .cascade import InfluenceEstimate, draw_live, exact_influence, mc_influence, removals_per_draw
+from .cascade import InfluenceEstimate, draw_live, exact_influence, mc_influence
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
@@ -197,15 +197,10 @@ def call_seeds(rng_seed: int) -> Iterator[np.random.SeedSequence]:
 
 
 def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
-    def scored(instance, seed, group):
-        draw = draw_live(instance, trials, seed, group)  # one group's histograms at a time
-        return [mc_influence(instance, trials, draw, removal) for removal in group]
-
     def estimator(instance, removals, accounting):
-        seed, step = next(seeds), removals_per_draw(instance.graph)
         accounting.mc_trials += trials * len(removals)
-        groups = (removals[i : i + step] for i in range(0, len(removals), step))
-        return [est for group in groups for est in scored(instance, seed, group)]
+        hists = draw_live(instance, trials, next(seeds), removals)
+        return [mc_influence(instance, trials, hist) for hist in hists]
 
     return estimator
 

@@ -37,10 +37,7 @@ class MinFindResult:
 
 
 def _padded_size(size: int) -> int:
-    n = 2  # at least one qubit
-    while n < size:
-        n <<= 1
-    return n
+    return max(2, 1 << (size - 1).bit_length())  # at least one qubit
 
 
 def _statevector_distribution(marked: np.ndarray, iterations: int) -> np.ndarray:

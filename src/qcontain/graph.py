@@ -134,6 +134,8 @@ def parse_instance(text: str) -> ProblemInstance:
         tokens = line.split()
         key = tokens[0]
         if key == "nodes":
+            if node_count is not None:
+                raise ParseError(lineno, "repeated 'nodes' line")
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected 'nodes <N>'")
             try:
@@ -151,6 +153,8 @@ def parse_instance(text: str) -> ProblemInstance:
                 raise ParseError(lineno, "empty seed set")
             seeds_tokens.extend((lineno, t) for t in tokens[1:])
         elif key == "lambda":
+            if lam is not None:
+                raise ParseError(lineno, "repeated 'lambda' line")
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected 'lambda <x>'")
             try:

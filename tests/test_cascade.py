@@ -407,7 +407,7 @@ def star_estimator_peak(monkeypatch, removals):
 def test_mc_estimator_streams_a_single_removal(monkeypatch):
     inst, [est], peak = star_estimator_peak(monkeypatch, [()])
     seed = next(call_seeds(0))
-    assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst, 1 << 20, seed, [()]))
+    assert est == mc_influence(inst, 1 << 20, next(cascade.draw_live(inst, 1 << 20, seed, [()])))
     assert est == mc_influence(inst, 1 << 20, seed)
     assert peak < 512 << 10
 
@@ -427,7 +427,6 @@ def test_mc_estimator_holds_histograms_of_one_chunk(monkeypatch):
     arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 501))
     inst = parse_instance(f"nodes 10000\n{arcs}seeds 0\nlambda 1.0\n")
     removals = [(k,) for k in range(500)]
-    assert cascade.removals_per_draw(inst.graph) == 13
     make_mc_estimator(64, call_seeds(0))(inst, removals[:2], RunAccounting())  # lazy imports
     tracemalloc.start()
     try:
@@ -443,21 +442,22 @@ def test_mc_estimator_holds_histograms_of_one_chunk(monkeypatch):
 @given(data=st.data(), trials=st.sampled_from([1, 63, 65, 200]), coin_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_scored_draw_matches_a_full_propagation_per_removal(data, trials, coin_seed):
-    # 64-trial chunks and tiles; the removals need share no arc, and may repeat
+    # 64-trial chunks and tiles, and 64 // (|V| + 1) >= 8 removals per group,
+    # so all of them in one; the removals need share no arc, and may repeat
     inst = data.draw(small_instances())
     g = inst.graph
     arcs = st.lists(st.sampled_from(range(len(g.edges))), max_size=3) if g.edges else st.just([])
     removals = data.draw(st.lists(arcs, min_size=1, max_size=6))
     removals += data.draw(st.lists(st.sampled_from(removals), max_size=2))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
-        draw = cascade.draw_live(inst, trials, coin_seed, removals)
+        patch.setattr(cascade, "COIN_CHUNK_BYTES", 64 * 8)
+        hists = list(cascade.draw_live(inst, trials, coin_seed, removals))
     live = cascade._pack_live(g, np.random.default_rng(coin_seed).random((trials, len(g.edges))))
-    for removal in removals:
-        removed = closed_removal(g, removal)
-        full = cascade._propagate(g, inst.seeds, live, removed)[:trials]
+    assert len(hists) == len(removals)
+    for removal, hist in zip(removals, hists):
+        full = cascade._propagate(g, inst.seeds, live, closed_removal(g, removal))[:trials]
         expected = np.bincount(full, minlength=g.node_count + 1)
-        assert draw.histograms[removed].tolist() == expected.tolist()
+        assert hist.dtype == np.int64 and hist.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("trials", [64, 4097])  # one chunk, many
@@ -465,14 +465,16 @@ def test_draw_live_takes_only_a_seed_it_can_replay(monkeypatch, chain3, trials):
     # one histogram per removal here, so each removal replays the iteration's
     # seed; a Generator would go on drawing and give each removal new coins
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
-    assert cascade.removals_per_draw(chain3.graph) == 1
+    # both checks run when draw_live is called, before any histogram is asked for
     with pytest.raises(TypeError, match="not a generator"):
         cascade.draw_live(chain3, trials, np.random.default_rng(7), [(1,)])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        cascade.draw_live(chain3, 0, 7, [(1,)])
     removals = [(0,), (1,), ()]
     for seed in (7, np.random.SeedSequence(7)):
-        one = cascade.draw_live(chain3, trials, seed, removals)
+        hists = list(cascade.draw_live(chain3, trials, seed, removals))
         ests = make_mc_estimator(trials, iter([seed]))(chain3, removals, RunAccounting())
-        assert ests == [mc_influence(chain3, trials, one, removal) for removal in removals]
+        assert ests == [mc_influence(chain3, trials, hist) for hist in hists]
         assert ests == [mc_influence(chain3, trials, seed, removal) for removal in removals]
 
 
@@ -519,19 +521,18 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
         assert mc_influence(inst, t, rng_seed=3) == est
         assert sum(calls) == t and max(calls) <= 64
         calls.clear()
-        draw = cascade.draw_live(inst, t, 3, removals)  # the coins are drawn once for all
-        assert sum(calls) == t and max(calls) <= 64
-        assert mc_influence(inst, t, draw) == est
-        for removal in removals[1:]:
-            assert mc_influence(inst, t, draw, removal) == mc_influence(inst, t, 3, removal)
+        # with no chunk bytes each removal is a group of its own, on a replay of the coins
+        hists = list(cascade.draw_live(inst, t, 3, removals))
+        assert sum(calls) == t * len(removals) and max(calls) <= 64
+        assert mc_influence(inst, t, hists[0]) == est
+        for removal, hist in zip(removals[1:], hists[1:]):
+            assert mc_influence(inst, t, hist) == mc_influence(inst, t, 3, removal)
 
 
 def test_shared_draw_must_hold_the_trials_asked_for(chain3):
-    draw = cascade.draw_live(chain3, 200, 0, [(), (0,)])
+    hist, _ = cascade.draw_live(chain3, 200, 0, [(), (0,)])
     with pytest.raises(ValueError, match="draw holds 200 trials, not 100"):
-        mc_influence(chain3, 100, draw)
-    with pytest.raises(ValueError, match=r"did not score the removal \[1\]"):
-        mc_influence(chain3, 200, draw, (1,))
+        mc_influence(chain3, 100, hist)
 
 
 PINNED_MC_INSTANCE = """nodes 6

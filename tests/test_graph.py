@@ -56,6 +56,18 @@ class TestParse:
             parse_instance(f"nodes 2\n0 1 0.5 0.3\nseeds 0\nlambda {lam}\n")
         assert info.value.lineno == 4
 
+    @pytest.mark.parametrize("extra", ["nodes 2", "lambda 0.25"])
+    def test_repeated_header_names_its_line(self, extra):
+        # a second 'nodes' or 'lambda' line once replaced the first silently
+        text = f"nodes 5\n0 1 0.5 0.3\nseeds 0\nlambda 1\n{extra}\n"
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == f"line 5: repeated '{extra.split()[0]}' line"
+
+    def test_repeated_seed_lines_add_up(self):
+        inst = parse_instance("nodes 3\n0 1 0.5 0.3\nseeds 0\nseeds 2\nlambda 1.0\n")
+        assert inst.seeds == {0, 2}
+
     def test_duplicate_edge(self):
         text = "nodes 2\n0 1 0.5 0.3\n0 1 0.2 0.1\nseeds 0\nlambda 1.0\n"
         with pytest.raises(ParseError, match="duplicate edge"):

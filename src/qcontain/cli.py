@@ -144,16 +144,22 @@ def cmd_contain(args) -> int:
     return 0
 
 
+def _grid(flag: str, text: str) -> list[int]:
+    """Comma-separated sweep values, none repeated: a row's stream is seeded by its value."""
+    values = [int(v) for v in text.split(",")]
+    if len(set(values)) < len(values):
+        raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
+    return values
+
+
 def cmd_bench_estimation(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be >= 1")
     inst = _load_instance(args.instance)
-    mc_grid = [int(t) for t in args.mc_trials.split(",")]
-    m_grid = [int(m) for m in args.qae_m.split(",")]
-    # a row's stream is seeded by its grid value, so a repeat would replay it
-    for flag, grid in (("--mc-trials", mc_grid), ("--qae-m", m_grid)):
-        if len(set(grid)) < len(grid):
-            raise ValueError(f"{flag} repeats a value: {','.join(map(str, grid))}")
+    mc_grid = _grid("--mc-trials", args.mc_trials)
+    m_grid = _grid("--qae-m", args.qae_m)
+    if min(mc_grid) < 1:
+        raise ValueError(f"--mc-trials value {min(mc_grid)} must be >= 1")
     for m in m_grid:
         check_evaluation_qubits(m)
     n = inst.graph.node_count
@@ -181,7 +187,7 @@ def cmd_bench_estimation(args) -> int:
 def cmd_bench_minfind(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be >= 1")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _grid("--sizes", args.sizes)
     if any(not (1 <= s <= 1 << qsim.MAX_QUBITS) for s in sizes):
         raise ValueError(f"list sizes must be in [1, {1 << qsim.MAX_QUBITS}]")
     rows = []

@@ -423,6 +423,23 @@ def test_bench_estimation_checks_qae_m_before_the_sweep(instance_file, monkeypat
     assert err == f"error: evaluation qubits m = 40 must be in [1, {MAX_QUBITS}]\n"
 
 
+@pytest.mark.parametrize("grid, bad", [("5,-5", -5), ("0", 0)], ids=["negative", "zero"])
+def test_bench_estimation_checks_mc_trials_before_the_sweep(
+    instance_file, monkeypatch, capsys, grid, bad
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started before --mc-trials was checked")
+
+    monkeypatch.setattr(cli, "exact_influence", refuse)
+    monkeypatch.setattr(cli, "mc_influence", refuse)
+    code, out, err = run(
+        ["bench-estimation", "--instance", instance_file, "--mc-trials", grid, "--reps", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --mc-trials value {bad} must be >= 1\n"
+
+
 def test_bench_estimation_runs_the_exact_oracle_once(instance_file, monkeypatch, capsys):
     calls = []
 
@@ -459,6 +476,22 @@ def test_bench_estimation_rejects_repeated_grid_values(
     assert code == 2
     assert stdout == ""
     assert err == f"error: {grid[0]} repeats a value: {grid[1]}\n"
+    assert not out.exists()
+
+
+def test_bench_minfind_rejects_repeated_sizes(tmp_path, monkeypatch, capsys):
+    # a size's stream is seeded by (size, rep), so a repeat would replay its rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started before --sizes was checked")
+
+    monkeypatch.setattr(cli, "durr_hoyer_min", refuse)
+    out = tmp_path / "mf.csv"
+    code, stdout, err = run(
+        ["bench-minfind", "--sizes", "4,16,4", "--reps", "1", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: --sizes repeats a value: 4,16,4\n"
     assert not out.exists()
 
 

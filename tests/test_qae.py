@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcontain import qsim
+from qcontain import qae, qsim
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
 from qcontain.graph import Graph, ProblemInstance, generate_random_instance, parse_instance
@@ -380,3 +381,40 @@ class TestPinnedCliOutput:
             "error 1.0\n"
             "work_units 189\n"
         )
+
+
+@pytest.mark.parametrize(
+    "mode, builder",
+    [("statevector", "build_a_operator"), ("analytic", "exact_influence")],
+    ids=["statevector", "analytic"],
+)
+def test_qae_influence_builds_one_distribution_per_estimate(monkeypatch, chain3, mode, builder):
+    qae._outcome_distribution.cache_clear()  # the cache outlives a test
+    calls = dict.fromkeys([builder, "qae_estimate"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(qae, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qae, name, counted)
+    qae_influence(chain3, (1,), epsilon=0.2, rng_seed=3, mode=mode)
+    assert calls == {builder: 1, "qae_estimate": QPE_REPETITIONS}
+
+
+def test_outcome_distribution_is_keyed_by_its_arguments():
+    qae._outcome_distribution.cache_clear()
+    # an equal instance parsed again may share an entry; any other argument may not
+    instances = [parse_instance(PINNED_INSTANCE), parse_instance(PINNED_INSTANCE)]
+    cases = list(itertools.product(instances, [(), (1,)], [3, 4], ["statevector", "analytic"]))
+    for inst, removal, m, mode in [*cases, *reversed(cases)]:
+        sub = inst.without_edges(removal)
+        if mode == "statevector":
+            fresh = _statevector_qpe_distribution(build_a_operator(sub, m), m)
+        else:
+            fresh = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
+        for seed in range(3):
+            est = qae_estimate(inst, removal, m=m, rng_seed=seed, mode=mode)
+            assert est == read_estimate(fresh, np.random.default_rng(seed))
+        dist = qae._outcome_distribution(inst, removal, m, mode)
+        assert np.array_equal(dist, fresh)
+        assert not dist.flags.writeable

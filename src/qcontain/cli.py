@@ -146,7 +146,12 @@ def cmd_contain(args) -> int:
 
 def _grid(flag: str, text: str) -> list[int]:
     """Comma-separated sweep values, none repeated: a row's stream is seeded by its value."""
-    values = [int(v) for v in text.split(",")]
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(int(v))
+        except ValueError:
+            raise ValueError(f"{flag} value {v!r} is not an integer") from None
     if len(set(values)) < len(values):
         raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
     return values

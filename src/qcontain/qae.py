@@ -11,9 +11,10 @@ Two interchangeable modes:
 * ``statevector`` -- simulates phase estimation on the edge+ancilla system
   register. The evaluation register only controls Q, so the state before the
   inverse QFT is built directly as a block of M = 2^m rows Q^y|psi>/sqrt(M)
-  instead of running the controlled-Q ladder. The block holds as many
-  amplitudes as the full s+m qubit register, so evaluation qubits still count
-  toward the qubit cap.
+  instead of running the controlled-Q ladder; one ``apply_q`` writes each row
+  in place from the one before it. The block holds as many amplitudes as the
+  full s+m qubit register, so evaluation qubits still count toward the qubit
+  cap.
 * ``analytic`` -- computes a exactly with the exact oracle and runs the same
   readout on the two coordinates of the plane Q rotates; identical output
   contract, no statevector, so it is bound by the exact oracle's work budget
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import asin, ceil, log2, pi, sqrt
+from statistics import median
 
 import numpy as np
 
@@ -96,14 +98,17 @@ def build_q_operator(psi: np.ndarray):
     under which Q has eigenvalues e^{+-2i theta} and phase estimation reads
     theta/pi directly. A (2|0><0| - I) A^dagger is the reflection about psi,
     so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A.
-    """
-    # the ancilla is the top qubit, so S_f flips the upper half of the state
-    good = len(psi) // 2
 
-    def apply_q(state: np.ndarray) -> np.ndarray:
-        flipped = state.copy()
-        flipped[good:] *= -1
-        return 2 * np.vdot(psi, flipped) * psi - flipped
+    ``apply_q(state, out=None)`` writes Q state into ``out`` (a new array if
+    None), which may be ``state`` itself, and returns it.
+    """
+    # the ancilla is the top qubit, so S_f flips the sign of the upper half
+    sign = np.ones(len(psi), dtype=complex)
+    sign[len(psi) // 2:] = -1
+
+    def apply_q(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(state, sign, out=out)
+        return np.subtract(2 * np.vdot(psi, out) * psi, out, out=out)
 
     return apply_q
 
@@ -137,17 +142,17 @@ def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
 
     The evaluation register only controls Q, so before the inverse QFT the
     state is sum_y |y> Q^y |psi> / sqrt(M). Row y of the (M, 2^s) block holds
-    Q^y psi / sqrt(M). The block holds the same 2^(s+m) amplitudes as the
-    full register, hence the s + m qubit cap that
-    ``build_a_operator(eval_qubits=m)`` checks.
+    Q^y psi / sqrt(M), written in place from row y - 1 by one ``apply_q``.
+    The block holds the same 2^(s+m) amplitudes as the full register, hence
+    the s + m qubit cap that ``build_a_operator(eval_qubits=m)`` checks.
     """
     psi = apply_a(qsim.init_state(spec.n_qubits), spec)
     apply_q = build_q_operator(psi)
     dim = 1 << m
     block = np.empty((dim, len(psi)), dtype=complex)
     block[0] = psi / sqrt(dim)
-    for y in range(1, dim):
-        block[y] = apply_q(block[y - 1])
+    for prev, row in zip(block, block[1:]):
+        apply_q(prev, out=row)
     return _readout(block)
 
 
@@ -218,7 +223,7 @@ def qae_influence(
         qae_estimate(instance, removal, m=m, rng_seed=rng, mode=mode)
         for _ in range(QPE_REPETITIONS)
     ]
-    a_hat = float(np.median([e.a_hat for e in estimates]))
+    a_hat = median(e.a_hat for e in estimates)
     n = instance.graph.node_count
     n_seeds = len(instance.seeds)
     sigma = min(max(a_hat * n, float(n_seeds)), float(n))

@@ -479,6 +479,26 @@ def test_bench_estimation_rejects_repeated_grid_values(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["bench-estimation", "--mc-trials", ""], "--mc-trials value '' is not an integer"),
+        (["bench-estimation", "--qae-m", "3,x"], "--qae-m value 'x' is not an integer"),
+        (["bench-minfind", "--sizes", "4,2.5"], "--sizes value '2.5' is not an integer"),
+    ],
+    ids=["mc-trials", "qae-m", "sizes"],
+)
+def test_grid_names_the_flag_of_a_non_integer(instance_file, tmp_path, capsys, argv, bad):
+    if argv[0] == "bench-estimation":
+        argv = [*argv, "--instance", instance_file]
+    out = tmp_path / "bench.csv"
+    code, stdout, err = run([*argv, "--reps", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {bad}\n"
+    assert not out.exists()
+
+
 def test_bench_minfind_rejects_repeated_sizes(tmp_path, monkeypatch, capsys):
     # a size's stream is seeded by (size, rep), so a repeat would replay its rows
     def refuse(*args, **kwargs):

@@ -1,0 +1,46 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import qcontain
+
+# parameters with a default across the package; a new knob has to be argued for
+MAX_DEFAULTED_PARAMETERS = 24
+
+
+def package_functions():
+    """(name, function) for every module-level function and class method in
+    qcontain, dataclass ``__init__``s excluded."""
+    for info in pkgutil.iter_modules(qcontain.__path__):
+        module = importlib.import_module(f"qcontain.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for method_name, method in vars(obj).items():
+                    method = getattr(method, "__func__", method)  # staticmethod, classmethod
+                    if not inspect.isfunction(method):
+                        continue
+                    if method_name == "__init__" and dataclasses.is_dataclass(obj):
+                        continue
+                    yield f"{module.__name__}.{name}.{method_name}", method
+
+
+def test_parameters_with_a_default_do_not_grow():
+    defaulted = [
+        f"{name}({p.name})"
+        for name, function in package_functions()
+        for p in inspect.signature(function).parameters.values()
+        if p.default is not p.empty
+    ]
+    assert len(defaulted) <= MAX_DEFAULTED_PARAMETERS, defaulted
+
+
+def test_the_count_sees_functions_and_methods():
+    names = {name for name, _ in package_functions()}
+    assert "qcontain.qae.qae_influence" in names
+    assert "qcontain.graph.ProblemInstance.without_edges" in names
+    assert not any(name.endswith("AmplitudeEstimate.__init__") for name in names)

@@ -73,6 +73,19 @@ def ladder_qpe_distribution(spec, m):
     return qsim.register_distribution(state).reshape(1 << m, -1).sum(axis=1)
 
 
+def recurrence_block(psi, m):
+    """Reference block: Q^y psi / sqrt(M) by the copy-based recurrence, S_f on
+    a copy of the previous row, then the reflection about psi."""
+    half = len(psi) // 2
+    block = np.empty((1 << m, len(psi)), dtype=complex)
+    block[0] = psi / math.sqrt(len(block))
+    for y in range(1, len(block)):
+        f = block[y - 1].copy()
+        f[half:] *= -1
+        block[y] = 2 * np.vdot(psi, f) * psi - f
+    return block
+
+
 def fejer_qpe_distribution(a, m):
     """Reference readout, the textbook form: A|0> splits evenly between the
     two Q eigenvectors with eigenphases +-theta/pi (one when a is 0 or 1), so
@@ -187,6 +200,19 @@ class TestQOperator:
             out = q(state)
             assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-9)
 
+    def test_out_may_be_the_input(self, chain3):
+        spec = build_a_operator(chain3)
+        q = build_q_operator(a_state(spec))
+        rng = np.random.default_rng(5)
+        dim = 1 << spec.n_qubits
+        for _ in range(5):
+            x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            before = x.copy()
+            fresh = q(x)
+            assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+            assert q(x, out=x) is x
+            assert np.array_equal(x.view(np.uint64), fresh.view(np.uint64))
+
 
 class TestQpeReadout:
     def test_grid_aligned_half(self):
@@ -254,6 +280,25 @@ class TestQpeReadout:
                 assert np.abs(block - ladder).max() <= 1e-12
                 checked += 1
         assert checked >= 8
+
+    def test_block_equals_the_copy_based_recurrence_bitwise(self):
+        p_ranges = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.6, 1.0)]
+        checked, probabilities = 0, set()
+        for seed in range(12):
+            inst = generate_random_instance(
+                5, 0.3, p_range=p_ranges[seed % 4], n_seeds=1 + seed % 2, rng_seed=seed
+            )
+            if not inst.graph.edges:
+                continue
+            probabilities.update(e.p for e in inst.graph.edges)
+            spec = build_a_operator(inst)
+            for m in (3, 6):
+                reference = qae._readout(recurrence_block(a_state(spec), m))
+                dist = _statevector_qpe_distribution(spec, m)
+                assert np.array_equal(dist.view(np.uint64), reference.view(np.uint64))
+            checked += 1
+        assert checked >= 8
+        assert {0.0, 1.0} <= probabilities
 
     def test_modes_agree_on_chain(self, chain3):
         spec = build_a_operator(chain3)

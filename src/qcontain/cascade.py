@@ -12,20 +12,21 @@ coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
 final infected set is the set of nodes reachable from the seeds over its live
 edges (Kempe, Kleinberg, Tardos 2003), so the order of rounds does not matter.
 
-One propagation kernel, ``_propagate``, runs every such cascade. It packs 64
+One propagation kernel, ``_Kernel``, runs every such cascade. It packs 64
 cascades per machine word and keeps rows of active bits only for the seeds
 that are arc sources and the other arc heads, the only nodes whose bits can
 matter; each round gathers the active bits of every arc's source, ANDs them
 with the arc's live bits and ORs them into the arc's destination, until a
-round adds nothing. It returns each cascade's infected count. It can leave
-a removal's arcs out, so a removal is scored on the live bits of the whole
-graph. Two callers feed it live bits:
+round adds nothing. It returns each cascade's infected count. An arc is left
+out of a cascade in one way: its live bit is zero, so a removal is scored on
+the live bits of the whole graph with its arcs dead. Two callers feed it
+live bits:
 
 * ``draw_live`` -- packed ``coins < p`` for Monte Carlo trials; its counts
   equal per-trial simulation exactly. Coins are drawn in chunks of at most
   ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
   estimate is the same as from one draw. Each chunk scores every removal
-  of a group: one propagation without the arcs they all remove, then one
+  of a group: one propagation with the arcs they all remove dead, then one
   tile of only the cascades each removal can change (Kimura, Saito and
   Motoda 2009). Each removal keeps a histogram of its counts, |V| + 1
   bins, not one count per trial, and ``mc_influence`` reads its estimate
@@ -66,28 +67,37 @@ class ExactInfluence:
 
 
 class _Kernel:
-    """``_propagate`` for one graph, seed set and removal, set up once for many live tables.
+    """The propagation kernel for one graph and seed set, set up once for many live tables.
 
-    ``row`` maps each node of the active bit table to its row; the ``lit``
-    seed rows come first.
+    ``live`` is arc-major, one row per arc in graph order: bit t of
+    live[k, w] is set iff arc k is live in cascade 64*w + t; an arc whose
+    bit is zero is dead in that cascade, as if removed. Seeds are active in
+    every cascade, and a node that is neither a seed nor an arc head never
+    is, so the active bit table has rows only for the seeds that are arc
+    sources and the other arc heads: ``row`` maps each to its row, and the
+    ``lit`` seed rows come first. Only arcs from a row into a non-seed head
+    can change the table: ``source`` maps each of them to its source row,
+    sorted by destination, so one OR-reduce per round merges all arcs into
+    a node. Round r activates the nodes r live hops from the seeds.
     """
 
-    def __init__(self, graph: Graph, seeds: frozenset[int], removed: frozenset[int]):
+    def __init__(self, graph: Graph, seeds: frozenset[int]):
         edges = graph.edges
         heads = {e.dst for e in edges} - seeds
         nodes = [*seeds.intersection(e.src for e in edges), *heads]
         self.row = {v: r for r, v in enumerate(nodes)}
         self.lit = len(nodes) - len(heads)
         self.n_seeds = len(seeds)
-        arcs = sorted(
-            (k for k, e in enumerate(edges) if k not in removed and e.src in self.row and e.dst in heads),
-            key=lambda k: edges[k].dst,
-        )
-        dst = [self.row[edges[k].dst] for k in arcs]
-        starts = [i for i in range(len(arcs)) if i == 0 or dst[i] != dst[i - 1]]
-        self.arcs = np.array(arcs, dtype=np.intp)
+        self.source = {
+            k: self.row[edges[k].src]
+            for k in sorted(range(len(edges)), key=lambda k: edges[k].dst)
+            if edges[k].src in self.row and edges[k].dst in heads
+        }
+        dst = [self.row[edges[k].dst] for k in self.source]
+        starts = [i for i in range(len(dst)) if i == 0 or dst[i] != dst[i - 1]]
+        self.arcs = np.array(list(self.source), dtype=np.intp)
         self.targets = np.array([dst[i] for i in starts], dtype=np.intp)
-        self.src = np.array([self.row[edges[k].src] for k in arcs], dtype=np.intp)
+        self.src = np.array(list(self.source.values()), dtype=np.intp)
         self.starts = np.array(starts, dtype=np.intp)
 
     def active(self, live: np.ndarray) -> np.ndarray:
@@ -110,28 +120,8 @@ class _Kernel:
         return self.n_seeds + infected.sum(axis=0, dtype=np.int64)
 
 
-def _propagate(
-    graph: Graph, seeds: frozenset[int], live: np.ndarray, removed: frozenset[int] = frozenset()
-) -> np.ndarray:
-    """Infected count (int64) of each of the 64 * words cascades over the live arcs ``live``.
-
-    ``live`` is arc-major, one row per arc in graph order: bit t of
-    live[k, w] is set iff arc k is live in cascade 64*w + t. Seeds are
-    active in every cascade, and a node that is neither a seed nor an arc
-    head never is, so the active bit table has rows only for the seeds that
-    are arc sources and the other arc heads; the table depends on the graph
-    and the seeds alone. Only arcs from a row into a non-seed head can
-    change it, and the arcs in ``removed`` are left out, as if dead in
-    every cascade. Arcs are sorted by destination, so one OR-reduce per
-    round merges all arcs into a node. Round r activates the nodes r live
-    hops from the seeds.
-    """
-    kernel = _Kernel(graph, seeds, removed)
-    return kernel.count(kernel.active(live))
-
-
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """``_propagate``'s packed ``live`` words of an (arcs x cascades) table of 0s and 1s.
+    """``_Kernel``'s packed ``live`` words of an (arcs x cascades) table of 0s and 1s.
 
     The padding cascades of the last word are dead on every arc.
     """
@@ -162,7 +152,7 @@ def _score_chunk(
 ) -> None:
     """Add the first ``n`` cascades of ``live`` to ``hists``, one row per removal.
 
-    ``kernel`` leaves out the arcs every removal removes, so one
+    The arcs every removal removes are dead in ``live``, so one
     propagation gives every cascade's base count. ``extra`` holds the
     (removal, arc, source row) of each other arc of a removal that can
     change a cascade, which it does only where it is live from an active
@@ -195,25 +185,23 @@ def _score_chunk(
         np.add.at(hists, (c, kernel.count(kernel.active(_pack(tile)))[: len(t)]), 1)
 
 
-def _histograms(instance: ProblemInstance, trials: int, rng_seed, removals: list) -> np.ndarray:
+def _histograms(kernel: _Kernel, graph: Graph, trials: int, rng_seed, removals: list) -> np.ndarray:
     """``draw_live``'s histograms of closed ``removals``, one row each, streaming the coins once."""
-    g = instance.graph
-    hists = np.zeros((len(removals), g.node_count + 1), dtype=np.int64)
+    hists = np.zeros((len(removals), graph.node_count + 1), dtype=np.int64)
     base = frozenset.intersection(*removals)
-    kernel = _Kernel(g, instance.seeds, base)
-    # an extra arc (u, v) changes no cascade if u never is active or v is a seed
     extra = np.array(
         [
-            (c, k, kernel.row[g.edges[k].src])
+            (c, k, kernel.source[k])
             for c, removed in enumerate(removals)
             for k in sorted(removed - base)
-            if g.edges[k].src in kernel.row and g.edges[k].dst not in instance.seeds
+            if k in kernel.source
         ],
         dtype=np.intp,
     ).reshape(-1, 3).T
     done = 0
-    for live in _live_chunks(g, trials, rng_seed):
+    for live in _live_chunks(graph, trials, rng_seed):
         n = min(trials - done, 64 * live.shape[1])
+        live[list(base)] = 0
         _score_chunk(kernel, live, n, extra, hists)
         done += n
     return hists
@@ -226,7 +214,8 @@ def draw_live(
 
     A histogram holds the trials per infected count, |V| + 1 bins (int64).
     Removals are scored in groups whose histograms fit in ``COIN_CHUNK_BYTES``,
-    each on a replay of ``rng_seed``, an int or a ``SeedSequence``. A
+    each on a replay of ``rng_seed``, an int or a ``SeedSequence``; ``None``
+    is resolved once to a fresh ``SeedSequence`` that every group replays. A
     ``Generator`` or bit generator would draw new coins each time, so it is a
     TypeError, raised, like a bad ``trials``, when ``draw_live`` is called.
     """
@@ -234,11 +223,15 @@ def draw_live(
         raise TypeError("draw_live needs an int or SeedSequence seed, not a generator")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    closed = [closed_removal(instance.graph, r) for r in removals]
-    step = max(1, COIN_CHUNK_BYTES // (8 * (instance.graph.node_count + 1)))
+    if rng_seed is None:
+        rng_seed = np.random.SeedSequence()
+    g = instance.graph
+    kernel = _Kernel(g, instance.seeds)
+    closed = [closed_removal(g, r) for r in removals]
+    step = max(1, COIN_CHUNK_BYTES // (8 * (g.node_count + 1)))
     groups = (closed[i : i + step] for i in range(0, len(closed), step))
     # copied rows keep no finished group's histograms alive while the next is scored
-    return (h for g in groups for h in map(np.copy, _histograms(instance, trials, rng_seed, g)))
+    return (h for c in groups for h in map(np.copy, _histograms(kernel, g, trials, rng_seed, c)))
 
 
 def mc_influence(
@@ -247,15 +240,19 @@ def mc_influence(
     """Monte Carlo estimate of sigma for ``instance`` without the arcs of ``removal``.
 
     ``rng_seed`` seeds a fresh draw that scores the removal alone, or is the
-    histogram ``draw_live`` gave a removal, which ``removal`` then does not
-    name. The removal's arcs and their undirected partners are left out of
-    the kernel, so each count is the one ``instance.without_edges(removal)``
+    histogram ``draw_live`` gave a removal of ``instance``, which ``removal``
+    then does not name. The removal's arcs and undirected partners are dead
+    in every cascade, so each count is the one ``instance.without_edges``
     gives on the same coins without the removed columns.
     """
     if isinstance(rng_seed, np.ndarray):
         hist = rng_seed  # trials per infected count
+        if tuple(removal):
+            raise ValueError("pass no removal with a drawn histogram: draw_live left it out")
     else:
         (hist,) = draw_live(instance, trials, rng_seed, [removal])
+    if len(hist) != instance.graph.node_count + 1:
+        raise ValueError(f"histogram has {len(hist)} bins, not {instance.graph.node_count + 1}")
     if hist.sum() != trials:
         raise ValueError(f"draw holds {hist.sum()} trials, not {trials}")
     sizes = np.arange(len(hist))
@@ -284,7 +281,8 @@ def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:
     live[:6] = np.array(low, dtype=np.uint64)[:, None]
     high = np.arange(6, n_edges, dtype=np.uint64)[:, None]
     live[6:] = np.uint64(0) - ((word >> (high - 6)) & 1)
-    return _propagate(graph, seeds, live)[:configs]
+    kernel = _Kernel(graph, seeds)
+    return kernel.count(kernel.active(live))[:configs]
 
 
 def exact_influence(instance: ProblemInstance) -> ExactInfluence:

@@ -11,7 +11,7 @@ Removal indices always refer to the original instance graph. The exact and
 QAE estimators score each removal on its own subgraph, QAE with one seed per
 removal. The Monte Carlo estimator takes one seed per call, and every removal
 is scored on that call's live-edge draw over the original arcs with its arcs
-left out (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` yields the
+dead (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` yields the
 removals' histograms in order, grouping them itself, and each removal's
 ``mc_influence`` call reads its estimate from its histogram.
 Candidate selection walks the original arcs too, so it builds no subgraph.

@@ -50,7 +50,8 @@ def cascade_from_coins(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -
 
 def batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
     """The propagation kernel's infected count for each row of a (trials x edges) coin matrix."""
-    return cascade._propagate(graph, seeds, cascade._pack_live(graph, coins))[: len(coins)]
+    kernel = cascade._Kernel(graph, seeds)
+    return kernel.count(kernel.active(cascade._pack_live(graph, coins)))[: len(coins)]
 
 
 def simulate_ic(instance: ProblemInstance, rng: np.random.Generator) -> CascadeTrial:
@@ -308,7 +309,10 @@ def test_removal_mask_matches_the_cut_graph(data, trials, coin_seed):
     removal = data.draw(st.lists(st.sampled_from(range(len(g.edges))), max_size=3)) if g.edges else []
     coins = np.random.default_rng(coin_seed).random((trials, len(g.edges)))
     removed = closed_removal(g, removal)
-    masked = cascade._propagate(g, inst.seeds, cascade._pack_live(g, coins), removed)[:trials]
+    live = cascade._pack_live(g, coins)
+    live[sorted(removed)] = 0
+    kernel = cascade._Kernel(g, inst.seeds)
+    masked = kernel.count(kernel.active(live))[:trials]
     sub = inst.without_edges(removal)
     kept = np.delete(coins, sorted(removed), axis=1)
     assert masked.tolist() == batch_infected_counts(sub.graph, sub.seeds, kept).tolist()
@@ -454,10 +458,48 @@ def test_scored_draw_matches_a_full_propagation_per_removal(data, trials, coin_s
         hists = list(cascade.draw_live(inst, trials, coin_seed, removals))
     live = cascade._pack_live(g, np.random.default_rng(coin_seed).random((trials, len(g.edges))))
     assert len(hists) == len(removals)
+    kernel = cascade._Kernel(g, inst.seeds)
     for removal, hist in zip(removals, hists):
-        full = cascade._propagate(g, inst.seeds, live, closed_removal(g, removal))[:trials]
+        cut = live.copy()
+        cut[sorted(closed_removal(g, removal))] = 0
+        full = kernel.count(kernel.active(cut))[:trials]
         expected = np.bincount(full, minlength=g.node_count + 1)
         assert hist.dtype == np.int64 and hist.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_greedy_shaped_draw_matches_the_cut_graph_per_candidate(monkeypatch, undirected):
+    # an accepted 2-arc prefix out of the seeds plus one candidate arc each, as
+    # in a greedy iteration; 512 coin bytes make 64-trial chunks and tiles and
+    # groups of 512 // (8 * 11) = 5 removals, so the prefix is dead in every group
+    inst = generate_random_instance(10, 0.3, p_range=(0.2, 0.8), n_seeds=2, rng_seed=3)
+    if undirected:
+        pairs = [(e, Edge(e.dst, e.src, e.p, e.i)) for e in inst.graph.edges if e.src < e.dst]
+        graph = Graph(inst.graph.node_count, [e for pair in pairs for e in pair], undirected=True)
+        inst = ProblemInstance(graph, inst.seeds, inst.lam)
+    g = inst.graph
+    prefix = tuple(k for k, e in enumerate(g.edges) if e.src in inst.seeds and g.represents_pair(k))[:2]
+    removals = [(*prefix, k) for k in candidate_edges(inst, prefix, "all")]
+    assert len(prefix) == 2 and len(removals) > 2 * 5
+    trials = 200
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 512)
+    hists = list(cascade.draw_live(inst, trials, 5, removals))
+    coins = np.random.default_rng(5).random((trials, len(g.edges)))
+    assert len(hists) == len(removals)
+    for removal, hist in zip(removals, hists):
+        sub = inst.without_edges(removal)
+        kept = np.delete(coins, sorted(closed_removal(g, removal)), axis=1)
+        counts = batch_infected_counts(sub.graph, sub.seeds, kept)
+        assert hist.tolist() == np.bincount(counts, minlength=g.node_count + 1).tolist()
+
+
+def test_draw_live_replays_one_draw_for_a_none_seed(monkeypatch):
+    # one histogram per group, so each group replays the draw; resolving None
+    # per group gave each group fresh coins
+    inst = generate_random_instance(7, 0.4, n_seeds=2, rng_seed=13)
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 8 * (inst.graph.node_count + 1))
+    first, second = cascade.draw_live(inst, 4096, None, [(0,), (0,)])
+    assert first.tolist() == second.tolist()
 
 
 @pytest.mark.parametrize("trials", [64, 4097])  # one chunk, many
@@ -533,6 +575,15 @@ def test_shared_draw_must_hold_the_trials_asked_for(chain3):
     hist, _ = cascade.draw_live(chain3, 200, 0, [(), (0,)])
     with pytest.raises(ValueError, match="draw holds 200 trials, not 100"):
         mc_influence(chain3, 100, hist)
+
+
+def test_a_drawn_histogram_names_no_removal_and_fits_its_instance(chain3):
+    (hist,) = cascade.draw_live(chain3, 200, 0, [(0,)])
+    with pytest.raises(ValueError, match="pass no removal with a drawn histogram"):
+        mc_influence(chain3, 200, hist, (0,))
+    five = generate_random_instance(5, 0.4, rng_seed=1)
+    with pytest.raises(ValueError, match="histogram has 4 bins, not 6"):
+        mc_influence(five, 200, hist)
 
 
 PINNED_MC_INSTANCE = """nodes 6

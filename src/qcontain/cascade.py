@@ -23,14 +23,14 @@ the live bits of the whole graph with its arcs dead. Two callers feed it
 live bits:
 
 * ``draw_live`` -- packed ``coins < p`` for Monte Carlo trials; its counts
-  equal per-trial simulation exactly. Coins are drawn in chunks of at most
-  ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
-  estimate is the same as from one draw. Each chunk scores every removal
-  of a group: one propagation with the arcs they all remove dead, then one
-  tile of only the cascades each removal can change (Kimura, Saito and
-  Motoda 2009). Each removal keeps a histogram of its counts, |V| + 1
-  bins, not one count per trial, and ``mc_influence`` reads its estimate
-  from that histogram.
+  equal per-trial simulation exactly. Coins are drawn once per draw, in
+  chunks of at most ``COIN_CHUNK_BYTES``; the generator fills its stream in
+  C order, so the estimate is the same as from one draw. Each chunk scores
+  every removal: one propagation with the arcs they all remove dead, then
+  tiles of only the cascades each removal can change (Kimura, Saito and
+  Motoda 2009). Each removal keeps four exact integers, (trials, |V|, sum c,
+  sum c^2) over its infected counts c, and ``mc_influence`` reads sigma and
+  its standard error from them.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -64,6 +64,7 @@ class InfluenceEstimate:
 class ExactInfluence:
     sigma: float
     node_probs: dict[int, float]
+    work: int  # subset transitions the DP expanded
 
 
 class _Kernel:
@@ -148,23 +149,23 @@ def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[np.ndarray]:
 
 
 def _score_chunk(
-    kernel: _Kernel, live: np.ndarray, n: int, extra: np.ndarray, hists: np.ndarray
+    kernel: _Kernel, live: np.ndarray, n: int, extra: np.ndarray, rows: np.ndarray
 ) -> None:
-    """Add the first ``n`` cascades of ``live`` to ``hists``, one row per removal.
+    """Add the first ``n`` cascades of ``live`` to ``rows``, one per removal.
 
     The arcs every removal removes are dead in ``live``, so one
-    propagation gives every cascade's base count. ``extra`` holds the
-    (removal, arc, source row) of each other arc of a removal that can
-    change a cascade, which it does only where it is live from an active
-    source. So a removal's histogram is the base one with its affected
-    cascades' base counts swapped for new ones. The affected cascades of
-    all removals are gathered into the columns of one tile, each with its
-    removal's extra arcs cleared, and run again, at most one coin chunk's
-    rows per call.
+    propagation gives every cascade's base count c, and every row gains
+    (n, 0, sum c, sum c^2). ``extra`` holds the (removal, arc, source row) of
+    each other arc of a removal that can change a cascade, sorted by
+    removal; an arc does so only where it is live from an active source. So
+    a removal's sums are the base ones with its affected cascades' base
+    counts swapped for new ones. The affected cascades of all removals are
+    gathered into the columns of tiles of at most one coin chunk's rows,
+    each column with its removal's extra arcs cleared, and run again.
     """
     active = kernel.active(live)
     counts = kernel.count(active)[:n]
-    hists += np.bincount(counts, minlength=hists.shape[1])
+    rows += (n, 0, counts.sum(), counts @ counts)
     cand, arcs, srcs = extra
     if not len(cand):
         return
@@ -178,60 +179,54 @@ def _score_chunk(
     for start in range(0, len(cols), step):
         c, t = who[start : start + step], cols[start : start + step]
         tile = np.take(bits, t, axis=1)
-        lo, hi = np.searchsorted(c, cand).tolist(), np.searchsorted(c, cand, "right").tolist()
-        for k, a, b in zip(arcs.tolist(), lo, hi):
+        i, j = np.searchsorted(cand, (c[0], c[-1] + 1))  # the tile's removals' extra arcs
+        mine = cand[i:j]
+        lo, hi = np.searchsorted(c, mine).tolist(), np.searchsorted(c, mine, "right").tolist()
+        for k, a, b in zip(arcs[i:j].tolist(), lo, hi):
             tile[k, a:b] = 0
-        np.subtract.at(hists, (c, counts[t]), 1)
-        np.add.at(hists, (c, kernel.count(kernel.active(_pack(tile)))[: len(t)]), 1)
+        old, new = counts[t], kernel.count(kernel.active(_pack(tile)))[: len(t)]
+        np.add.at(rows, (c, 2), new - old)
+        np.add.at(rows, (c, 3), new * new - old * old)
 
 
-def _histograms(kernel: _Kernel, graph: Graph, trials: int, rng_seed, removals: list) -> np.ndarray:
-    """``draw_live``'s histograms of closed ``removals``, one row each, streaming the coins once."""
-    hists = np.zeros((len(removals), graph.node_count + 1), dtype=np.int64)
-    base = frozenset.intersection(*removals)
+def draw_live(
+    instance: ProblemInstance, trials: int, rng_seed, removals: Iterable[Iterable[int]]
+) -> np.ndarray:
+    """Each removal's row, in order, on one Monte Carlo draw of ``trials`` cascades.
+
+    A row is four int64s, (trials, |V|, sum c, sum c^2) over the removal's
+    infected counts c. The coins stream once from
+    ``np.random.default_rng(rng_seed)``, so any seed numpy takes works,
+    whatever the number of removals. A sum of squares is at most
+    trials * |V|^2, so that must be below 2^63, which is checked, like
+    ``trials``, before any coin is drawn.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    g = instance.graph
+    if trials * g.node_count**2 >= 1 << 63:
+        raise ValueError(f"{trials} trials of {g.node_count} nodes overflow the int64 sums")
+    kernel = _Kernel(g, instance.seeds)
+    closed = [closed_removal(g, r) for r in removals]
+    base = frozenset.intersection(*closed) if closed else frozenset()
     extra = np.array(
         [
             (c, k, kernel.source[k])
-            for c, removed in enumerate(removals)
+            for c, removed in enumerate(closed)
             for k in sorted(removed - base)
             if k in kernel.source
         ],
         dtype=np.intp,
     ).reshape(-1, 3).T
+    rows = np.zeros((len(closed), 4), dtype=np.int64)
+    rows[:, 1] = g.node_count
     done = 0
-    for live in _live_chunks(graph, trials, rng_seed):
+    for live in _live_chunks(g, trials, rng_seed):
         n = min(trials - done, 64 * live.shape[1])
         live[list(base)] = 0
-        _score_chunk(kernel, live, n, extra, hists)
+        _score_chunk(kernel, live, n, extra, rows)
         done += n
-    return hists
-
-
-def draw_live(
-    instance: ProblemInstance, trials: int, rng_seed, removals: Iterable[Iterable[int]]
-) -> Iterator[np.ndarray]:
-    """Each removal's histogram, in order, on one Monte Carlo draw of ``trials`` cascades.
-
-    A histogram holds the trials per infected count, |V| + 1 bins (int64).
-    Removals are scored in groups whose histograms fit in ``COIN_CHUNK_BYTES``,
-    each on a replay of ``rng_seed``, an int or a ``SeedSequence``; ``None``
-    is resolved once to a fresh ``SeedSequence`` that every group replays. A
-    ``Generator`` or bit generator would draw new coins each time, so it is a
-    TypeError, raised, like a bad ``trials``, when ``draw_live`` is called.
-    """
-    if isinstance(rng_seed, (np.random.Generator, np.random.BitGenerator)):
-        raise TypeError("draw_live needs an int or SeedSequence seed, not a generator")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if rng_seed is None:
-        rng_seed = np.random.SeedSequence()
-    g = instance.graph
-    kernel = _Kernel(g, instance.seeds)
-    closed = [closed_removal(g, r) for r in removals]
-    step = max(1, COIN_CHUNK_BYTES // (8 * (g.node_count + 1)))
-    groups = (closed[i : i + step] for i in range(0, len(closed), step))
-    # copied rows keep no finished group's histograms alive while the next is scored
-    return (h for c in groups for h in map(np.copy, _histograms(kernel, g, trials, rng_seed, c)))
+    return rows
 
 
 def mc_influence(
@@ -240,25 +235,27 @@ def mc_influence(
     """Monte Carlo estimate of sigma for ``instance`` without the arcs of ``removal``.
 
     ``rng_seed`` seeds a fresh draw that scores the removal alone, or is the
-    histogram ``draw_live`` gave a removal of ``instance``, which ``removal``
-    then does not name. The removal's arcs and undirected partners are dead
-    in every cascade, so each count is the one ``instance.without_edges``
-    gives on the same coins without the removed columns.
+    row ``draw_live`` gave a removal of ``instance``, which ``removal`` then
+    does not name. The removal's arcs and undirected partners are dead in
+    every cascade, so each count is the one ``instance.without_edges`` gives
+    on the same coins without the removed columns. sigma is sum c / trials;
+    the standard error comes from the exact integer spread
+    trials * sum c^2 - (sum c)^2.
     """
     if isinstance(rng_seed, np.ndarray):
-        hist = rng_seed  # trials per infected count
+        row = rng_seed
         if tuple(removal):
-            raise ValueError("pass no removal with a drawn histogram: draw_live left it out")
+            raise ValueError("pass no removal with a drawn row: draw_live left it out")
     else:
-        (hist,) = draw_live(instance, trials, rng_seed, [removal])
-    if len(hist) != instance.graph.node_count + 1:
-        raise ValueError(f"histogram has {len(hist)} bins, not {instance.graph.node_count + 1}")
-    if hist.sum() != trials:
-        raise ValueError(f"draw holds {hist.sum()} trials, not {trials}")
-    sizes = np.arange(len(hist))
-    sigma = int(hist @ sizes) / trials
-    squares = hist @ (sizes - sigma) ** 2
-    std_error = float(np.sqrt(squares / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
+        (row,) = draw_live(instance, trials, rng_seed, [removal])
+    drawn, nodes, total, squares = map(int, row)
+    if nodes != instance.graph.node_count:
+        raise ValueError(f"row is of {nodes} nodes, not {instance.graph.node_count}")
+    if drawn != trials:
+        raise ValueError(f"draw holds {drawn} trials, not {trials}")
+    sigma = total / trials
+    spread = (trials * squares - total * total) / trials  # sum (c - sigma)^2, rounded once
+    std_error = float(np.sqrt(spread / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return InfluenceEstimate(sigma=sigma, std_error=std_error, trials_or_calls=trials)
 
 
@@ -335,4 +332,5 @@ def exact_influence(instance: ProblemInstance) -> ExactInfluence:
     return ExactInfluence(
         sigma=fsum(node_probs),
         node_probs=dict(enumerate(node_probs)),
+        work=work,
     )

@@ -271,6 +271,9 @@ PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
+    if args.rng < 0:
+        print(f"error: --rng {args.rng} must be >= 0", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -11,9 +11,10 @@ Removal indices always refer to the original instance graph. The exact and
 QAE estimators score each removal on its own subgraph, QAE with one seed per
 removal. The Monte Carlo estimator takes one seed per call, and every removal
 is scored on that call's live-edge draw over the original arcs with its arcs
-dead (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` yields the
-removals' histograms in order, grouping them itself, and each removal's
-``mc_influence`` call reads its estimate from its histogram.
+dead (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` streams the
+call's coins once and gives each removal four exact integers, (trials, |V|,
+sum c, sum c^2) over its infected counts c, and each removal's
+``mc_influence`` call reads its estimate from its row.
 Candidate selection walks the original arcs too, so it builds no subgraph.
 """
 from __future__ import annotations
@@ -177,13 +178,9 @@ def greedy_contain(
 
 def make_exact_estimator() -> Estimator:
     def one(instance, removal):
-        sub = instance.without_edges(removal)
-        return InfluenceEstimate(
-            sigma=exact_influence(sub).sigma,
-            std_error=None,
-            # work units: the live-edge configurations whose probability sigma sums
-            trials_or_calls=1 << len(sub.graph.edges),
-        )
+        exact = exact_influence(instance.without_edges(removal))
+        # work units: the DP's subset transitions
+        return InfluenceEstimate(sigma=exact.sigma, std_error=None, trials_or_calls=exact.work)
 
     def estimator(instance, removals, accounting):
         return [one(instance, removal) for removal in removals]
@@ -199,8 +196,8 @@ def call_seeds(rng_seed: int) -> Iterator[np.random.SeedSequence]:
 def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
     def estimator(instance, removals, accounting):
         accounting.mc_trials += trials * len(removals)
-        hists = draw_live(instance, trials, next(seeds), removals)
-        return [mc_influence(instance, trials, hist) for hist in hists]
+        rows = draw_live(instance, trials, next(seeds), removals)
+        return [mc_influence(instance, trials, row) for row in rows]
 
     return estimator
 

@@ -92,8 +92,9 @@ def durr_hoyer_min(
 
     Each round marks the items whose value is below the current best. The
     iteration count per round is drawn uniformly from [0, cap] where the
-    cap follows the exponential schedule ceil(GROWTH^r) over failed rounds r
-    (for the unknown marked count), clipped at ~0.9*sqrt(N). Accounting
+    cap follows the exponential schedule ceil(GROWTH^r) over the rounds r
+    run so far, improving or not, never reset (for the unknown marked
+    count), clipped at ~0.9*sqrt(N). Accounting
     charges one oracle call per Grover iteration plus one classical
     evaluation per candidate verification. A run ends when the overall call
     budget, ceil(BUDGET_CONSTANT * sqrt(N)), is spent or the failure call

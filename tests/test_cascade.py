@@ -174,6 +174,11 @@ class TestExactInfluence:
         with pytest.raises(ValueError, match="too large"):
             exact_influence(inst)
 
+    def test_work_counts_subset_transitions(self, single_edge, chain3):
+        # each state expands 2^(uncertain joiners) transitions: 2 + 1 and 2 + 2 + 1
+        assert exact_influence(single_edge).work == 3
+        assert exact_influence(chain3).work == 5
+
     def test_sigma_is_sum_of_node_probs(self, chain3):
         result = exact_influence(chain3)
         assert result.sigma == pytest.approx(sum(result.node_probs.values()))
@@ -411,7 +416,7 @@ def star_estimator_peak(monkeypatch, removals):
 def test_mc_estimator_streams_a_single_removal(monkeypatch):
     inst, [est], peak = star_estimator_peak(monkeypatch, [()])
     seed = next(call_seeds(0))
-    assert est == mc_influence(inst, 1 << 20, next(cascade.draw_live(inst, 1 << 20, seed, [()])))
+    assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst, 1 << 20, seed, [()])[0])
     assert est == mc_influence(inst, 1 << 20, seed)
     assert peak < 512 << 10
 
@@ -446,8 +451,7 @@ def test_mc_estimator_holds_histograms_of_one_chunk(monkeypatch):
 @given(data=st.data(), trials=st.sampled_from([1, 63, 65, 200]), coin_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_scored_draw_matches_a_full_propagation_per_removal(data, trials, coin_seed):
-    # 64-trial chunks and tiles, and 64 // (|V| + 1) >= 8 removals per group,
-    # so all of them in one; the removals need share no arc, and may repeat
+    # 64-trial chunks and tiles; the removals need share no arc, and may repeat
     inst = data.draw(small_instances())
     g = inst.graph
     arcs = st.lists(st.sampled_from(range(len(g.edges))), max_size=3) if g.edges else st.just([])
@@ -455,23 +459,23 @@ def test_scored_draw_matches_a_full_propagation_per_removal(data, trials, coin_s
     removals += data.draw(st.lists(st.sampled_from(removals), max_size=2))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cascade, "COIN_CHUNK_BYTES", 64 * 8)
-        hists = list(cascade.draw_live(inst, trials, coin_seed, removals))
+        rows = cascade.draw_live(inst, trials, coin_seed, removals)
     live = cascade._pack_live(g, np.random.default_rng(coin_seed).random((trials, len(g.edges))))
-    assert len(hists) == len(removals)
+    assert len(rows) == len(removals)
     kernel = cascade._Kernel(g, inst.seeds)
-    for removal, hist in zip(removals, hists):
+    for removal, row in zip(removals, rows):
         cut = live.copy()
         cut[sorted(closed_removal(g, removal))] = 0
         full = kernel.count(kernel.active(cut))[:trials]
-        expected = np.bincount(full, minlength=g.node_count + 1)
-        assert hist.dtype == np.int64 and hist.tolist() == expected.tolist()
+        expected = [trials, g.node_count, full.sum(), full @ full]
+        assert row.dtype == np.int64 and row.tolist() == expected
 
 
 @pytest.mark.parametrize("undirected", [False, True])
 def test_greedy_shaped_draw_matches_the_cut_graph_per_candidate(monkeypatch, undirected):
     # an accepted 2-arc prefix out of the seeds plus one candidate arc each, as
-    # in a greedy iteration; 512 coin bytes make 64-trial chunks and tiles and
-    # groups of 512 // (8 * 11) = 5 removals, so the prefix is dead in every group
+    # in a greedy iteration; 512 coin bytes make 64-trial chunks and tiles, and
+    # the prefix is dead in the base propagation
     inst = generate_random_instance(10, 0.3, p_range=(0.2, 0.8), n_seeds=2, rng_seed=3)
     if undirected:
         pairs = [(e, Edge(e.dst, e.src, e.p, e.i)) for e in inst.graph.edges if e.src < e.dst]
@@ -483,14 +487,14 @@ def test_greedy_shaped_draw_matches_the_cut_graph_per_candidate(monkeypatch, und
     assert len(prefix) == 2 and len(removals) > 2 * 5
     trials = 200
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 512)
-    hists = list(cascade.draw_live(inst, trials, 5, removals))
+    rows = cascade.draw_live(inst, trials, 5, removals)
     coins = np.random.default_rng(5).random((trials, len(g.edges)))
-    assert len(hists) == len(removals)
-    for removal, hist in zip(removals, hists):
+    assert len(rows) == len(removals)
+    for removal, row in zip(removals, rows):
         sub = inst.without_edges(removal)
         kept = np.delete(coins, sorted(closed_removal(g, removal)), axis=1)
         counts = batch_infected_counts(sub.graph, sub.seeds, kept)
-        assert hist.tolist() == np.bincount(counts, minlength=g.node_count + 1).tolist()
+        assert row.tolist() == [trials, g.node_count, counts.sum(), counts @ counts]
 
 
 def test_draw_live_replays_one_draw_for_a_none_seed(monkeypatch):
@@ -504,19 +508,16 @@ def test_draw_live_replays_one_draw_for_a_none_seed(monkeypatch):
 
 @pytest.mark.parametrize("trials", [64, 4097])  # one chunk, many
 def test_draw_live_takes_only_a_seed_it_can_replay(monkeypatch, chain3, trials):
-    # one histogram per removal here, so each removal replays the iteration's
-    # seed; a Generator would go on drawing and give each removal new coins
+    # one coin stream scores every removal, whatever the chunk size
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
-    # both checks run when draw_live is called, before any histogram is asked for
-    with pytest.raises(TypeError, match="not a generator"):
-        cascade.draw_live(chain3, trials, np.random.default_rng(7), [(1,)])
+    # the trials check runs when draw_live is called, before any coin is drawn
     with pytest.raises(ValueError, match="trials must be >= 1"):
         cascade.draw_live(chain3, 0, 7, [(1,)])
     removals = [(0,), (1,), ()]
     for seed in (7, np.random.SeedSequence(7)):
-        hists = list(cascade.draw_live(chain3, trials, seed, removals))
+        rows = cascade.draw_live(chain3, trials, seed, removals)
         ests = make_mc_estimator(trials, iter([seed]))(chain3, removals, RunAccounting())
-        assert ests == [mc_influence(chain3, trials, hist) for hist in hists]
+        assert ests == [mc_influence(chain3, trials, row) for row in rows]
         assert ests == [mc_influence(chain3, trials, seed, removal) for removal in removals]
 
 
@@ -563,12 +564,12 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
         assert mc_influence(inst, t, rng_seed=3) == est
         assert sum(calls) == t and max(calls) <= 64
         calls.clear()
-        # with no chunk bytes each removal is a group of its own, on a replay of the coins
-        hists = list(cascade.draw_live(inst, t, 3, removals))
-        assert sum(calls) == t * len(removals) and max(calls) <= 64
-        assert mc_influence(inst, t, hists[0]) == est
-        for removal, hist in zip(removals[1:], hists[1:]):
-            assert mc_influence(inst, t, hist) == mc_influence(inst, t, 3, removal)
+        # every removal is scored on one stream of the coins
+        rows = cascade.draw_live(inst, t, 3, removals)
+        assert sum(calls) == t and max(calls) <= 64
+        assert mc_influence(inst, t, rows[0]) == est
+        for removal, row in zip(removals[1:], rows[1:]):
+            assert mc_influence(inst, t, row) == mc_influence(inst, t, 3, removal)
 
 
 def test_shared_draw_must_hold_the_trials_asked_for(chain3):
@@ -578,12 +579,60 @@ def test_shared_draw_must_hold_the_trials_asked_for(chain3):
 
 
 def test_a_drawn_histogram_names_no_removal_and_fits_its_instance(chain3):
-    (hist,) = cascade.draw_live(chain3, 200, 0, [(0,)])
-    with pytest.raises(ValueError, match="pass no removal with a drawn histogram"):
-        mc_influence(chain3, 200, hist, (0,))
+    (row,) = cascade.draw_live(chain3, 200, 0, [(0,)])
+    with pytest.raises(ValueError, match="pass no removal with a drawn row"):
+        mc_influence(chain3, 200, row, (0,))
     five = generate_random_instance(5, 0.4, rng_seed=1)
-    with pytest.raises(ValueError, match="histogram has 4 bins, not 6"):
-        mc_influence(five, 200, hist)
+    with pytest.raises(ValueError, match="row is of 3 nodes, not 5"):
+        mc_influence(five, 200, row)
+
+
+
+def test_a_generator_seed_gives_the_rows_of_its_int_seed(chain3):
+    removals = [(0,), (1,), ()]
+    rows = cascade.draw_live(chain3, 4097, 7, removals)
+    same = cascade.draw_live(chain3, 4097, np.random.default_rng(7), removals)
+    assert rows.tolist() == same.tolist()
+
+
+def test_sums_that_could_overflow_are_rejected_before_any_coin(
+    monkeypatch, chain3, tmp_path, capsys
+):
+    def no_coins(graph, coins):
+        raise AssertionError("a coin was drawn")
+
+    monkeypatch.setattr(cascade, "_pack_live", no_coins)
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
+    trials = -(-(1 << 63) // 9)  # the fewest whose sum of squares could reach 2^63 on 3 nodes
+    with pytest.raises(AssertionError, match="a coin was drawn"):
+        cascade.draw_live(chain3, trials - 1, 0, [(0,)])
+    with pytest.raises(ValueError, match="overflow the int64 sums"):
+        cascade.draw_live(chain3, trials, 0, [(0,)])
+    path = tmp_path / "chain3.txt"
+    path.write_text("nodes 3\n0 1 0.5 0.1\n1 2 0.5 0.1\nseeds 0\nlambda 1.0\n")
+    argv = ["estimate", "--instance", str(path), "--method", "mc", "--trials", str(trials)]
+    assert main(argv) == 2
+    assert "overflow the int64 sums" in capsys.readouterr().err
+
+
+def test_every_tile_clears_the_arcs_of_its_own_removals(monkeypatch):
+    # 512 coin bytes make 64-trial chunks and 64-column tiles, so the affected
+    # cascades of the many single-arc removals span tiles that each hold a
+    # different range of removals, and one removal may straddle two tiles
+    inst = generate_random_instance(12, 0.4, p_range=(0.3, 0.9), n_seeds=2, rng_seed=4)
+    g = inst.graph
+    removals = [(k,) for k in candidate_edges(inst, (), "all")]
+    assert len(removals) >= 40
+    trials = 300
+    monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 512)
+    assert cascade._chunk_rows(len(g.edges)) == 64
+    rows = cascade.draw_live(inst, trials, 9, removals)
+    coins = np.random.default_rng(9).random((trials, len(g.edges)))
+    for removal, row in zip(removals, rows):
+        sub = inst.without_edges(removal)
+        kept = np.delete(coins, sorted(closed_removal(g, removal)), axis=1)
+        counts = batch_infected_counts(sub.graph, sub.seeds, kept)
+        assert row.tolist() == [trials, g.node_count, counts.sum(), counts @ counts]
 
 
 PINNED_MC_INSTANCE = """nodes 6

@@ -148,6 +148,17 @@ class TestEstimate:
         assert lines[1] == "method,work_units,sigma,sigma_normalized,error,rng_seed"
         assert lines[2].startswith("exact,")
 
+    def test_exact_work_units_are_dp_transitions(self, instance_file, tmp_path, capsys):
+        # 0->1 at p = 0.5: the seed's state expands 2 subset transitions, the final one 1
+        out = tmp_path / "est.csv"
+        code, stdout, _ = run(
+            ["estimate", "--instance", instance_file, "--method", "exact", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert "work_units 3" in stdout.splitlines()
+        assert out.read_text().splitlines()[2].startswith("exact,3,")
+
 
 class TestContain:
     def test_star_example(self, tmp_path, capsys):
@@ -300,6 +311,24 @@ class TestBenchmarks:
         run(args + ["--out", str(a)], capsys)
         run(args + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command", ["gen", "estimate", "contain", "bench-estimation", "bench-minfind"]
+)
+def test_negative_rng_exits_2_naming_the_flag(instance_file, tmp_path, capsys, command):
+    # the exact estimator never reads the seed, so main must reject it for every command
+    argv = {
+        "gen": ["gen", "--nodes", "3", "--edge-prob", "0.5"],
+        "estimate": ["estimate", "--instance", instance_file, "--method", "exact"],
+        "contain": ["contain", "--instance", instance_file, "--estimator", "exact"],
+        "bench-estimation": ["bench-estimation", "--instance", instance_file, "--reps", "1"],
+        "bench-minfind": ["bench-minfind", "--sizes", "4", "--reps", "1"],
+    }[command]
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(argv + ["--rng", "-1", "--out", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", "error: --rng -1 must be >= 0\n")
+    assert not out.exists()
 
 
 def test_more_names_than_nodes_exits_2(tmp_path, capsys):

@@ -14,7 +14,6 @@ import numpy as np
 from . import qsim
 from .cascade import exact_influence, mc_influence
 from .containment import (
-    TOP_P_CAP,
     RunAccounting,
     call_seeds,
     greedy_contain,
@@ -48,7 +47,7 @@ def _write_csv(path: str | None, notes: list[str], header: str, rows) -> None:
     _write_out(path, "\n".join(lines) + "\n")
 
 
-def _common_flags(sub: argparse.ArgumentParser, instance: bool = True) -> None:
+def _common_flags(sub: argparse.ArgumentParser, instance: bool) -> None:
     sub.add_argument("--rng", type=int, default=0, help="random seed")
     sub.add_argument("--out", default=None, help="output file path")
     if instance:
@@ -122,7 +121,6 @@ def cmd_contain(args) -> int:
         finder,
         strategy=args.strategy,
         k_max=args.k_max,
-        top_p_cap=args.top_p_cap,
     )
     g = inst.graph
     rows = [(k, e, g.edges[e].src, g.edges[e].dst, obj.total, obj.influence_term, obj.impact_term)
@@ -203,7 +201,7 @@ def cmd_bench_minfind(args) -> int:
             values = rng.random(n_items)
             true_min = float(values.min())
             rows.append(("linear", n_items, n_items, true_min, true_min, rep))
-            result = durr_hoyer_min(values, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
             rows.append(("gmf", n_items, result.total_oracle_calls, result.min_value, true_min, rep))
     _write_csv(
         args.out,
@@ -235,23 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("estimate", help="estimate expected influence")
-    _common_flags(p)
+    _common_flags(p, instance=True)
     p.add_argument("--method", choices=["mc", "exact", "qae"], required=True)
     _estimator_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("contain", help="greedy edge-removal containment")
-    _common_flags(p)
+    _common_flags(p, instance=True)
     p.add_argument("--estimator", choices=["mc", "exact", "qae"], default="exact")
     p.add_argument("--finder", choices=["linear", "gmf"], default="linear")
     p.add_argument("--strategy", choices=["all", "frontier", "top_p"], default="all")
-    p.add_argument("--top-p-cap", type=int, default=TOP_P_CAP)
     p.add_argument("--k-max", type=int, default=10)
     _estimator_flags(p)
     p.set_defaults(func=cmd_contain)
 
     p = sub.add_parser("bench-estimation", help="MC vs QAE error-vs-work sweep (CSV)")
-    _common_flags(p)
+    _common_flags(p, instance=True)
     p.add_argument("--mc-trials", default="100,400,1600,6400")
     p.add_argument("--qae-m", default="3,4,5,6,7,8")
     p.add_argument("--reps", type=int, default=50)

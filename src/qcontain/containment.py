@@ -96,18 +96,13 @@ def _reachable_nodes(graph: Graph, seeds: frozenset[int], gone: frozenset[int]) 
 
 
 def candidate_edges(
-    instance: ProblemInstance,
-    removed: tuple[int, ...] = (),
-    strategy: str = "all",
-    top_p_cap: int = TOP_P_CAP,
+    instance: ProblemInstance, removed: tuple[int, ...], strategy: str
 ) -> tuple[int, ...]:
     """Edge indices (into the original graph) eligible for removal.
 
     For undirected graphs one arc per logical pair is returned; removing it
     drops both arcs.
     """
-    if top_p_cap < 1:
-        raise ValueError("top_p_cap must be >= 1")
     g = instance.graph
     gone = closed_removal(g, removed)
     base = [k for k in range(len(g.edges)) if k not in gone and g.represents_pair(k)]
@@ -118,7 +113,7 @@ def candidate_edges(
         return tuple(k for k in base if g.edges[k].src in reachable)
     if strategy == "top_p":
         ranked = sorted(base, key=lambda k: (-g.edges[k].p, k))
-        return tuple(sorted(ranked[:top_p_cap]))
+        return tuple(sorted(ranked[:TOP_P_CAP]))
     raise ValueError(f"unknown candidate strategy {strategy!r}")
 
 
@@ -133,19 +128,12 @@ def linear_finder(scores: Sequence[float], accounting: RunAccounting) -> int:
 
 
 def greedy_contain(
-    instance: ProblemInstance,
-    estimator: Estimator,
-    finder: Finder,
-    k_max: int,
-    strategy: str = "all",
-    top_p_cap: int = TOP_P_CAP,
+    instance: ProblemInstance, estimator: Estimator, finder: Finder, k_max: int, strategy: str
 ) -> ContainmentPlan:
     """Greedy removal of up to k_max edges, stopping when no candidate
     strictly improves the combined objective."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if top_p_cap < 1:
-        raise ValueError("top_p_cap must be >= 1")
     acc = RunAccounting()
     removed: list[int] = []
     trace: list[tuple[int, int, ObjectiveValue]] = []
@@ -156,7 +144,7 @@ def greedy_contain(
     current = objective(instance, (), base_est.sigma)
 
     for k in range(1, k_max + 1):
-        cands = candidate_edges(instance, tuple(removed), strategy, top_p_cap)
+        cands = candidate_edges(instance, tuple(removed), strategy)
         if not cands:
             break
         removals = [(*removed, e) for e in cands]

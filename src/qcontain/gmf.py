@@ -54,8 +54,8 @@ def _statevector_distribution(marked: np.ndarray, iterations: int) -> np.ndarray
 def grover_search(
     marked: np.ndarray,
     iterations: int,
-    rng_seed: int | np.random.Generator = 0,
-    backend: str = "analytic",
+    rng_seed: int | np.random.Generator,
+    backend: str,
 ) -> int | None:
     """One Grover run over the items of the boolean mask ``marked``; returns
     the sampled index only if it is marked."""
@@ -86,7 +86,7 @@ def grover_search(
 def durr_hoyer_min(
     values: Sequence[float] | np.ndarray,
     rng_seed: int | np.random.Generator,
-    backend: str = "analytic",
+    backend: str,
 ) -> MinFindResult:
     """Quantum minimum finding via repeated Grover searches below a threshold.
 
@@ -149,7 +149,7 @@ def make_gmf_finder(seeds: Iterator):
     """
 
     def finder(scores: Sequence[float], accounting) -> int:
-        result = durr_hoyer_min(scores, rng_seed=next(seeds))
+        result = durr_hoyer_min(scores, rng_seed=next(seeds), backend="analytic")
         accounting.grover_oracle_calls += result.total_oracle_calls
         return result.min_index
 

@@ -243,11 +243,11 @@ def serialize_instance(inst: ProblemInstance) -> str:
 def generate_random_instance(
     n_nodes: int,
     edge_prob: float,
-    p_range: tuple[float, float] = (0.0, 1.0),
-    i_range: tuple[float, float] = (0.0, 1.0),
-    n_seeds: int = 1,
-    lam: float = 1.0,
-    rng_seed: int = 0,
+    p_range: tuple[float, float],
+    i_range: tuple[float, float],
+    n_seeds: int,
+    lam: float,
+    rng_seed: int,
 ) -> ProblemInstance:
     """Directed Erdos-Renyi instance with uniform p and i, deterministic per seed."""
     if not (1 <= n_nodes <= MAX_NODES):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import asin, ceil, log2, pi, sqrt
+from math import asin, ceil, inf, log2, pi, sqrt
 from statistics import median
 
 import numpy as np
@@ -59,7 +59,7 @@ class AmplitudeEstimate:
     a_applications: int
 
 
-def build_a_operator(instance: ProblemInstance, eval_qubits: int = 0) -> AOperatorSpec:
+def build_a_operator(instance: ProblemInstance, eval_qubits: int) -> AOperatorSpec:
     """A operator for ``instance``, one edge qubit per arc of its graph.
 
     The qubit cap covers the edge qubits, the ancilla and the ``eval_qubits``
@@ -177,11 +177,11 @@ def read_estimate(dist: np.ndarray, rng: np.random.Generator) -> AmplitudeEstima
 
 def qae_estimate(
     instance: ProblemInstance,
-    removal: tuple[int, ...] = (),
+    removal: tuple[int, ...],
     *,
     m: int,
-    rng_seed: int | np.random.Generator = 0,
-    mode: str = "statevector",
+    rng_seed: int | np.random.Generator,
+    mode: str,
 ) -> AmplitudeEstimate:
     check_evaluation_qubits(m)
     dist = _outcome_distribution(instance, tuple(removal), m, mode)
@@ -206,16 +206,18 @@ def evaluation_qubits_for(epsilon: float) -> int:
     """Grid fine enough for additive error epsilon, with two guard qubits."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
+    if pi / epsilon == inf:
+        raise ValueError(f"epsilon {epsilon!r} is too small: pi / epsilon overflows a float")
     return ceil(log2(pi / epsilon)) + 2
 
 
 def qae_influence(
     instance: ProblemInstance,
-    removal: tuple[int, ...] = (),
+    removal: tuple[int, ...],
     *,
     epsilon: float,
-    rng_seed: int = 0,
-    mode: str = "statevector",
+    rng_seed: int,
+    mode: str,
 ) -> InfluenceEstimate:
     m = evaluation_qubits_for(epsilon)
     rng = np.random.default_rng(rng_seed)

@@ -50,11 +50,8 @@ def small_instances(count, seed_base, max_edges, lam=1.0):
     probe = 0
     while len(out) < count:
         inst = generate_random_instance(
-            4 + len(out) % 5,
-            0.3,
-            n_seeds=1 + len(out) % 2,
-            lam=lam,
-            rng_seed=seed_base + probe,
+            4 + len(out) % 5, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0),
+            n_seeds=1 + len(out) % 2, lam=lam, rng_seed=seed_base + probe
         )
         probe += 1
         if 1 <= len(inst.graph.edges) <= max_edges:
@@ -78,7 +75,9 @@ def test_criterion_1_live_edge_ic_equivalence(report):
     )
 
 
-FIXED_8EDGE = generate_random_instance(7, 0.25, n_seeds=2, rng_seed=1217)
+FIXED_8EDGE = generate_random_instance(
+    7, 0.25, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=1217
+)
 assert len(FIXED_8EDGE.graph.edges) == 8
 
 
@@ -116,7 +115,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
     )
     for inst in instances:
         a_true = exact_influence(inst).sigma / inst.graph.node_count
-        spec = build_a_operator(inst)
+        spec = build_a_operator(inst, eval_qubits=0)
         state = apply_a(qsim.init_state(spec.n_qubits), spec)
         p1 = qsim.probability_of(state, spec.n_edge_qubits, 1)
         worst_p1 = max(worst_p1, abs(p1 - a_true))
@@ -147,7 +146,7 @@ def test_criterion_4_qae_accuracy_and_scaling(report):
         for r in range(500):
             triple = [
                 qae_estimate(
-                    FIXED_8EDGE, m=m, rng_seed=70000 + 1000 * m + 3 * r + j, mode="analytic"
+                    FIXED_8EDGE, (), m=m, rng_seed=70000 + 1000 * m + 3 * r + j, mode="analytic"
                 ).a_hat
                 for j in range(3)
             ]
@@ -213,7 +212,7 @@ def test_criterion_6_minimum_finding_statistics(report):
         for rep in range(200):
             rng = np.random.default_rng(42000 + n * 1000 + rep)
             values = rng.random(n)
-            result = durr_hoyer_min(values, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
             hits += result.min_value == values.min()
             calls.append(result.total_oracle_calls)
         mean = float(np.mean(calls))
@@ -242,15 +241,19 @@ def test_criterion_7_finder_equivalence(report):
     probe = 0
     while made < 20:
         inst = generate_random_instance(
-            5 + made % 3, 0.3, n_seeds=1, lam=0.7, rng_seed=8800 + probe
+            5 + made % 3, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=0.7,
+            rng_seed=8800 + probe
         )
         probe += 1
         if not 1 <= len(inst.graph.edges) <= 8:
             continue
         made += 1
-        linear = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=3)
+        linear = greedy_contain(
+            inst, make_exact_estimator(), linear_finder, k_max=3, strategy="all"
+        )
         quantum = greedy_contain(
-            inst, make_exact_estimator(), make_gmf_finder(call_seeds(900 + made)), k_max=3
+            inst, make_exact_estimator(), make_gmf_finder(call_seeds(900 + made)), k_max=3,
+            strategy="all"
         )
         if abs(final_objective(inst, linear) - final_objective(inst, quantum)) <= 1e-9:
             agree += 1
@@ -267,20 +270,22 @@ def test_criterion_8_greedy_sanity(report):
     # lambda = 0: removing anything only adds impact, so the plan is empty
     empty_ok = True
     for inst in small_instances(5, seed_base=7700, max_edges=10, lam=0.0):
-        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=5)
+        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=5, strategy="all")
         empty_ok = empty_ok and plan.removed == ()
 
     # lambda = 1 on a star with one certain edge: that edge goes first
     star = ProblemInstance(
         Graph(3, [Edge(0, 1, 1.0, 0.1), Edge(0, 2, 0.1, 0.1)]), frozenset({0}), 1.0
     )
-    star_plan = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=1)
+    star_plan = greedy_contain(
+        star, make_exact_estimator(), linear_finder, k_max=1, strategy="all"
+    )
     star_ok = star_plan.removed == (0,)
 
     # accepted steps strictly decrease the objective
     decrease_ok = True
     for inst in small_instances(5, seed_base=7900, max_edges=10, lam=0.8):
-        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=5)
+        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=5, strategy="all")
         totals = [obj.total for _, _, obj in plan.trace]
         decrease_ok = decrease_ok and all(
             b < a - 1e-9 for a, b in zip(totals, totals[1:])

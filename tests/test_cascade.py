@@ -142,7 +142,9 @@ def test_mc_deterministic(chain3):
 
 def test_batch_matches_sequential_simulation():
     # the vectorized engine must reproduce per-trial cascades exactly
-    inst = generate_random_instance(7, 0.4, n_seeds=2, rng_seed=13)
+    inst = generate_random_instance(
+        7, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=13
+    )
     g = inst.graph
     rng = np.random.default_rng(21)
     coins = rng.random((64, len(g.edges)))
@@ -167,7 +169,9 @@ class TestExactInfluence:
         assert exact_influence(inst).sigma == pytest.approx(3.0)
 
     def test_too_many_edges_rejected(self, monkeypatch):
-        inst = generate_random_instance(4, 1.0, n_seeds=1, rng_seed=0)
+        inst = generate_random_instance(
+            4, 1.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
+        )
         assert len(inst.graph.edges) == 12
         exact_influence(inst)
         monkeypatch.setattr(cascade, "EXACT_WORK_BUDGET", 4)
@@ -189,7 +193,9 @@ class TestExactInfluence:
 @given(rng_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_influence_bounds(rng_seed):
-    inst = generate_random_instance(5, 0.3, n_seeds=2, rng_seed=rng_seed)
+    inst = generate_random_instance(
+        5, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=rng_seed
+    )
     if len(inst.graph.edges) > 10:
         return
     sigma = exact_influence(inst).sigma
@@ -199,7 +205,9 @@ def test_influence_bounds(rng_seed):
 @given(rng_seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_removing_an_edge_never_increases_influence(rng_seed, data):
-    inst = generate_random_instance(5, 0.35, n_seeds=1, rng_seed=rng_seed)
+    inst = generate_random_instance(
+        5, 0.35, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=rng_seed
+    )
     n_edges = len(inst.graph.edges)
     if n_edges == 0 or n_edges > 10:
         return
@@ -212,7 +220,9 @@ def test_removing_an_edge_never_increases_influence(rng_seed, data):
 def test_mc_agrees_with_exact_oracle():
     # live-edge equivalence on a handful of small instances
     for seed in range(5):
-        inst = generate_random_instance(6, 0.3, n_seeds=1, rng_seed=seed)
+        inst = generate_random_instance(
+            6, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=seed
+        )
         if len(inst.graph.edges) > 10:
             continue
         truth = exact_influence(inst).sigma
@@ -226,7 +236,9 @@ def test_mc_standard_error_matches_exact_variance():
     # counts of every configuration weighted by its probability
     checked = 0
     for s in range(30):
-        inst = generate_random_instance(6, 0.35, rng_seed=s)
+        inst = generate_random_instance(
+            6, 0.35, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=s
+        )
         if not (1 <= len(inst.graph.edges) <= 12):
             continue
         weights = live_edge_weights(inst.graph)
@@ -249,8 +261,10 @@ def test_shared_draw_standard_errors_match_exact_variance():
     trials = 20_000
     checked = 0
     for s in range(30):
-        inst = generate_random_instance(6, 0.35, rng_seed=s)
-        removals = [(k,) for k in candidate_edges(inst)]
+        inst = generate_random_instance(
+            6, 0.35, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=s
+        )
+        removals = [(k,) for k in candidate_edges(inst, (), "all")]
         if not (1 <= len(inst.graph.edges) <= 12 and len(removals) > 1):
             continue
         ests = make_mc_estimator(trials, call_seeds(2000 + s))(inst, removals, RunAccounting())
@@ -430,8 +444,9 @@ def test_mc_estimator_streams_a_draw_too_large_to_hold(monkeypatch):
     assert peak < 512 << 10
 
 
-def test_mc_estimator_holds_histograms_of_one_chunk(monkeypatch):
-    # one (|V| + 1)-bin histogram per candidate at once: 500 x 80 KB = 40 MB here
+def test_mc_estimator_holds_one_row_per_candidate_and_one_chunk(monkeypatch):
+    # 500 candidates on 10,000 nodes: four int64s each, where a (|V| + 1)-bin
+    # histogram each would be 40 MB
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 1 << 20)
     arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 501))
     inst = parse_instance(f"nodes 10000\n{arcs}seeds 0\nlambda 1.0\n")
@@ -445,7 +460,7 @@ def test_mc_estimator_holds_histograms_of_one_chunk(monkeypatch):
         tracemalloc.stop()
     seed = next(call_seeds(0))
     assert ests[::50] == [mc_influence(inst, 256, seed, removal) for removal in removals[::50]]
-    assert peak < 3 << 20  # one group's histograms and one chunk of coins, 1 MiB each
+    assert peak < 5 << 19  # 2.5 MiB, of which one chunk of coins is 1 MiB
 
 
 @given(data=st.data(), trials=st.sampled_from([1, 63, 65, 200]), coin_seed=st.integers(0, 2**32 - 1))
@@ -476,7 +491,9 @@ def test_greedy_shaped_draw_matches_the_cut_graph_per_candidate(monkeypatch, und
     # an accepted 2-arc prefix out of the seeds plus one candidate arc each, as
     # in a greedy iteration; 512 coin bytes make 64-trial chunks and tiles, and
     # the prefix is dead in the base propagation
-    inst = generate_random_instance(10, 0.3, p_range=(0.2, 0.8), n_seeds=2, rng_seed=3)
+    inst = generate_random_instance(
+        10, 0.3, p_range=(0.2, 0.8), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=3
+    )
     if undirected:
         pairs = [(e, Edge(e.dst, e.src, e.p, e.i)) for e in inst.graph.edges if e.src < e.dst]
         graph = Graph(inst.graph.node_count, [e for pair in pairs for e in pair], undirected=True)
@@ -498,16 +515,18 @@ def test_greedy_shaped_draw_matches_the_cut_graph_per_candidate(monkeypatch, und
 
 
 def test_draw_live_replays_one_draw_for_a_none_seed(monkeypatch):
-    # one histogram per group, so each group replays the draw; resolving None
-    # per group gave each group fresh coins
-    inst = generate_random_instance(7, 0.4, n_seeds=2, rng_seed=13)
+    # every removal is scored on one stream of coins, so a None seed takes
+    # fresh entropy once per call and equal removals get equal rows
+    inst = generate_random_instance(
+        7, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=13
+    )
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 8 * (inst.graph.node_count + 1))
     first, second = cascade.draw_live(inst, 4096, None, [(0,), (0,)])
     assert first.tolist() == second.tolist()
 
 
 @pytest.mark.parametrize("trials", [64, 4097])  # one chunk, many
-def test_draw_live_takes_only_a_seed_it_can_replay(monkeypatch, chain3, trials):
+def test_draw_live_scores_every_removal_on_one_coin_stream(monkeypatch, chain3, trials):
     # one coin stream scores every removal, whatever the chunk size
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     # the trials check runs when draw_live is called, before any coin is drawn
@@ -523,7 +542,10 @@ def test_draw_live_takes_only_a_seed_it_can_replay(monkeypatch, chain3, trials):
 
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
 def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
-    inst = generate_random_instance(nodes, edge_prob, n_seeds=1, rng_seed=nodes)
+    inst = generate_random_instance(
+        nodes, edge_prob, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0,
+        rng_seed=nodes
+    )
     assert len(inst.graph.edges) > 24
     truth = exact_influence(inst).sigma
     est = mc_influence(inst, 20000, rng_seed=nodes + 100)
@@ -546,7 +568,9 @@ def test_chunk_rows_bound_coin_memory():
 
 
 def test_chunked_coins_give_the_same_estimate(monkeypatch):
-    inst = generate_random_instance(7, 0.4, n_seeds=2, rng_seed=13)
+    inst = generate_random_instance(
+        7, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=13
+    )
     whole = {t: mc_influence(inst, t, rng_seed=3) for t in (1, 63, 64, 65, 1000, 4096, 4097, 6000)}
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     assert cascade._chunk_rows(len(inst.graph.edges)) == 64
@@ -573,19 +597,20 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
 
 
 def test_shared_draw_must_hold_the_trials_asked_for(chain3):
-    hist, _ = cascade.draw_live(chain3, 200, 0, [(), (0,)])
+    row, _ = cascade.draw_live(chain3, 200, 0, [(), (0,)])
     with pytest.raises(ValueError, match="draw holds 200 trials, not 100"):
-        mc_influence(chain3, 100, hist)
+        mc_influence(chain3, 100, row)
 
 
-def test_a_drawn_histogram_names_no_removal_and_fits_its_instance(chain3):
+def test_a_drawn_row_names_no_removal_and_fits_its_instance(chain3):
     (row,) = cascade.draw_live(chain3, 200, 0, [(0,)])
     with pytest.raises(ValueError, match="pass no removal with a drawn row"):
         mc_influence(chain3, 200, row, (0,))
-    five = generate_random_instance(5, 0.4, rng_seed=1)
+    five = generate_random_instance(
+        5, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=1
+    )
     with pytest.raises(ValueError, match="row is of 3 nodes, not 5"):
         mc_influence(five, 200, row)
-
 
 
 def test_a_generator_seed_gives_the_rows_of_its_int_seed(chain3):
@@ -619,7 +644,9 @@ def test_every_tile_clears_the_arcs_of_its_own_removals(monkeypatch):
     # 512 coin bytes make 64-trial chunks and 64-column tiles, so the affected
     # cascades of the many single-arc removals span tiles that each hold a
     # different range of removals, and one removal may straddle two tiles
-    inst = generate_random_instance(12, 0.4, p_range=(0.3, 0.9), n_seeds=2, rng_seed=4)
+    inst = generate_random_instance(
+        12, 0.4, p_range=(0.3, 0.9), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=4
+    )
     g = inst.graph
     removals = [(k,) for k in candidate_edges(inst, (), "all")]
     assert len(removals) >= 40

@@ -202,22 +202,17 @@ class TestContain:
         # 48 edge qubits + 1 ancilla + 11 evaluation qubits at epsilon 0.01
         assert "needs 60 qubits" in err
 
-    @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_top_p_cap_below_one_exits_2(self, tmp_path, capsys, cap):
-        star = tmp_path / "star.txt"
-        star.write_text("nodes 4\n0 1 0.9 0.1\n0 2 0.5 0.1\n0 3 0.1 0.1\nseeds 0\nlambda 1.0\n")
-        # the cap is checked whatever the strategy, not only where top_p reads it,
-        # and also when no greedy iteration runs
-        for strategy in ("top_p", "all", "frontier"):
-            for k_max in ("10", "0"):
-                code, out, err = run(
-                    ["contain", "--instance", str(star), "--strategy", strategy,
-                     "--top-p-cap", cap, "--k-max", k_max],
-                    capsys,
-                )
-                assert code == 2, (strategy, k_max)
-                assert out == ""
-                assert err == "error: top_p_cap must be >= 1\n"
+    @pytest.mark.parametrize("strategy, steps", [("top_p", 8), ("all", 14)])
+    def test_top_p_scores_a_constant_eight_arcs(self, tmp_path, capsys, strategy, steps):
+        inst = tmp_path / "inst.txt"
+        gen = ["gen", "--nodes", "6", "--edge-prob", "0.5", "--rng", "2", "--lam", "0.7"]
+        assert run([*gen, "--out", str(inst)], capsys)[0] == 0
+        assert len(graph.parse_instance(inst.read_text()).graph.edges) == 14
+        code, out, _ = run(
+            ["contain", "--instance", str(inst), "--strategy", strategy, "--k-max", "1"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[-1].endswith(f" linear_steps={steps}")
 
     @pytest.mark.parametrize(
         "estimator",
@@ -423,6 +418,20 @@ def test_qpe_register_over_cap_exits_2(instance_file, argv):
     assert f"must be in [1, {MAX_QUBITS}]" in proc.stderr
 
 
+@pytest.mark.parametrize("epsilon", ["1e-320", "5e-324"])
+@pytest.mark.parametrize("mode", [[], ["--analytic"]], ids=["statevector", "analytic"])
+@pytest.mark.parametrize(
+    "command", [["estimate", "--method", "qae"], ["contain", "--estimator", "qae"]],
+    ids=["estimate", "contain"],
+)
+def test_subnormal_epsilon_exits_2(instance_file, capsys, command, mode, epsilon):
+    # pi / epsilon overflows to inf below about 1.75e-308
+    argv = [*command, *mode, "--epsilon", epsilon, "--instance", instance_file]
+    assert run(argv, capsys) == (
+        2, "", f"error: epsilon {float(epsilon)!r} is too small: pi / epsilon overflows a float\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -610,7 +619,8 @@ REPS = (["1", "2"], ["0", "-1", "x"])  # never omitted: the default of 50 reps i
 INSTANCE = (["edge", "star", "undirected"], [None, "more-names", "mixed-names"])
 ESTIMATOR_FLAGS = {
     "--trials": (["1", "200"], ["-3", "0", "", "x", "nan", "2.5"]),
-    "--epsilon": (["0.3", "0.5"], ["-0.5", "0", "1", "2", "nan", "inf", "-inf", "", "x", "1e-9"]),
+    "--epsilon": (["0.3", "0.5"], ["-0.5", "0", "1", "2", "nan", "inf", "-inf", "", "x", "1e-9",
+                              "1e-320"]),
     "--rng": RNG,
     "--instance": INSTANCE,
 }
@@ -631,7 +641,6 @@ FUZZ_FLAGS = {
         "--estimator": (["mc", "exact", "qae"], ["x"]),
         "--finder": (["linear", "gmf"], ["x"]),
         "--strategy": (["all", "frontier", "top_p"], ["x"]),
-        "--top-p-cap": INTS,
         "--k-max": INTS,
         **ESTIMATOR_FLAGS,
     },

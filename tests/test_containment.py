@@ -3,6 +3,7 @@ import pytest
 from qcontain import cascade
 from qcontain.cli import main
 from qcontain.containment import (
+    TOP_P_CAP,
     RunAccounting,
     call_seeds,
     candidate_edges,
@@ -27,7 +28,9 @@ class TestOperationalImpact:
         assert operational_impact([0, 1], g) == pytest.approx(0.7)
 
     def test_whole_graph(self):
-        inst = generate_random_instance(5, 0.5, n_seeds=1, rng_seed=1)
+        inst = generate_random_instance(
+            5, 0.5, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=1
+        )
         g = inst.graph
         total = operational_impact(range(len(g.edges)), g)
         assert total == pytest.approx(sum(e.i for e in g.edges))
@@ -63,7 +66,7 @@ class TestObjective:
 
 class TestCandidates:
     def test_all(self, chain3):
-        assert candidate_edges(chain3, strategy="all") == (0, 1)
+        assert candidate_edges(chain3, (), "all") == (0, 1)
 
     @pytest.mark.parametrize(
         "n_nodes, arcs, removed, expected",
@@ -81,9 +84,12 @@ class TestCandidates:
         assert candidate_edges(inst, removed=removed, strategy="frontier") == expected
 
     def test_top_p_truncates(self):
-        g = Graph(4, [Edge(0, 1, 0.9, 0.1), Edge(1, 2, 0.5, 0.1), Edge(2, 3, 0.1, 0.1)])
+        # 11 arcs; the cap falls inside the tie at p = 0.5, so arc 10 loses to 0, 3, 6 and 9
+        ps = [0.5, 0.9, 0.8, 0.5, 0.7, 0.2, 0.5, 0.3, 0.9, 0.5, 0.5]
+        g = Graph(12, [Edge(0, k + 1, p, 0.1) for k, p in enumerate(ps)])
         inst = ProblemInstance(g, frozenset({0}), 1.0)
-        assert candidate_edges(inst, strategy="top_p", top_p_cap=2) == (0, 1)
+        assert len(candidate_edges(inst, (), "all")) == len(ps) > TOP_P_CAP
+        assert candidate_edges(inst, (), "top_p") == (0, 1, 2, 3, 4, 6, 8, 9)
 
     def test_excludes_removed(self, chain3):
         assert candidate_edges(chain3, removed=(0,), strategy="all") == (1,)
@@ -92,22 +98,22 @@ class TestCandidates:
         inst = parse_instance(
             "nodes 3\nundirected\n0 1 0.5 0.3\n1 2 0.4 0.2\nseeds 0\nlambda 1.0\n"
         )
-        assert candidate_edges(inst, strategy="all") == (0, 2)
+        assert candidate_edges(inst, (), "all") == (0, 2)
 
     def test_unknown_strategy(self, chain3):
         with pytest.raises(ValueError):
-            candidate_edges(chain3, strategy="bogus")
+            candidate_edges(chain3, (), "bogus")
 
 
 class TestGreedy:
     def test_k_max_zero(self, star):
-        plan = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=0)
+        plan = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=0, strategy="all")
         assert plan.removed == ()
         assert plan.trace == ()
         assert plan.accounting.linear_steps == 0
 
     def test_star_removes_certain_edge(self, star):
-        plan = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=1)
+        plan = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=1, strategy="all")
         assert plan.removed == (0,)
         k, edge, obj = plan.trace[0]
         assert (k, edge) == (1, 0)
@@ -116,18 +122,22 @@ class TestGreedy:
     def test_lambda_zero_yields_empty_plan(self):
         g = Graph(3, [Edge(0, 1, 1.0, 0.1), Edge(0, 2, 0.1, 0.1)])
         inst = ProblemInstance(g, frozenset({0}), 0.0)
-        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=5)
+        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=5, strategy="all")
         assert plan.removed == ()
 
     def test_trace_strictly_decreases(self):
-        inst = generate_random_instance(5, 0.4, n_seeds=1, lam=1.0, rng_seed=6)
+        inst = generate_random_instance(
+            5, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=6
+        )
         assert 0 < len(inst.graph.edges) <= 12
-        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=6)
+        plan = greedy_contain(inst, make_exact_estimator(), linear_finder, k_max=6, strategy="all")
         totals = [obj.total for _, _, obj in plan.trace]
         assert all(b < a - 1e-9 for a, b in zip(totals, totals[1:]))
 
     def test_linear_steps_accounting(self, chain3):
-        plan = greedy_contain(chain3, make_exact_estimator(), linear_finder, k_max=2)
+        plan = greedy_contain(
+            chain3, make_exact_estimator(), linear_finder, k_max=2, strategy="all"
+        )
         # first iteration scans 2 candidates, second scans 1
         expected = 0
         remaining = 2
@@ -139,13 +149,19 @@ class TestGreedy:
         assert plan.accounting.linear_steps == expected
 
     def test_finder_equivalence_on_star(self, star):
-        linear = greedy_contain(star, make_exact_estimator(), linear_finder, k_max=1)
-        gmf = greedy_contain(star, make_exact_estimator(), make_gmf_finder(call_seeds(3)), k_max=1)
+        linear = greedy_contain(
+            star, make_exact_estimator(), linear_finder, k_max=1, strategy="all"
+        )
+        gmf = greedy_contain(
+            star, make_exact_estimator(), make_gmf_finder(call_seeds(3)), k_max=1, strategy="all"
+        )
         assert gmf.trace[0][2].total == pytest.approx(linear.trace[0][2].total, abs=1e-9)
         assert gmf.accounting.grover_oracle_calls > 0
 
     def test_mc_estimator_runs(self, star):
-        plan = greedy_contain(star, make_mc_estimator(2000, call_seeds(0)), linear_finder, k_max=1)
+        plan = greedy_contain(
+            star, make_mc_estimator(2000, call_seeds(0)), linear_finder, k_max=1, strategy="all"
+        )
         assert plan.removed == (0,)
         assert plan.accounting.mc_trials == 2000 * 3  # baseline + 2 candidates
 
@@ -168,7 +184,7 @@ class TestGreedy:
 
     def test_negative_k_max(self, star):
         with pytest.raises(ValueError):
-            greedy_contain(star, make_exact_estimator(), linear_finder, k_max=-1)
+            greedy_contain(star, make_exact_estimator(), linear_finder, k_max=-1, strategy="all")
 
 
 def test_qae_a_applications_follow_repetitions(monkeypatch, single_edge):

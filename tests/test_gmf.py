@@ -48,7 +48,7 @@ class TestGroverSearch:
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
-            grover_search(mask_of(4, [0]), -1)
+            grover_search(mask_of(4, [0]), -1, rng_seed=0, backend="analytic")
 
     def test_padding_is_never_marked(self):
         # 5 items pad to 8; with every item marked, no padded index is returned
@@ -76,24 +76,24 @@ class TestGroverSearch:
 
 class TestDurrHoyer:
     def test_single_element(self):
-        result = durr_hoyer_min([5.0], rng_seed=0)
+        result = durr_hoyer_min([5.0], rng_seed=0, backend="analytic")
         assert result.min_index == 0
         assert result.min_value == 5.0
         assert result.total_oracle_calls == 0
 
     def test_small_list(self):
-        result = durr_hoyer_min([3, 1, 4, 1], rng_seed=7)
+        result = durr_hoyer_min([3, 1, 4, 1], rng_seed=7, backend="analytic")
         assert result.min_value == 1
 
     def test_never_worse_than_start(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             values = rng.random(16)
-            result = durr_hoyer_min(values, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
             assert result.min_value == values[result.min_index]
 
     def test_round_thresholds_strictly_decrease(self):
-        result = durr_hoyer_min(list(range(32, 0, -1)), rng_seed=3)
+        result = durr_hoyer_min(list(range(32, 0, -1)), rng_seed=3, backend="analytic")
         thresholds = [t for t, _ in result.rounds]
         assert thresholds == sorted(thresholds, reverse=True)
         assert len(set(thresholds)) == len(thresholds)
@@ -104,7 +104,7 @@ class TestDurrHoyer:
         for rep in range(100):
             rng = np.random.default_rng(1000 + rep)
             values = rng.random(16)
-            result = durr_hoyer_min(values, rng_seed=rng)
+            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
             found += result.min_value == values.min()
             calls.append(result.total_oracle_calls)
         assert found >= 90
@@ -170,7 +170,7 @@ def test_durr_hoyer_matches_its_exact_statistics(n_items):
     for rep in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(n_items, rep)))
         values = rng.random(n_items)
-        result = durr_hoyer_min(values, rng_seed=rng)
+        result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
         found.append(result.min_value == values.min())
         spent.append(result.total_oracle_calls)
     assert abs(np.mean(found) - p_min) <= 4 * math.sqrt(p_min * (1 - p_min) / runs)

@@ -170,30 +170,44 @@ class TestRemoveEdges:
 
 class TestGenerate:
     def test_single_node(self):
-        inst = generate_random_instance(1, 0.5, n_seeds=1, rng_seed=3)
+        inst = generate_random_instance(
+            1, 0.5, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=3
+        )
         assert inst.graph.node_count == 1
         assert inst.graph.edges == ()
         assert inst.seeds == {0}
 
     def test_zero_edge_prob(self):
-        inst = generate_random_instance(6, 0.0, n_seeds=2, rng_seed=11)
+        inst = generate_random_instance(
+            6, 0.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=11
+        )
         assert inst.graph.edges == ()
 
     def test_deterministic(self):
-        a = generate_random_instance(8, 0.3, n_seeds=2, lam=0.5, rng_seed=42)
-        b = generate_random_instance(8, 0.3, n_seeds=2, lam=0.5, rng_seed=42)
+        a = generate_random_instance(
+            8, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=0.5, rng_seed=42
+        )
+        b = generate_random_instance(
+            8, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=0.5, rng_seed=42
+        )
         assert serialize_instance(a) == serialize_instance(b)
         assert a == b
 
     def test_arc_count_limit(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_EDGES", 12)
-        assert len(generate_random_instance(4, 1.0).graph.edges) == 12
+        assert len(generate_random_instance(
+            4, 1.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
+        ).graph.edges) == 12
         with pytest.raises(ValueError, match="more than 12 edges"):
-            generate_random_instance(5, 1.0)
+            generate_random_instance(
+                5, 1.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
+            )
 
     def test_too_many_seeds(self):
         with pytest.raises(ValueError, match="n_seeds > n_nodes"):
-            generate_random_instance(5, 0.3, n_seeds=6)
+            generate_random_instance(
+                5, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=6, lam=1.0, rng_seed=0
+            )
 
 
 def test_graph_rejects_self_loop():
@@ -214,7 +228,10 @@ def test_instance_rejects_bad_lambda(chain3):
 )
 @settings(max_examples=50, deadline=None)
 def test_serialize_parse_round_trip(n_nodes, edge_prob, rng_seed, undirected):
-    inst = generate_random_instance(n_nodes, edge_prob, n_seeds=1, lam=0.25, rng_seed=rng_seed)
+    inst = generate_random_instance(
+        n_nodes, edge_prob, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=0.25,
+        rng_seed=rng_seed
+    )
     if undirected:
         # each pair as its two arcs in the order the parser builds them
         pairs = [e for e in inst.graph.edges if e.src < e.dst]
@@ -240,8 +257,10 @@ KEYWORDS = ("nodes", "undirected", "seeds", "lambda")
 )
 @settings(max_examples=50, deadline=None)
 def test_symbolic_names_parse_like_integer_ids(n_nodes, edge_prob, rng_seed, undirected, names):
-    inst = generate_random_instance(n_nodes, edge_prob, n_seeds=2 if n_nodes > 1 else 1,
-                                    lam=0.25, rng_seed=rng_seed)
+    inst = generate_random_instance(
+        n_nodes, edge_prob, p_range=(0.0, 1.0), i_range=(0.0, 1.0),
+        n_seeds=2 if n_nodes > 1 else 1, lam=0.25, rng_seed=rng_seed
+    )
     text = serialize_instance(inst)
     if undirected:
         text = text.replace("\n", "\nundirected\n", 1)
@@ -307,7 +326,9 @@ def test_token_soup_parses_or_raises_parse_error(header, lines):
 @given(rng_seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_removal_composes(rng_seed, data):
-    inst = generate_random_instance(6, 0.5, n_seeds=1, rng_seed=rng_seed)
+    inst = generate_random_instance(
+        6, 0.5, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=rng_seed
+    )
     n_edges = len(inst.graph.edges)
     if n_edges == 0:
         return

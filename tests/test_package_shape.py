@@ -6,7 +6,7 @@ import pkgutil
 import qcontain
 
 # parameters with a default across the package; a new knob has to be argued for
-MAX_DEFAULTED_PARAMETERS = 23
+MAX_DEFAULTED_PARAMETERS = 2
 
 
 def package_functions():

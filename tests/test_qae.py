@@ -118,33 +118,37 @@ def amplitudes_and_m(draw):
 class TestAOperator:
     def test_isolated_seed(self):
         inst = ProblemInstance(Graph(1, []), frozenset({0}), 1.0)
-        spec = build_a_operator(inst)
+        spec = build_a_operator(inst, eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_edge(self, single_edge):
-        spec = build_a_operator(single_edge)
+        spec = build_a_operator(single_edge, eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(0.75, abs=1e-12)
 
     def test_chain(self, chain3):
-        spec = build_a_operator(chain3)
+        spec = build_a_operator(chain3, eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(1.75 / 3, abs=1e-12)
 
     def test_matches_exact_oracle_on_random_instances(self):
         for seed in range(10):
-            inst = generate_random_instance(6, 0.25, n_seeds=2, rng_seed=seed)
+            inst = generate_random_instance(
+                6, 0.25, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=seed
+            )
             if len(inst.graph.edges) > 8:
                 continue
             a_true = exact_influence(inst).sigma / inst.graph.node_count
-            spec = build_a_operator(inst)
+            spec = build_a_operator(inst, eval_qubits=0)
             assert abs(ancilla_p1(spec) - a_true) < 1e-9
 
     def test_respects_removal(self, single_edge):
-        spec = build_a_operator(single_edge.without_edges((0,)))
+        spec = build_a_operator(single_edge.without_edges((0,)), eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(0.5, abs=1e-12)
 
     def test_qubit_cap(self):
         # edge qubits, the ancilla and the evaluation qubits share the cap
-        inst = generate_random_instance(4, 1.0, n_seeds=1, rng_seed=0)
+        inst = generate_random_instance(
+            4, 1.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
+        )
         assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS
         build_a_operator(inst, eval_qubits=11)
         with pytest.raises(ValueError, match="analytic"):
@@ -156,7 +160,7 @@ class TestAOperator:
         inst = parse_instance(f"nodes 10000\n{chain}seeds 0\nlambda 1.0\n")
         tracemalloc.start()
         try:
-            spec = build_a_operator(inst)
+            spec = build_a_operator(inst, eval_qubits=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -167,7 +171,7 @@ class TestAOperator:
 
 class TestQOperator:
     def test_rotates_by_two_theta(self, single_edge):
-        spec = build_a_operator(single_edge)
+        spec = build_a_operator(single_edge, eval_qubits=0)
         state = a_state(spec)
         q = build_q_operator(state)
         theta = math.asin(math.sqrt(0.75))
@@ -181,7 +185,7 @@ class TestQOperator:
         )
 
     def test_matches_gate_sequence(self, chain3):
-        spec = build_a_operator(chain3)
+        spec = build_a_operator(chain3, eval_qubits=0)
         q = build_q_operator(a_state(spec))
         rng = np.random.default_rng(4)
         dim = 1 << spec.n_qubits
@@ -190,7 +194,7 @@ class TestQOperator:
             assert np.allclose(q(state), gate_q(state, spec), atol=1e-12)
 
     def test_unitarity_on_random_states(self, chain3):
-        spec = build_a_operator(chain3)
+        spec = build_a_operator(chain3, eval_qubits=0)
         q = build_q_operator(a_state(spec))
         rng = np.random.default_rng(3)
         dim = 1 << spec.n_qubits
@@ -201,7 +205,7 @@ class TestQOperator:
             assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_out_may_be_the_input(self, chain3):
-        spec = build_a_operator(chain3)
+        spec = build_a_operator(chain3, eval_qubits=0)
         q = build_q_operator(a_state(spec))
         rng = np.random.default_rng(5)
         dim = 1 << spec.n_qubits
@@ -258,7 +262,7 @@ class TestQpeReadout:
         assert peak < 2.6 * block
 
     def test_modes_agree(self, single_edge):
-        spec = build_a_operator(single_edge)
+        spec = build_a_operator(single_edge, eval_qubits=0)
         for m in (2, 3, 4, 5):
             sv = _statevector_qpe_distribution(spec, m)
             an = qpe_outcome_distribution(0.75, m)
@@ -267,13 +271,15 @@ class TestQpeReadout:
     def test_block_matches_gate_ladder(self):
         checked = 0
         for seed in range(8):
-            inst = generate_random_instance(5, 0.3, n_seeds=1, rng_seed=seed)
+            inst = generate_random_instance(
+                5, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=seed
+            )
             n_edges = len(inst.graph.edges)
             if not 1 <= n_edges <= 8:
                 continue
             removal = (int(np.random.default_rng(seed).integers(n_edges)),)
             for rem in ((), removal):
-                spec = build_a_operator(inst.without_edges(rem))
+                spec = build_a_operator(inst.without_edges(rem), eval_qubits=0)
                 m = min(6, 14 - spec.n_qubits)
                 block = _statevector_qpe_distribution(spec, m)
                 ladder = ladder_qpe_distribution(spec, m)
@@ -286,12 +292,13 @@ class TestQpeReadout:
         checked, probabilities = 0, set()
         for seed in range(12):
             inst = generate_random_instance(
-                5, 0.3, p_range=p_ranges[seed % 4], n_seeds=1 + seed % 2, rng_seed=seed
+                5, 0.3, p_range=p_ranges[seed % 4], i_range=(0.0, 1.0), n_seeds=1 + seed % 2,
+                lam=1.0, rng_seed=seed
             )
             if not inst.graph.edges:
                 continue
             probabilities.update(e.p for e in inst.graph.edges)
-            spec = build_a_operator(inst)
+            spec = build_a_operator(inst, eval_qubits=0)
             for m in (3, 6):
                 reference = qae._readout(recurrence_block(a_state(spec), m))
                 dist = _statevector_qpe_distribution(spec, m)
@@ -301,7 +308,7 @@ class TestQpeReadout:
         assert {0.0, 1.0} <= probabilities
 
     def test_modes_agree_on_chain(self, chain3):
-        spec = build_a_operator(chain3)
+        spec = build_a_operator(chain3, eval_qubits=0)
         a = 1.75 / 3
         sv = _statevector_qpe_distribution(spec, 4)
         an = qpe_outcome_distribution(a, 4)
@@ -310,14 +317,14 @@ class TestQpeReadout:
 
 class TestQaeEstimate:
     def test_counters(self, single_edge):
-        est = qae_estimate(single_edge, m=3, rng_seed=0, mode="analytic")
+        est = qae_estimate(single_edge, (), m=3, rng_seed=0, mode="analytic")
         assert est.q_applications == 7
         assert est.a_applications == 15
         # a_hat = sin^2(pi y / M) for an outcome y on the m = 3 grid
         assert min(abs(est.a_hat - math.sin(math.pi * y / 8) ** 2) for y in range(8)) < 1e-12
 
     def test_statevector_mode_sampling(self, single_edge):
-        est = qae_estimate(single_edge, m=4, rng_seed=1, mode="statevector")
+        est = qae_estimate(single_edge, (), m=4, rng_seed=1, mode="statevector")
         assert 0.0 <= est.a_hat <= 1.0
 
     def test_error_bound_holds_often(self, chain3):
@@ -326,18 +333,18 @@ class TestQaeEstimate:
         bound = math.pi / 2**m + math.pi**2 / 2 ** (2 * m)
         rng = np.random.default_rng(11)
         hits = sum(
-            abs(qae_estimate(chain3, m=m, rng_seed=rng, mode="analytic").a_hat - a) <= bound
+            abs(qae_estimate(chain3, (), m=m, rng_seed=rng, mode="analytic").a_hat - a) <= bound
             for _ in range(200)
         )
         assert hits / 200 >= 0.8
 
     def test_bad_mode(self, single_edge):
         with pytest.raises(ValueError):
-            qae_estimate(single_edge, m=3, mode="nope")
+            qae_estimate(single_edge, (), m=3, rng_seed=0, mode="nope")
 
     def test_m_must_be_positive(self, single_edge):
         with pytest.raises(ValueError):
-            qae_estimate(single_edge, m=0)
+            qae_estimate(single_edge, (), m=0, rng_seed=0, mode="statevector")
 
     def test_readout_of_the_analytic_distribution_is_analytic_mode(self, chain3):
         a = exact_influence(chain3).sigma / chain3.graph.node_count
@@ -345,28 +352,33 @@ class TestQaeEstimate:
             dist = qpe_outcome_distribution(a, m)
             for seed in range(8):
                 read = read_estimate(dist, np.random.default_rng(seed))
-                est = qae_estimate(chain3, m=m, rng_seed=np.random.default_rng(seed), mode="analytic")
+                est = qae_estimate(
+                    chain3, (), m=m, rng_seed=np.random.default_rng(seed), mode="analytic"
+                )
                 assert read == est
 
 
 class TestQaeInfluence:
     def test_m_selection(self):
         assert evaluation_qubits_for(0.005) == 12
+        assert evaluation_qubits_for(2.2250738585072014e-308) == 1026  # smallest normal float
 
     def test_epsilon_validation(self, single_edge):
         with pytest.raises(ValueError):
-            qae_influence(single_edge, epsilon=1.0)
+            qae_influence(single_edge, (), epsilon=1.0, rng_seed=0, mode="statevector")
         with pytest.raises(ValueError):
-            qae_influence(single_edge, epsilon=0.0)
+            qae_influence(single_edge, (), epsilon=0.0, rng_seed=0, mode="statevector")
+        with pytest.raises(ValueError, match="too small"):
+            qae_influence(single_edge, (), epsilon=5e-324, rng_seed=0, mode="statevector")
 
     def test_single_edge_estimate(self, single_edge):
-        est = qae_influence(single_edge, epsilon=0.05, rng_seed=4, mode="analytic")
+        est = qae_influence(single_edge, (), epsilon=0.05, rng_seed=4, mode="analytic")
         assert abs(est.sigma - 1.5) <= 0.05 * 2
         m = evaluation_qubits_for(0.05)
         assert est.trials_or_calls == 3 * (2**m - 1)
 
     def test_sigma_clamped_to_bounds(self, single_edge):
-        est = qae_influence(single_edge, epsilon=0.2, rng_seed=0, mode="analytic")
+        est = qae_influence(single_edge, (), epsilon=0.2, rng_seed=0, mode="analytic")
         assert 1.0 <= est.sigma <= 2.0
 
     @pytest.mark.parametrize("epsilon", [0.4, 0.2, 0.1, 0.05])
@@ -377,7 +389,9 @@ class TestQaeInfluence:
         m = evaluation_qubits_for(epsilon)
         grid = np.sin(np.pi * np.arange(1 << m) / (1 << m)) ** 2
         for s in range(30):
-            inst = generate_random_instance(5, 0.3, rng_seed=s)
+            inst = generate_random_instance(
+                5, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=s
+            )
             a = exact_influence(inst).sigma / inst.graph.node_count
             dists = [qpe_outcome_distribution(a, m)]
             if len(inst.graph.edges) + 1 + m <= 14:

@@ -229,25 +229,20 @@ def draw_live(
     return rows
 
 
-def mc_influence(
-    instance: ProblemInstance, trials: int, rng_seed, removal: Iterable[int] = ()
-) -> InfluenceEstimate:
-    """Monte Carlo estimate of sigma for ``instance`` without the arcs of ``removal``.
+def mc_influence(instance: ProblemInstance, trials: int, rng_seed) -> InfluenceEstimate:
+    """Monte Carlo estimate of sigma for ``instance``.
 
-    ``rng_seed`` seeds a fresh draw that scores the removal alone, or is the
-    row ``draw_live`` gave a removal of ``instance``, which ``removal`` then
-    does not name. The removal's arcs and undirected partners are dead in
-    every cascade, so each count is the one ``instance.without_edges`` gives
-    on the same coins without the removed columns. sigma is sum c / trials;
-    the standard error comes from the exact integer spread
-    trials * sum c^2 - (sum c)^2.
+    ``rng_seed`` seeds a fresh draw of ``instance`` itself, or is the row
+    ``draw_live`` gave a removal of ``instance``. That removal's arcs and
+    undirected partners are dead in every cascade, so each count is the one
+    ``instance.without_edges`` gives on the same coins without the removed
+    columns. sigma is sum c / trials; the standard error comes from the exact
+    integer spread trials * sum c^2 - (sum c)^2.
     """
     if isinstance(rng_seed, np.ndarray):
         row = rng_seed
-        if tuple(removal):
-            raise ValueError("pass no removal with a drawn row: draw_live left it out")
     else:
-        (row,) = draw_live(instance, trials, rng_seed, [removal])
+        (row,) = draw_live(instance, trials, rng_seed, [()])
     drawn, nodes, total, squares = map(int, row)
     if nodes != instance.graph.node_count:
         raise ValueError(f"row is of {nodes} nodes, not {instance.graph.node_count}")

@@ -201,7 +201,7 @@ def cmd_bench_minfind(args) -> int:
             values = rng.random(n_items)
             true_min = float(values.min())
             rows.append(("linear", n_items, n_items, true_min, true_min, rep))
-            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
+            result = durr_hoyer_min(values, rng_seed=rng)
             rows.append(("gmf", n_items, result.total_oracle_calls, result.min_value, true_min, rep))
     _write_csv(
         args.out,

@@ -131,15 +131,13 @@ def greedy_contain(
     instance: ProblemInstance, estimator: Estimator, finder: Finder, k_max: int, strategy: str
 ) -> ContainmentPlan:
     """Greedy removal of up to k_max edges, stopping when no candidate
-    strictly improves the combined objective."""
+    strictly improves the combined objective. The intact graph is estimated
+    first, at k_max 0 too."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     acc = RunAccounting()
     removed: list[int] = []
     trace: list[tuple[int, int, ObjectiveValue]] = []
-    if k_max == 0:
-        return ContainmentPlan((), (), acc)
-
     (base_est,) = estimator(instance, [()], acc)
     current = objective(instance, (), base_est.sigma)
 

@@ -1,10 +1,12 @@
 """Grover search and Durr-Hoyer minimum finding with oracle-call accounting.
 
 The marked set is a boolean mask over the items; Durr-Hoyer marks the values
-below its current threshold. Index spaces are padded to the next power of
-two; padded indices are never marked, so a measurement landing there counts
-as an ordinary miss and both backends share the same success probability
-sin^2((2k+1) * asin(sqrt(M/N))).
+below its current threshold. A Grover run is sampled from its closed form: the
+index space is padded to the next power of two N, padded indices are never
+marked, and k iterations find one of the M marked items with probability
+sin^2((2k+1) * asin(sqrt(M/N))) (Boyer, Brassard, Hoyer and Tapp 1998).
+``_statevector_distribution`` simulates the circuit that the tests check the
+closed form against.
 """
 from __future__ import annotations
 
@@ -52,41 +54,26 @@ def _statevector_distribution(marked: np.ndarray, iterations: int) -> np.ndarray
 
 
 def grover_search(
-    marked: np.ndarray,
-    iterations: int,
-    rng_seed: int | np.random.Generator,
-    backend: str,
+    marked: np.ndarray, iterations: int, rng_seed: int | np.random.Generator
 ) -> int | None:
-    """One Grover run over the items of the boolean mask ``marked``; returns
-    the sampled index only if it is marked."""
+    """One Grover run over the items of the boolean mask ``marked``, padded to
+    N items: with the run's success probability it returns a marked index,
+    drawn uniformly, else None."""
     if len(marked) < 1:
         raise ValueError("marked must cover at least one item")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    mask = np.zeros(_padded_size(len(marked)), dtype=bool)
-    mask[: len(marked)] = marked
-
-    if backend == "analytic":
-        marked_items = np.flatnonzero(mask)
-        theta = asin(sqrt(len(marked_items) / len(mask)))
-        p_success = sin((2 * iterations + 1) * theta) ** 2
-        found = None
-        if len(marked_items) and rng.random() < p_success:
-            found = int(marked_items[rng.integers(len(marked_items))])
-    elif backend == "statevector":
-        dist = _statevector_distribution(mask, iterations)
-        outcome = int(rng.choice(len(mask), p=dist / dist.sum()))
-        found = outcome if mask[outcome] else None
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return found
+    marked_items = np.flatnonzero(marked)
+    theta = asin(sqrt(len(marked_items) / _padded_size(len(marked))))
+    p_success = sin((2 * iterations + 1) * theta) ** 2
+    if len(marked_items) and rng.random() < p_success:
+        return int(marked_items[rng.integers(len(marked_items))])
+    return None
 
 
 def durr_hoyer_min(
-    values: Sequence[float] | np.ndarray,
-    rng_seed: int | np.random.Generator,
-    backend: str,
+    values: Sequence[float] | np.ndarray, rng_seed: int | np.random.Generator
 ) -> MinFindResult:
     """Quantum minimum finding via repeated Grover searches below a threshold.
 
@@ -122,7 +109,7 @@ def durr_hoyer_min(
         k = int(rng.integers(0, cap + 1))
         k = min(k, budget - calls)
         threshold = best_val
-        found = grover_search(values < threshold, k, rng_seed=rng, backend=backend)
+        found = grover_search(values < threshold, k, rng_seed=rng)
         calls += k
         if found is not None:
             calls += 1  # classical verification of the returned candidate
@@ -149,7 +136,7 @@ def make_gmf_finder(seeds: Iterator):
     """
 
     def finder(scores: Sequence[float], accounting) -> int:
-        result = durr_hoyer_min(scores, rng_seed=next(seeds), backend="analytic")
+        result = durr_hoyer_min(scores, rng_seed=next(seeds))
         accounting.grover_oracle_calls += result.total_oracle_calls
         return result.min_index
 

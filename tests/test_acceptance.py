@@ -212,7 +212,7 @@ def test_criterion_6_minimum_finding_statistics(report):
         for rep in range(200):
             rng = np.random.default_rng(42000 + n * 1000 + rep)
             values = rng.random(n)
-            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
+            result = durr_hoyer_min(values, rng_seed=rng)
             hits += result.min_value == values.min()
             calls.append(result.total_oracle_calls)
         mean = float(np.mean(calls))

@@ -440,7 +440,10 @@ def test_mc_estimator_streams_a_draw_too_large_to_hold(monkeypatch):
     removals = [(0,), (3,), (5, 7)]
     inst, ests, peak = star_estimator_peak(monkeypatch, removals)
     seed = next(call_seeds(0))
-    assert ests == [mc_influence(inst, 1 << 20, seed, removal) for removal in removals]
+    assert ests == [
+        mc_influence(inst, 1 << 20, cascade.draw_live(inst, 1 << 20, seed, [removal])[0])
+        for removal in removals
+    ]
     assert peak < 512 << 10
 
 
@@ -459,7 +462,10 @@ def test_mc_estimator_holds_one_row_per_candidate_and_one_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     seed = next(call_seeds(0))
-    assert ests[::50] == [mc_influence(inst, 256, seed, removal) for removal in removals[::50]]
+    assert ests[::50] == [
+        mc_influence(inst, 256, cascade.draw_live(inst, 256, seed, [removal])[0])
+        for removal in removals[::50]
+    ]
     assert peak < 5 << 19  # 2.5 MiB, of which one chunk of coins is 1 MiB
 
 
@@ -537,7 +543,10 @@ def test_draw_live_scores_every_removal_on_one_coin_stream(monkeypatch, chain3, 
         rows = cascade.draw_live(chain3, trials, seed, removals)
         ests = make_mc_estimator(trials, iter([seed]))(chain3, removals, RunAccounting())
         assert ests == [mc_influence(chain3, trials, row) for row in rows]
-        assert ests == [mc_influence(chain3, trials, seed, removal) for removal in removals]
+        assert ests == [
+            mc_influence(chain3, trials, cascade.draw_live(chain3, trials, seed, [removal])[0])
+            for removal in removals
+        ]
 
 
 @pytest.mark.parametrize("nodes, edge_prob", [(10, 0.3), (10, 0.4), (12, 0.4)])
@@ -593,7 +602,8 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
         assert sum(calls) == t and max(calls) <= 64
         assert mc_influence(inst, t, rows[0]) == est
         for removal, row in zip(removals[1:], rows[1:]):
-            assert mc_influence(inst, t, row) == mc_influence(inst, t, 3, removal)
+            alone = cascade.draw_live(inst, t, 3, [removal])[0]
+            assert mc_influence(inst, t, row) == mc_influence(inst, t, alone)
 
 
 def test_shared_draw_must_hold_the_trials_asked_for(chain3):
@@ -604,8 +614,6 @@ def test_shared_draw_must_hold_the_trials_asked_for(chain3):
 
 def test_a_drawn_row_names_no_removal_and_fits_its_instance(chain3):
     (row,) = cascade.draw_live(chain3, 200, 0, [(0,)])
-    with pytest.raises(ValueError, match="pass no removal with a drawn row"):
-        mc_influence(chain3, 200, row, (0,))
     five = generate_random_instance(
         5, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=1
     )
@@ -677,7 +685,8 @@ lambda 0.8
 
 class TestPinnedCliOutput:
     """MC output, byte for byte: ``estimate`` as the per-arc boolean kernel
-    printed it, ``contain`` as it prints with one shared draw per iteration."""
+    printed it, ``contain`` as it prints with one shared draw per iteration.
+    ``contain --finder gmf`` as the closed-form Grover sampler prints it."""
 
     @pytest.fixture
     def pinned(self, tmp_path):
@@ -694,6 +703,17 @@ class TestPinnedCliOutput:
             "k=2 edge=0->2 idx=2 total=0.88 influence=0.8 impact=0.07999999999999999\n"
             "removed=2 mc_trials=8000 a_applications=0 q_applications=0 "
             "grover_oracle_calls=0 linear_steps=15\n"
+        )
+
+    def test_contain_exact_gmf(self, pinned, capsys):
+        argv = ["contain", "--instance", pinned, "--estimator", "exact", "--finder", "gmf",
+                "--rng", "5", "--k-max", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "k=1 edge=0->1 idx=0 total=1.5848 influence=1.5648 impact=0.019999999999999997\n"
+            "k=2 edge=0->2 idx=2 total=0.88 influence=0.8 impact=0.07999999999999999\n"
+            "removed=2 mc_trials=0 a_applications=0 q_applications=0 "
+            "grover_oracle_calls=25 linear_steps=0\n"
         )
 
     def test_estimate(self, pinned, capsys):

@@ -255,6 +255,19 @@ class TestContain:
         assert code == 0
         assert "removed=0" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["qae", "--epsilon", "5"], ["qae", "--epsilon", "1e-320"], ["mc", "--trials", "-4"]],
+        ids=["qae-epsilon-5", "qae-epsilon-1e-320", "mc-trials--4"],
+    )
+    def test_k_max_zero_rejects_what_k_max_one_rejects(self, instance_file, capsys, flags):
+        # k_max 0 still runs the base estimate, so it checks the estimator's flags
+        argv = ["contain", "--instance", instance_file, "--estimator", *flags]
+        code, _, err = run([*argv, "--k-max", "0"], capsys)
+        one_code, _, one_err = run([*argv, "--k-max", "1"], capsys)
+        assert code == 2 and err.startswith("error: ")
+        assert (code, err) == (one_code, one_err)
+
 
 class TestBenchmarks:
     def test_estimation_csv_schema(self, instance_file, tmp_path, capsys):

@@ -11,6 +11,7 @@ from qcontain.gmf import (
     grover_search,
     make_gmf_finder,
 )
+from qcontain.cli import main
 from qcontain.containment import RunAccounting, call_seeds
 
 
@@ -30,7 +31,7 @@ class TestGroverSearch:
     def test_single_marked_in_four_is_certain_after_one_iteration(self):
         p = statevector_success(4, [2], 1)
         assert p == pytest.approx(1.0, abs=1e-12)
-        assert grover_search(mask_of(4, [2]), 1, rng_seed=0, backend="statevector") == 2
+        assert grover_search(mask_of(4, [2]), 1, rng_seed=0) == 2
 
     def test_closed_form_n8(self):
         theta = math.asin(math.sqrt(1 / 8))
@@ -39,32 +40,27 @@ class TestGroverSearch:
         hits = 0
         rng = np.random.default_rng(1)
         for _ in range(2000):
-            hits += grover_search(mask_of(8, [5]), 2, rng_seed=rng, backend="analytic") is not None
+            hits += grover_search(mask_of(8, [5]), 2, rng_seed=rng) is not None
         assert abs(hits / 2000 - expected) < 0.03
 
     def test_zero_marked_never_found(self):
-        for backend in ("analytic", "statevector"):
-            assert grover_search(mask_of(8, []), 3, rng_seed=2, backend=backend) is None
+        assert grover_search(mask_of(8, []), 3, rng_seed=2) is None
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
-            grover_search(mask_of(4, [0]), -1, rng_seed=0, backend="analytic")
+            grover_search(mask_of(4, [0]), -1, rng_seed=0)
 
     def test_padding_is_never_marked(self):
         # 5 items pad to 8; with every item marked, no padded index is returned
         marked = np.ones(5, dtype=bool)
-        for backend in ("analytic", "statevector"):
-            found = [
-                grover_search(marked, k, rng_seed=seed, backend=backend)
-                for seed in range(20)
-                for k in (0, 1, 2)
-            ]
-            assert all(i is None or 0 <= i < 5 for i in found)
-            assert any(i is not None for i in found)
+        found = [grover_search(marked, k, rng_seed=seed) for seed in range(20) for k in (0, 1, 2)]
+        assert all(i is None or 0 <= i < 5 for i in found)
+        assert any(i is not None for i in found)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
     def test_backends_agree(self, n, m):
+        # the closed form that grover_search samples, against the circuit
         if m > n:
             pytest.skip("more marked than items")
         marked = list(range(m))
@@ -76,24 +72,24 @@ class TestGroverSearch:
 
 class TestDurrHoyer:
     def test_single_element(self):
-        result = durr_hoyer_min([5.0], rng_seed=0, backend="analytic")
+        result = durr_hoyer_min([5.0], rng_seed=0)
         assert result.min_index == 0
         assert result.min_value == 5.0
         assert result.total_oracle_calls == 0
 
     def test_small_list(self):
-        result = durr_hoyer_min([3, 1, 4, 1], rng_seed=7, backend="analytic")
+        result = durr_hoyer_min([3, 1, 4, 1], rng_seed=7)
         assert result.min_value == 1
 
     def test_never_worse_than_start(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             values = rng.random(16)
-            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
+            result = durr_hoyer_min(values, rng_seed=rng)
             assert result.min_value == values[result.min_index]
 
     def test_round_thresholds_strictly_decrease(self):
-        result = durr_hoyer_min(list(range(32, 0, -1)), rng_seed=3, backend="analytic")
+        result = durr_hoyer_min(list(range(32, 0, -1)), rng_seed=3)
         thresholds = [t for t, _ in result.rounds]
         assert thresholds == sorted(thresholds, reverse=True)
         assert len(set(thresholds)) == len(thresholds)
@@ -104,19 +100,15 @@ class TestDurrHoyer:
         for rep in range(100):
             rng = np.random.default_rng(1000 + rep)
             values = rng.random(16)
-            result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
+            result = durr_hoyer_min(values, rng_seed=rng)
             found += result.min_value == values.min()
             calls.append(result.total_oracle_calls)
         assert found >= 90
         assert np.mean(calls) <= 4.5 * math.sqrt(16)
 
-    def test_statevector_backend(self):
-        result = durr_hoyer_min([0.9, 0.1, 0.5, 0.7], rng_seed=5, backend="statevector")
-        assert result.min_value == pytest.approx(0.1)
-
 
 def durr_hoyer_exact(n_items):
-    """Exact distribution of analytic ``durr_hoyer_min`` over ``n_items`` >= 2 distinct values.
+    """Exact distribution of ``durr_hoyer_min`` over ``n_items`` >= 2 distinct values.
 
     Returns finished[rank, calls]: the probability that a run ends with
     ``rank`` items below its best after ``calls`` oracle calls. A DP over
@@ -170,7 +162,7 @@ def test_durr_hoyer_matches_its_exact_statistics(n_items):
     for rep in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(n_items, rep)))
         values = rng.random(n_items)
-        result = durr_hoyer_min(values, rng_seed=rng, backend="analytic")
+        result = durr_hoyer_min(values, rng_seed=rng)
         found.append(result.min_value == values.min())
         spent.append(result.total_oracle_calls)
     assert abs(np.mean(found) - p_min) <= 4 * math.sqrt(p_min * (1 - p_min) / runs)
@@ -211,3 +203,37 @@ def test_padded_size():
     assert _padded_size(2) == 2
     assert _padded_size(5) == 8
     assert _padded_size(16) == 16
+
+
+def test_bench_minfind_output_is_pinned(capsys):
+    # a miss at N = 2 and padding at N = 5, as the closed-form sampler draws them
+    assert main(["bench-minfind", "--sizes", "1,2,5,16", "--reps", "3", "--rng", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "# work_units: linear = list length; "
+        "gmf = Grover oracle calls plus verification evaluations\n"
+        "method,n_items,work_units,found_value,true_min,rng_seed\n"
+        "linear,1,1,0.5898074907472937,0.5898074907472937,0\n"
+        "gmf,1,0,0.5898074907472937,0.5898074907472937,0\n"
+        "linear,1,1,0.4815233991748108,0.4815233991748108,1\n"
+        "gmf,1,0,0.4815233991748108,0.4815233991748108,1\n"
+        "linear,1,1,0.4788951467717453,0.4788951467717453,2\n"
+        "gmf,1,0,0.4788951467717453,0.4788951467717453,2\n"
+        "linear,2,2,0.11155207687949731,0.11155207687949731,0\n"
+        "gmf,2,5,0.25337367588238646,0.11155207687949731,0\n"
+        "linear,2,2,0.28080256241067203,0.28080256241067203,1\n"
+        "gmf,2,10,0.28080256241067203,0.28080256241067203,1\n"
+        "linear,2,2,0.30855762687004984,0.30855762687004984,2\n"
+        "gmf,2,6,0.30855762687004984,0.30855762687004984,2\n"
+        "linear,5,5,0.0779703193436585,0.0779703193436585,0\n"
+        "gmf,5,9,0.0779703193436585,0.0779703193436585,0\n"
+        "linear,5,5,0.17582731200835378,0.17582731200835378,1\n"
+        "gmf,5,10,0.17582731200835378,0.17582731200835378,1\n"
+        "linear,5,5,0.4106747104226586,0.4106747104226586,2\n"
+        "gmf,5,6,0.4106747104226586,0.4106747104226586,2\n"
+        "linear,16,16,0.11264933621950457,0.11264933621950457,0\n"
+        "gmf,16,12,0.11264933621950457,0.11264933621950457,0\n"
+        "linear,16,16,0.03006626315721672,0.03006626315721672,1\n"
+        "gmf,16,21,0.03006626315721672,0.03006626315721672,1\n"
+        "linear,16,16,0.03391917006023015,0.03391917006023015,2\n"
+        "gmf,16,20,0.03391917006023015,0.03391917006023015,2\n"
+    )

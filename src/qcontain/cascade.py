@@ -6,6 +6,9 @@ Two routes to the expected influence sigma:
 * ``exact_influence`` -- the trusted oracle: a forward DP over (active set,
   frontier) states, whose cost grows with |V| rather than |E|. Exact
   influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
+  ``exact_gradient`` runs the same DP, logging its states, then one reverse
+  pass over them for d sigma / d p of every arc, from which sigma with any
+  one arc dead follows exactly.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
@@ -289,6 +292,48 @@ def exact_influence(instance: ProblemInstance) -> ExactInfluence:
     activates it, so its probability is the summed mass of the states whose
     frontier holds it.
     """
+    return _forward(instance, None)
+
+
+def exact_gradient(instance: ProblemInstance) -> tuple[ExactInfluence, list[float]]:
+    """``exact_influence`` and, by one reverse pass over its states, d sigma / d p_k per arc k.
+
+    sigma is multilinear in the arc probabilities (Kempe, Kleinberg, Tardos
+    2003), so sigma with arc k dead is exactly sigma - p_k * grad[k]
+    (Griewank and Walther 2008). The pass walks the logged states in reverse,
+    so each state's successors are done first, and forms the value-to-go
+    V(A, F) = |F| + sum_o P(o) V(next_o). For each uncertain joiner u, with
+    q_u = P(u stays out), S_in and S_out sum P(o) V(next_o) over the outcomes
+    with and without u, and each frontier arc e into u gains
+    mass * q_u / (1 - p_e) * (S_in / (1 - q_u) - S_out / q_u). The forward
+    pass never expands the zero-mass branch where an arc with p = 1 fails,
+    so grad[k] is exact for 0 < p_k < 1, and p_k * grad[k] for p_k = 0 too.
+    """
+    log: list[tuple] = []
+    exact = _forward(instance, log)
+    feeds: dict[int, list[tuple[int, int, float]]] = {}  # u -> (source, arc, 1 - p) per arc into u
+    for k, e in enumerate(instance.graph.edges):
+        feeds.setdefault(e.dst, []).append((e.src, k, 1.0 - e.p))
+    grad = [0.0] * len(instance.graph.edges)
+    value: dict[tuple[int, int], float] = {}
+    for active, frontier, mass, sure, maybe in reversed(log):
+        outcomes = [(sure, 1.0)]
+        for bit, join, q in maybe:
+            outcomes = [o for new, w in outcomes for o in ((new | bit, w * join), (new, w * q))]
+        onward = [(new, w * value[active | new, new]) for new, w in outcomes if new]
+        value[active, frontier] = frontier.bit_count() + sum(x for _, x in onward)
+        for bit, join, q in maybe:
+            s_in = sum(x for new, x in onward if new & bit)
+            s_out = sum(x for new, x in onward if not new & bit)
+            for src, k, miss in feeds[bit.bit_length() - 1]:
+                if frontier >> src & 1:
+                    grad[k] += mass * q / miss * (s_in / join - s_out / q)
+    return exact, grad
+
+
+def _forward(instance: ProblemInstance, log: list | None) -> ExactInfluence:
+    """``exact_influence``'s DP. Unless ``log`` is None, each expanded state's
+    (A, F, mass, sure, maybe) is appended to it once its work is within the budget."""
     g = instance.graph
     arcs: dict[int, list[tuple[int, float]]] = {}
     for e in g.edges:
@@ -316,6 +361,8 @@ def exact_influence(instance: ProblemInstance) -> ExactInfluence:
                     "instance too large for exact oracle: more than "
                     f"{EXACT_WORK_BUDGET} subset transitions"
                 )
+            if log is not None:
+                log.append((active, frontier, mass, sure, maybe))
             outcomes = [(sure, mass)]
             for bit, join, q in maybe:
                 outcomes = [o for new, w in outcomes for o in ((new | bit, w * join), (new, w * q))]

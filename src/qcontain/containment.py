@@ -7,14 +7,16 @@ The loop is parameterized over an influence estimator and a minimum finder:
   for all of its candidates at once;
 * finder(scores, accounting) -> index of the minimizing candidate.
 
-Removal indices always refer to the original instance graph. The exact and
-QAE estimators score each removal on its own subgraph, QAE with one seed per
-removal. The Monte Carlo estimator takes one seed per call, and every removal
-is scored on that call's live-edge draw over the original arcs with its arcs
-dead (Kimura, Saito and Motoda 2009); ``cascade.draw_live`` streams the
-call's coins once and gives each removal four exact integers, (trials, |V|,
-sum c, sum c^2) over its infected counts c, and each removal's
-``mc_influence`` call reads its estimate from its row.
+Removal indices always refer to the original instance graph. The QAE
+estimator scores each removal on its own subgraph, with one seed per removal.
+The exact estimator scores a greedy iteration's removals with one
+``cascade.exact_gradient`` call, a forward DP and a reverse pass, on the
+graph without the arcs they all remove. The Monte Carlo estimator takes one
+seed per call, and every removal is scored on that call's live-edge draw
+over the original arcs with its arcs dead (Kimura, Saito and Motoda 2009);
+``cascade.draw_live`` streams the call's coins once and gives each removal
+four exact integers, (trials, |V|, sum c, sum c^2) over its infected counts
+c, and each removal's ``mc_influence`` call reads its estimate from its row.
 Candidate selection walks the original arcs too, so it builds no subgraph.
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import qae
-from .cascade import InfluenceEstimate, draw_live, exact_influence, mc_influence
+from .cascade import InfluenceEstimate, draw_live, exact_gradient, exact_influence, mc_influence
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
@@ -163,13 +165,41 @@ def greedy_contain(
 
 
 def make_exact_estimator() -> Estimator:
+    """Exact sigma per removal: one DP alone, or one DP and reverse pass per greedy iteration.
+
+    A lone removal, such as the intact graph ``[()]``, runs the forward DP
+    on its own subgraph. Several removals are grouped as ``draw_live``
+    groups them: the base is the arcs they all remove, and one
+    ``exact_gradient`` pass on the base subgraph scores every removal whose
+    other arcs are one logical edge as sigma_base - sum p_a * grad_a. The
+    two arcs of an undirected pair need no cross term, since no cascade
+    uses both. A removal of more than one logical edge beyond the base, or
+    of an arc with p = 1, where the gradient is not exact, runs its own DP.
+    """
+
     def one(instance, removal):
         exact = exact_influence(instance.without_edges(removal))
         # work units: the DP's subset transitions
         return InfluenceEstimate(sigma=exact.sigma, std_error=None, trials_or_calls=exact.work)
 
     def estimator(instance, removals, accounting):
-        return [one(instance, removal) for removal in removals]
+        if len(removals) < 2:
+            return [one(instance, removal) for removal in removals]
+        g = instance.graph
+        closed = [closed_removal(g, r) for r in removals]
+        base = frozenset.intersection(*closed)
+        exact, grad = exact_gradient(instance.without_edges(base))
+        kept = {k: i for i, k in enumerate(k for k in range(len(g.edges)) if k not in base)}
+        out = []
+        for removal, extra in zip(removals, (c - base for c in closed)):
+            if extra and (
+                extra != closed_removal(g, [min(extra)]) or any(g.edges[k].p == 1.0 for k in extra)
+            ):
+                out.append(one(instance, removal))
+                continue
+            sigma = exact.sigma - sum(g.edges[k].p * grad[kept[k]] for k in sorted(extra))
+            out.append(InfluenceEstimate(sigma=sigma, std_error=None, trials_or_calls=exact.work))
+        return out
 
     return estimator
 

@@ -6,14 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcontain import cascade
+from qcontain import cascade, containment
 from qcontain.cascade import (
     exact_influence,
     live_edge_reachability,
     mc_influence,
 )
 from qcontain.cli import main
-from qcontain.containment import RunAccounting, call_seeds, candidate_edges, make_mc_estimator
+from qcontain.containment import (
+    RunAccounting,
+    call_seeds,
+    candidate_edges,
+    make_exact_estimator,
+    make_mc_estimator,
+)
 from qcontain.graph import (
     Edge,
     Graph,
@@ -352,6 +358,56 @@ def test_dp_matches_live_edge_enumeration(inst):
     assert abs(result.sigma - expected.sum()) <= 1e-12
 
 
+def exact_scores(inst, removals):
+    return [est.sigma for est in make_exact_estimator()(inst, removals, RunAccounting())]
+
+
+@given(
+    inst=small_instances(
+        probs=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])), max_pairs=7
+    ),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_reverse_pass_scores_each_candidate_as_its_own_dp(inst, data):
+    # a greedy iteration's candidates after the prefix () or (k,)
+    prefix = ()
+    first = candidate_edges(inst, (), "all")
+    if first and data.draw(st.booleans()):
+        prefix = (data.draw(st.sampled_from(first)),)
+    removals = [(*prefix, k) for k in candidate_edges(inst, prefix, "all")]
+    for removal, sigma in zip(removals, exact_scores(inst, removals)):
+        assert abs(sigma - exact_influence(inst.without_edges(removal)).sigma) <= 1e-12
+
+
+def test_a_certain_arc_is_scored_by_its_own_dp():
+    # 0->1 (p=1), 1->2 (p=0): the forward DP never expands the branch where
+    # arc 0 fails, so sigma - p * grad would read 2.0 for removing it
+    inst = parse_instance("nodes 3\n0 1 1.0 0.1\n1 2 0.0 0.1\nseeds 0\nlambda 1.0\n")
+    assert exact_scores(inst, [(0,), (1,)]) == [1.0, 2.0]
+
+
+def test_a_removal_of_two_more_edges_is_scored_by_its_own_dp(chain3):
+    # sigma - p0 * grad0 - p1 * grad1 would read 0.75: both arcs act on one cascade
+    assert exact_scores(chain3, [(), (0, 1)]) == [1.75, 1.0]
+
+
+def test_the_reverse_pass_keeps_the_forward_result(chain3):
+    exact, grad = cascade.exact_gradient(chain3)
+    assert exact == exact_influence(chain3)
+    # sigma = 1 + p0 + p0 p1 at p = 0.5
+    assert grad == pytest.approx([1.5, 0.5], abs=1e-15)
+
+
+def test_a_lone_removal_runs_the_forward_dp_alone(chain3, monkeypatch):
+    def refuse(instance):
+        raise AssertionError("a lone removal ran the reverse pass")
+
+    monkeypatch.setattr(containment, "exact_gradient", refuse)
+    assert exact_scores(chain3, [()]) == [1.75]
+    assert exact_scores(chain3, [(1,)]) == [1.5]
+
+
 @given(
     inst=st.one_of(
         small_instances(probs=st.sampled_from([0.0, 0.3, 1.0]), max_pairs=10, undirected=st.just(False)),
@@ -612,7 +668,7 @@ def test_shared_draw_must_hold_the_trials_asked_for(chain3):
         mc_influence(chain3, 100, row)
 
 
-def test_a_drawn_row_names_no_removal_and_fits_its_instance(chain3):
+def test_a_drawn_row_fits_its_instance(chain3):
     (row,) = cascade.draw_live(chain3, 200, 0, [(0,)])
     five = generate_random_instance(
         5, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=1
@@ -711,7 +767,8 @@ class TestPinnedCliOutput:
         assert main(argv) == 0
         assert capsys.readouterr().out == (
             "k=1 edge=0->1 idx=0 total=1.5848 influence=1.5648 impact=0.019999999999999997\n"
-            "k=2 edge=0->2 idx=2 total=0.88 influence=0.8 impact=0.07999999999999999\n"
+            "k=2 edge=0->2 idx=2 total=0.8799999999999999 influence=0.7999999999999999 "
+            "impact=0.07999999999999999\n"
             "removed=2 mc_trials=0 a_applications=0 q_applications=0 "
             "grover_oracle_calls=25 linear_steps=0\n"
         )

@@ -585,6 +585,29 @@ def test_arc_count_over_limit_exits_2(tmp_path, source):
     assert proc.stdout == ""
 
 
+def test_exact_contain_near_the_work_budget_fits_a_memory_cap(tmp_path, capsys):
+    # the 10-node complete digraph: 90 candidates, 242,973 of the 2^19 subset
+    # transitions; the logged states and values peak near 13 MiB under tracemalloc
+    dense = tmp_path / "k10.txt"
+    _, _, gen_err = run(["gen", "--nodes", "10", "--edge-prob", "1", "--out", str(dense)], capsys)
+    assert "edges=90" in gen_err
+    argv = ["contain", "--instance", str(dense), "--estimator", "exact", "--k-max", "1"]
+    proc = run_capped(argv, cap_kib=1 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("k=1 edge=")
+
+
+def test_exact_contain_over_the_work_budget_exits_2(tmp_path, capsys):
+    dense = tmp_path / "dense.txt"
+    run(["gen", "--nodes", "16", "--edge-prob", "0.6", "--out", str(dense)], capsys)
+    proc = run_capped(["contain", "--instance", str(dense), "--estimator", "exact", "--k-max", "1"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: instance too large for exact oracle")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_minfind_size_over_cap_exits_2():
     # a list of 4e8 values needs 2.98 GiB before the search starts
     proc = run_capped(["bench-minfind", "--sizes", "4,400000000", "--reps", "1"])

@@ -60,7 +60,7 @@ class TestGroverSearch:
     @pytest.mark.parametrize(
         "m, n", [(m, n) for m in (0, 1, 2, 4) for n in (2, 4, 8, 16) if m <= n]
     )
-    def test_closed_form_matches_the_circuit(self, m, n):
+    def test_backends_agree(self, m, n):
         # the closed form that grover_search samples, against the circuit
         marked = list(range(m))
         theta = math.asin(math.sqrt(m / n))

@@ -6,9 +6,11 @@ Two routes to the expected influence sigma:
 * ``exact_influence`` -- the trusted oracle: a forward DP over (active set,
   frontier) states, whose cost grows with |V| rather than |E|. Exact
   influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
-  ``exact_gradient`` runs the same DP, logging its states, then one reverse
-  pass over them for d sigma / d p of every arc, from which sigma with any
-  one arc dead follows exactly.
+  ``exact_forward`` runs the same DP and returns its log of states;
+  ``exact_reverse`` walks a log back once for d sigma / d p of every arc,
+  from which sigma with any one arc dead follows exactly; ``exact_gradient``
+  runs the two in turn. Their floats are added left to right, so the bits
+  do not depend on the Python version.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
@@ -296,7 +298,19 @@ def exact_influence(instance: ProblemInstance) -> ExactInfluence:
 
 
 def exact_gradient(instance: ProblemInstance) -> tuple[ExactInfluence, list[float]]:
-    """``exact_influence`` and, by one reverse pass over its states, d sigma / d p_k per arc k.
+    """``exact_influence`` and d sigma / d p_k of each arc k, by a forward and a reverse pass."""
+    exact, log = exact_forward(instance)
+    return exact, exact_reverse(instance, log)
+
+
+def exact_forward(instance: ProblemInstance) -> tuple[ExactInfluence, list[tuple]]:
+    """``exact_influence`` and its log: the (A, F, mass, sure, maybe) of each expanded state."""
+    log: list[tuple] = []
+    return _forward(instance, log), log
+
+
+def exact_reverse(instance: ProblemInstance, log: list[tuple]) -> list[float]:
+    """d sigma / d p_k per arc k, by one reverse pass over ``exact_forward(instance)``'s log.
 
     sigma is multilinear in the arc probabilities (Kempe, Kleinberg, Tardos
     2003), so sigma with arc k dead is exactly sigma - p_k * grad[k]
@@ -308,53 +322,75 @@ def exact_gradient(instance: ProblemInstance) -> tuple[ExactInfluence, list[floa
     mass * q_u / (1 - p_e) * (S_in / (1 - q_u) - S_out / q_u). The forward
     pass never expands the zero-mass branch where an arc with p = 1 fails,
     so grad[k] is exact for 0 < p_k < 1, and p_k * grad[k] for p_k = 0 too.
+    Every sum adds its terms left to right from int 0, as the builtin
+    ``sum`` does up to Python 3.11. From 3.12 on, ``sum`` compensates float
+    sums, which would move the gradient's last bits.
     """
-    log: list[tuple] = []
-    exact = _forward(instance, log)
-    feeds: dict[int, list[tuple[int, int, float]]] = {}  # u -> (source, arc, 1 - p) per arc into u
-    for k, e in enumerate(instance.graph.edges):
-        feeds.setdefault(e.dst, []).append((e.src, k, 1.0 - e.p))
-    grad = [0.0] * len(instance.graph.edges)
+    g = instance.graph
+    feeds: list[list[tuple[int, int, float]]] = [[] for _ in range(g.node_count)]
+    for k, e in enumerate(g.edges):
+        feeds[e.dst].append((e.src, k, 1.0 - e.p))  # (source, arc, 1 - p) per arc into u
+    grad = [0.0] * len(g.edges)
     value: dict[tuple[int, int], float] = {}
     for active, frontier, mass, sure, maybe in reversed(log):
+        if not maybe:  # one outcome, certain
+            onward = value[active | sure, sure] if sure else 0
+            value[active, frontier] = frontier.bit_count() + onward
+            continue
         outcomes = [(sure, 1.0)]
         for bit, join, q in maybe:
             outcomes = [o for new, w in outcomes for o in ((new | bit, w * join), (new, w * q))]
-        onward = [(new, w * value[active | new, new]) for new, w in outcomes if new]
-        value[active, frontier] = frontier.bit_count() + sum(x for _, x in onward)
-        for bit, join, q in maybe:
-            s_in = sum(x for new, x in onward if new & bit)
-            s_out = sum(x for new, x in onward if not new & bit)
+        bits = [bit for bit, _, _ in maybe]
+        total = 0
+        s_in = [0] * len(bits)
+        s_out = [0] * len(bits)
+        for new, w in outcomes:
+            if new:
+                x = w * value[active | new, new]
+                total += x
+                for i, bit in enumerate(bits):
+                    if new & bit:
+                        s_in[i] += x
+                    else:
+                        s_out[i] += x
+        value[active, frontier] = frontier.bit_count() + total
+        for (bit, join, q), sum_in, sum_out in zip(maybe, s_in, s_out):
             for src, k, miss in feeds[bit.bit_length() - 1]:
                 if frontier >> src & 1:
-                    grad[k] += mass * q / miss * (s_in / join - s_out / q)
-    return exact, grad
+                    grad[k] += mass * q / miss * (sum_in / join - sum_out / q)
+    return grad
 
 
 def _forward(instance: ProblemInstance, log: list | None) -> ExactInfluence:
     """``exact_influence``'s DP. Unless ``log`` is None, each expanded state's
     (A, F, mass, sure, maybe) is appended to it once its work is within the budget."""
     g = instance.graph
-    arcs: dict[int, list[tuple[int, float]]] = {}
+    arcs: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
     for e in g.edges:
-        arcs.setdefault(e.src, []).append((e.dst, 1.0 - e.p))
+        arcs[e.src].append((e.dst, 1.0 - e.p))
     node_probs = [0.0] * g.node_count
     seeds = sum(1 << s for s in instance.seeds)
     pending = {len(instance.seeds): {(seeds, seeds): 1.0}}
     work = 0
     while pending:
-        for (active, frontier), mass in pending.pop(min(pending)).items():
+        size = min(pending)
+        for (active, frontier), mass in pending.pop(size).items():
             miss: dict[int, float] = {}  # u -> P(no frontier arc into u is live)
             rest = frontier
             while rest:
                 v = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
                 node_probs[v] += mass
-                for u, q in arcs.get(v, ()):
+                for u, q in arcs[v]:
                     if not active >> u & 1:
-                        miss[u] = miss.get(u, 1.0) * q
-            sure = sum(1 << u for u, q in miss.items() if q == 0.0)
-            maybe = [(1 << u, 1.0 - q, q) for u, q in miss.items() if 0.0 < q < 1.0]
+                        miss[u] = miss[u] * q if u in miss else q
+            sure = 0
+            maybe = []
+            for u, q in miss.items():
+                if q == 0.0:
+                    sure |= 1 << u
+                elif q < 1.0:
+                    maybe.append((1 << u, 1.0 - q, q))
             work += 1 << len(maybe)
             if work > EXACT_WORK_BUDGET:
                 raise ValueError(
@@ -368,9 +404,9 @@ def _forward(instance: ProblemInstance, log: list | None) -> ExactInfluence:
                 outcomes = [o for new, w in outcomes for o in ((new | bit, w * join), (new, w * q))]
             for new, w in outcomes:
                 if new:
-                    grown = active | new
-                    level = pending.setdefault(grown.bit_count(), {})
-                    level[grown, new] = level.get((grown, new), 0.0) + w
+                    # new holds only nodes outside active
+                    level = pending.setdefault(size + new.bit_count(), {})
+                    level[active | new, new] = level.get((active | new, new), 0.0) + w
     return ExactInfluence(
         sigma=fsum(node_probs),
         node_probs=dict(enumerate(node_probs)),

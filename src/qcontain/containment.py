@@ -9,11 +9,14 @@ The loop is parameterized over an influence estimator and a minimum finder:
 
 Removal indices always refer to the original instance graph. The QAE
 estimator scores each removal on its own subgraph, with one seed per removal.
-The exact estimator scores a greedy iteration's removals with one
-``cascade.exact_gradient`` call, a forward DP and a reverse pass, on the
-graph without the arcs they all remove. The Monte Carlo estimator takes one
-seed per call, and every removal is scored on that call's live-edge draw
-over the original arcs with its arcs dead (Kimura, Saito and Motoda 2009);
+The exact estimator scores a greedy iteration's removals with one forward
+DP and one reverse pass on the graph without the arcs they all remove. It
+keeps the DP of a lone removal until its next call, so the first iteration,
+whose graph is the intact one of the base estimate ``[()]``, runs the
+reverse pass alone: one forward DP per iteration. The Monte Carlo
+estimator takes one seed per call, and every removal is scored on that
+call's live-edge draw over the original arcs with its arcs dead (Kimura,
+Saito and Motoda 2009);
 ``cascade.draw_live`` streams the call's coins once and gives each removal
 four exact integers, (trials, |V|, sum c, sum c^2) over its infected counts
 c, and each removal's ``mc_influence`` call reads its estimate from its row.
@@ -28,7 +31,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import qae
-from .cascade import InfluenceEstimate, draw_live, exact_gradient, exact_influence, mc_influence
+from .cascade import (
+    InfluenceEstimate,
+    draw_live,
+    exact_forward,
+    exact_gradient,
+    exact_influence,
+    exact_reverse,
+    mc_influence,
+)
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
@@ -165,37 +176,53 @@ def greedy_contain(
 
 
 def make_exact_estimator() -> Estimator:
-    """Exact sigma per removal: one DP alone, or one DP and reverse pass per greedy iteration.
+    """Exact sigma per removal: a forward DP alone, or a gradient per greedy iteration.
 
     A lone removal, such as the intact graph ``[()]``, runs the forward DP
-    on its own subgraph. Several removals are grouped as ``draw_live``
-    groups them: the base is the arcs they all remove, and one
-    ``exact_gradient`` pass on the base subgraph scores every removal whose
-    other arcs are one logical edge as sigma_base - sum p_a * grad_a. The
-    two arcs of an undirected pair need no cross term, since no cascade
-    uses both. A removal of more than one logical edge beyond the base, or
-    of an arc with p = 1, where the gradient is not exact, runs its own DP.
+    on its own subgraph; the estimator keeps that DP, with its log, until
+    its next call. Several removals are grouped as ``draw_live`` groups
+    them: the base is the arcs they all remove, and the gradient of the base
+    subgraph scores every removal whose other arcs are one logical edge as
+    sigma_base - sum p_a * grad_a. The gradient is a reverse pass over the
+    kept log when the base subgraph equals the kept one, as in the first
+    greedy iteration, and a forward DP and a reverse pass otherwise; the log
+    is dropped either way. The two arcs of an undirected pair need no cross
+    term, since no cascade uses both. A removal of more than one logical
+    edge beyond the base, or of an arc with p = 1, where the gradient is not
+    exact, runs its own DP, which is neither compared nor kept.
     """
+    last = None  # (subgraph, ExactInfluence, log) of the last call's lone removal
 
-    def one(instance, removal):
-        exact = exact_influence(instance.without_edges(removal))
+    def estimate(exact):
         # work units: the DP's subset transitions
         return InfluenceEstimate(sigma=exact.sigma, std_error=None, trials_or_calls=exact.work)
 
     def estimator(instance, removals, accounting):
+        nonlocal last
         if len(removals) < 2:
-            return [one(instance, removal) for removal in removals]
+            out = []
+            for removal in removals:
+                sub = instance.without_edges(removal)
+                exact, log = exact_forward(sub)
+                last = (sub, exact, log)
+                out.append(estimate(exact))
+            return out
         g = instance.graph
         closed = [closed_removal(g, r) for r in removals]
         base = frozenset.intersection(*closed)
-        exact, grad = exact_gradient(instance.without_edges(base))
+        sub = instance.without_edges(base)
+        if last is not None and last[0] == sub:
+            exact, grad = last[1], exact_reverse(sub, last[2])
+        else:
+            exact, grad = exact_gradient(sub)
+        last = None
         kept = {k: i for i, k in enumerate(k for k in range(len(g.edges)) if k not in base)}
         out = []
         for removal, extra in zip(removals, (c - base for c in closed)):
             if extra and (
                 extra != closed_removal(g, [min(extra)]) or any(g.edges[k].p == 1.0 for k in extra)
             ):
-                out.append(one(instance, removal))
+                out.append(estimate(exact_influence(instance.without_edges(removal))))
                 continue
             sigma = exact.sigma - sum(g.edges[k].p * grad[kept[k]] for k in sorted(extra))
             out.append(InfluenceEstimate(sigma=sigma, std_error=None, trials_or_calls=exact.work))

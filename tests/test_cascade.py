@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from qcontain.graph import (
     closed_removal,
     generate_random_instance,
     parse_instance,
+    serialize_instance,
 )
 
 
@@ -406,6 +408,78 @@ def test_a_lone_removal_runs_the_forward_dp_alone(chain3, monkeypatch):
     monkeypatch.setattr(containment, "exact_gradient", refuse)
     assert exact_scores(chain3, [()]) == [1.75]
     assert exact_scores(chain3, [(1,)]) == [1.5]
+
+
+def gen_instance(seeds, lam):
+    """``gen --nodes 9 --edge-prob 0.4 --p-min 0.05 --p-max 0.95 --rng 0``: 26 arcs."""
+    return generate_random_instance(9, 0.4, (0.05, 0.95), (0.0, 1.0), seeds, lam, 0)
+
+
+# exact_gradient(gen_instance(1, 0.5))[1]: the builtin sum of Python 3.12 and later
+# compensates, and would move some of these in the last digit
+PINNED_GRADIENT = [
+    "0.11070176722388836", "0.0", "0.21607187266352035", "0.010364253403004859", "0.0",
+    "0.00776022319994957", "0.5579610718255293", "0.0", "1.6088573761546978", "0.0", "0.0",
+    "0.0", "0.0", "0.01973164430355772", "0.12866736181430855", "0.0", "0.016291129806567824",
+    "5.029953972894772", "0.4409721024164478", "1.7157448660745245", "0.36910163354176445",
+    "0.0", "0.060642509160676705", "0.6254655737417504", "0.05492102341946459", "0.0",
+]
+
+
+def test_the_gradient_has_pinned_bits():
+    assert [repr(x) for x in cascade.exact_gradient(gen_instance(1, 0.5))[1]] == PINNED_GRADIENT
+
+
+def count_forward_dps(monkeypatch) -> list:
+    runs = []
+    forward = cascade._forward
+
+    def counted(instance, log):
+        runs.append(instance)
+        return forward(instance, log)
+
+    monkeypatch.setattr(cascade, "_forward", counted)
+    return runs
+
+
+def test_a_plan_runs_one_forward_dp_per_iteration(monkeypatch, tmp_path, capsys):
+    # the first iteration reuses the DP of the intact graph's base estimate
+    path = tmp_path / "gen.txt"
+    path.write_text(serialize_instance(gen_instance(2, 1.0)))
+    runs = count_forward_dps(monkeypatch)
+    assert main(["contain", "--instance", str(path), "--estimator", "exact", "--k-max", "3"]) == 0
+    assert "removed=3 " in capsys.readouterr().out
+    assert len(runs) == 3
+
+
+def test_a_kept_dp_scores_only_its_own_subgraph(monkeypatch):
+    inst = gen_instance(1, 0.5)
+    other_seeds = ProblemInstance(inst.graph, frozenset({0, 1}), inst.lam)
+    assert other_seeds.seeds != inst.seeds
+    cands = candidate_edges(inst, (), "all")
+    first, rest = cands[0], cands[1:]
+    runs = count_forward_dps(monkeypatch)
+    for other, removals, dps in [
+        (inst, [(k,) for k in cands], 0),
+        (other_seeds, [(k,) for k in cands], 1),
+        (inst, [(first, k) for k in rest], 1),
+    ]:
+        estimator = make_exact_estimator()
+        estimator(inst, [()], RunAccounting())
+        runs.clear()
+        estimates = estimator(other, removals, RunAccounting())
+        assert len(runs) == dps
+        assert estimates == make_exact_estimator()(other, removals, RunAccounting())
+
+
+def test_a_grouped_call_drops_the_kept_log(chain3, star):
+    # star's arc 0 has p = 1, so removing it is scored by a DP of its own
+    for inst in (chain3, star):
+        estimator = make_exact_estimator()
+        estimator(inst, [()], RunAccounting())
+        assert inspect.getclosurevars(estimator).nonlocals["last"] is not None
+        estimator(inst, [(0,), (1,)], RunAccounting())
+        assert inspect.getclosurevars(estimator).nonlocals["last"] is None
 
 
 @given(

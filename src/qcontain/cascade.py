@@ -6,11 +6,10 @@ Two routes to the expected influence sigma:
 * ``exact_influence`` -- the trusted oracle: a forward DP over (active set,
   frontier) states, whose cost grows with |V| rather than |E|. Exact
   influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
-  ``exact_forward`` runs the same DP and returns its log of states;
-  ``exact_reverse`` walks a log back once for d sigma / d p of every arc,
-  from which sigma with any one arc dead follows exactly; ``exact_gradient``
-  runs the two in turn. Their floats are added left to right, so the bits
-  do not depend on the Python version.
+  ``exact_gradient`` runs the same DP with a log of its states and walks
+  the log back once for d sigma / d p of every arc, from which sigma with
+  any one arc dead follows exactly. Its floats are added left to right, so
+  the bits do not depend on the Python version.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
@@ -298,23 +297,12 @@ def exact_influence(instance: ProblemInstance) -> ExactInfluence:
 
 
 def exact_gradient(instance: ProblemInstance) -> tuple[ExactInfluence, list[float]]:
-    """``exact_influence`` and d sigma / d p_k of each arc k, by a forward and a reverse pass."""
-    exact, log = exact_forward(instance)
-    return exact, exact_reverse(instance, log)
-
-
-def exact_forward(instance: ProblemInstance) -> tuple[ExactInfluence, list[tuple]]:
-    """``exact_influence`` and its log: the (A, F, mass, sure, maybe) of each expanded state."""
-    log: list[tuple] = []
-    return _forward(instance, log), log
-
-
-def exact_reverse(instance: ProblemInstance, log: list[tuple]) -> list[float]:
-    """d sigma / d p_k per arc k, by one reverse pass over ``exact_forward(instance)``'s log.
+    """``exact_influence`` and d sigma / d p_k of each arc k, by a forward and a reverse pass.
 
     sigma is multilinear in the arc probabilities (Kempe, Kleinberg, Tardos
     2003), so sigma with arc k dead is exactly sigma - p_k * grad[k]
-    (Griewank and Walther 2008). The pass walks the logged states in reverse,
+    (Griewank and Walther 2008). The forward DP logs the (A, F, mass, sure,
+    maybe) of each state it expands; the reverse pass walks the log back,
     so each state's successors are done first, and forms the value-to-go
     V(A, F) = |F| + sum_o P(o) V(next_o). For each uncertain joiner u, with
     q_u = P(u stays out), S_in and S_out sum P(o) V(next_o) over the outcomes
@@ -326,6 +314,8 @@ def exact_reverse(instance: ProblemInstance, log: list[tuple]) -> list[float]:
     ``sum`` does up to Python 3.11. From 3.12 on, ``sum`` compensates float
     sums, which would move the gradient's last bits.
     """
+    log: list[tuple] = []
+    exact = _forward(instance, log)
     g = instance.graph
     feeds: list[list[tuple[int, int, float]]] = [[] for _ in range(g.node_count)]
     for k, e in enumerate(g.edges):
@@ -358,7 +348,7 @@ def exact_reverse(instance: ProblemInstance, log: list[tuple]) -> list[float]:
             for src, k, miss in feeds[bit.bit_length() - 1]:
                 if frontier >> src & 1:
                     grad[k] += mass * q / miss * (sum_in / join - sum_out / q)
-    return grad
+    return exact, grad
 
 
 def _forward(instance: ProblemInstance, log: list | None) -> ExactInfluence:

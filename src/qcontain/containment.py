@@ -7,13 +7,13 @@ The loop is parameterized over an influence estimator and a minimum finder:
   for all of its candidates at once;
 * finder(scores, accounting) -> index of the minimizing candidate.
 
-Removal indices always refer to the original instance graph. The QAE
-estimator scores each removal on its own subgraph, with one seed per removal.
-The exact estimator scores a greedy iteration's removals with one forward
-DP and one reverse pass on the graph without the arcs they all remove. It
-keeps the DP of a lone removal until its next call, so the first iteration,
-whose graph is the intact one of the base estimate ``[()]``, runs the
-reverse pass alone: one forward DP per iteration. The Monte Carlo
+Removal indices always refer to the original instance graph. Each removal
+is estimated once: the intact graph ``()`` is scored in the first greedy
+iteration's call, ahead of its candidates, and alone only when no iteration
+runs. The QAE estimator scores each removal on its own subgraph, with one
+seed per removal. The exact estimator scores a call's removals with one
+forward DP and one reverse pass on the graph without the arcs they all
+remove, so a plan of k iterations runs k forward DPs. The Monte Carlo
 estimator takes one seed per call, and every removal is scored on that
 call's live-edge draw over the original arcs with its arcs dead (Kimura,
 Saito and Motoda 2009);
@@ -31,15 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import qae
-from .cascade import (
-    InfluenceEstimate,
-    draw_live,
-    exact_forward,
-    exact_gradient,
-    exact_influence,
-    exact_reverse,
-    mc_influence,
-)
+from .cascade import InfluenceEstimate, draw_live, exact_gradient, exact_influence, mc_influence
 from .graph import Graph, ProblemInstance, closed_removal
 
 EXACT_TOLERANCE = 1e-9
@@ -145,21 +137,25 @@ def greedy_contain(
 ) -> ContainmentPlan:
     """Greedy removal of up to k_max edges, stopping when no candidate
     strictly improves the combined objective. The intact graph is estimated
-    first, at k_max 0 too."""
+    in the first iteration's call, ahead of its candidates, or alone when no
+    iteration runs, at k_max 0 or with no candidates."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     acc = RunAccounting()
     removed: list[int] = []
     trace: list[tuple[int, int, ObjectiveValue]] = []
-    (base_est,) = estimator(instance, [()], acc)
-    current = objective(instance, (), base_est.sigma)
+    current = None  # the objective of the plan so far, from the first call on
 
     for k in range(1, k_max + 1):
         cands = candidate_edges(instance, tuple(removed), strategy)
         if not cands:
             break
         removals = [(*removed, e) for e in cands]
-        ests = estimator(instance, removals, acc)
+        if current is None:
+            base_est, *ests = estimator(instance, [(), *removals], acc)
+            current = objective(instance, (), base_est.sigma)
+        else:
+            ests = estimator(instance, removals, acc)
         scored = [objective(instance, r, est.sigma) for r, est in zip(removals, ests)]
         idx = finder([v.total for v in scored], acc)
         chosen = scored[idx]
@@ -172,60 +168,49 @@ def greedy_contain(
             current = chosen
         else:
             break
+    if current is None:
+        estimator(instance, [()], acc)
     return ContainmentPlan(tuple(removed), tuple(trace), acc)
 
 
 def make_exact_estimator() -> Estimator:
-    """Exact sigma per removal: a forward DP alone, or a gradient per greedy iteration.
+    """Exact sigma per removal, from one forward DP and at most one reverse pass per call.
 
-    A lone removal, such as the intact graph ``[()]``, runs the forward DP
-    on its own subgraph; the estimator keeps that DP, with its log, until
-    its next call. Several removals are grouped as ``draw_live`` groups
-    them: the base is the arcs they all remove, and the gradient of the base
-    subgraph scores every removal whose other arcs are one logical edge as
-    sigma_base - sum p_a * grad_a. The gradient is a reverse pass over the
-    kept log when the base subgraph equals the kept one, as in the first
-    greedy iteration, and a forward DP and a reverse pass otherwise; the log
-    is dropped either way. The two arcs of an undirected pair need no cross
-    term, since no cascade uses both. A removal of more than one logical
-    edge beyond the base, or of an arc with p = 1, where the gradient is not
-    exact, runs its own DP, which is neither compared nor kept.
+    The base is the arcs all of a call's removals remove. If every removal
+    removes just the base, as a lone removal such as the intact graph
+    ``[()]`` does, the forward DP of the base subgraph scores them all.
+    Otherwise its gradient, a forward DP and a reverse pass, scores every
+    removal whose other arcs are one logical edge as
+    sigma_base - sum p_a * grad_a. The two arcs of an undirected pair need
+    no cross term, since no cascade uses both. A removal of more than one
+    logical edge beyond the base, or of an arc with p = 1, where the
+    gradient is not exact, runs its own DP. Nothing is kept between calls.
     """
-    last = None  # (subgraph, ExactInfluence, log) of the last call's lone removal
-
-    def estimate(exact):
-        # work units: the DP's subset transitions
-        return InfluenceEstimate(sigma=exact.sigma, std_error=None, trials_or_calls=exact.work)
 
     def estimator(instance, removals, accounting):
-        nonlocal last
-        if len(removals) < 2:
-            out = []
-            for removal in removals:
-                sub = instance.without_edges(removal)
-                exact, log = exact_forward(sub)
-                last = (sub, exact, log)
-                out.append(estimate(exact))
-            return out
+        if not removals:
+            return []
         g = instance.graph
         closed = [closed_removal(g, r) for r in removals]
         base = frozenset.intersection(*closed)
         sub = instance.without_edges(base)
-        if last is not None and last[0] == sub:
-            exact, grad = last[1], exact_reverse(sub, last[2])
-        else:
+        if any(c != base for c in closed):
             exact, grad = exact_gradient(sub)
-        last = None
+        else:
+            exact, grad = exact_influence(sub), []
         kept = {k: i for i, k in enumerate(k for k in range(len(g.edges)) if k not in base)}
         out = []
         for removal, extra in zip(removals, (c - base for c in closed)):
             if extra and (
                 extra != closed_removal(g, [min(extra)]) or any(g.edges[k].p == 1.0 for k in extra)
             ):
-                out.append(estimate(exact_influence(instance.without_edges(removal))))
-                continue
-            sigma = exact.sigma - sum(g.edges[k].p * grad[kept[k]] for k in sorted(extra))
-            out.append(InfluenceEstimate(sigma=sigma, std_error=None, trials_or_calls=exact.work))
+                alone = exact_influence(instance.without_edges(removal))
+                sigma, work = alone.sigma, alone.work
+            else:
+                sigma = exact.sigma - sum(g.edges[k].p * grad[kept[k]] for k in sorted(extra))
+                work = exact.work
+            # work units: the DP's subset transitions
+            out.append(InfluenceEstimate(sigma=sigma, std_error=None, trials_or_calls=work))
         return out
 
     return estimator

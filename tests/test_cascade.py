@@ -1,4 +1,3 @@
-import inspect
 import tracemalloc
 from dataclasses import dataclass
 
@@ -372,13 +371,16 @@ def exact_scores(inst, removals):
 )
 @settings(max_examples=100, deadline=None)
 def test_one_reverse_pass_scores_each_candidate_as_its_own_dp(inst, data):
-    # a greedy iteration's candidates after the prefix () or (k,)
+    # a greedy iteration's candidates after the prefix () or (k,), with the
+    # prefix itself, as the first iteration asks for the intact graph
     prefix = ()
     first = candidate_edges(inst, (), "all")
     if first and data.draw(st.booleans()):
         prefix = (data.draw(st.sampled_from(first)),)
-    removals = [(*prefix, k) for k in candidate_edges(inst, prefix, "all")]
-    for removal, sigma in zip(removals, exact_scores(inst, removals)):
+    removals = [prefix, *((*prefix, k) for k in candidate_edges(inst, prefix, "all"))]
+    scores = exact_scores(inst, removals)
+    assert scores[0] == exact_influence(inst.without_edges(prefix)).sigma
+    for removal, sigma in zip(removals, scores):
         assert abs(sigma - exact_influence(inst.without_edges(removal)).sigma) <= 1e-12
 
 
@@ -443,43 +445,13 @@ def count_forward_dps(monkeypatch) -> list:
 
 
 def test_a_plan_runs_one_forward_dp_per_iteration(monkeypatch, tmp_path, capsys):
-    # the first iteration reuses the DP of the intact graph's base estimate
+    # the intact graph is scored in the first iteration's call, on that call's DP
     path = tmp_path / "gen.txt"
     path.write_text(serialize_instance(gen_instance(2, 1.0)))
     runs = count_forward_dps(monkeypatch)
     assert main(["contain", "--instance", str(path), "--estimator", "exact", "--k-max", "3"]) == 0
     assert "removed=3 " in capsys.readouterr().out
     assert len(runs) == 3
-
-
-def test_a_kept_dp_scores_only_its_own_subgraph(monkeypatch):
-    inst = gen_instance(1, 0.5)
-    other_seeds = ProblemInstance(inst.graph, frozenset({0, 1}), inst.lam)
-    assert other_seeds.seeds != inst.seeds
-    cands = candidate_edges(inst, (), "all")
-    first, rest = cands[0], cands[1:]
-    runs = count_forward_dps(monkeypatch)
-    for other, removals, dps in [
-        (inst, [(k,) for k in cands], 0),
-        (other_seeds, [(k,) for k in cands], 1),
-        (inst, [(first, k) for k in rest], 1),
-    ]:
-        estimator = make_exact_estimator()
-        estimator(inst, [()], RunAccounting())
-        runs.clear()
-        estimates = estimator(other, removals, RunAccounting())
-        assert len(runs) == dps
-        assert estimates == make_exact_estimator()(other, removals, RunAccounting())
-
-
-def test_a_grouped_call_drops_the_kept_log(chain3, star):
-    # star's arc 0 has p = 1, so removing it is scored by a DP of its own
-    for inst in (chain3, star):
-        estimator = make_exact_estimator()
-        estimator(inst, [()], RunAccounting())
-        assert inspect.getclosurevars(estimator).nonlocals["last"] is not None
-        estimator(inst, [(0,), (1,)], RunAccounting())
-        assert inspect.getclosurevars(estimator).nonlocals["last"] is None
 
 
 @given(
@@ -815,8 +787,10 @@ lambda 0.8
 
 class TestPinnedCliOutput:
     """MC output, byte for byte: ``estimate`` as the per-arc boolean kernel
-    printed it, ``contain`` as it prints with one shared draw per iteration.
-    ``contain --finder gmf`` as the closed-form Grover sampler prints it."""
+    printed it, ``contain`` as it prints with one shared draw per iteration,
+    the intact graph's on the first. ``contain --finder gmf`` as the
+    closed-form Grover sampler prints it, and QAE ``contain`` with its seed
+    order: the intact graph's seed first, then one per candidate."""
 
     @pytest.fixture
     def pinned(self, tmp_path):
@@ -829,10 +803,21 @@ class TestPinnedCliOutput:
                 "--finder", "linear", "--k-max", "3", "--rng", "5"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (
-            "k=1 edge=0->1 idx=0 total=1.5688 influence=1.5488 impact=0.019999999999999997\n"
+            "k=1 edge=0->1 idx=0 total=1.6216 influence=1.6016 impact=0.019999999999999997\n"
             "k=2 edge=0->2 idx=2 total=0.88 influence=0.8 impact=0.07999999999999999\n"
             "removed=2 mc_trials=8000 a_applications=0 q_applications=0 "
             "grover_oracle_calls=0 linear_steps=15\n"
+        )
+
+    def test_contain_qae_gmf(self, pinned, capsys):
+        argv = ["contain", "--instance", pinned, "--estimator", "qae", "--analytic",
+                "--epsilon", "0.1", "--finder", "gmf", "--rng", "5", "--k-max", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "k=1 edge=0->1 idx=0 total=1.6114643518586722 influence=1.5914643518586722 "
+            "impact=0.019999999999999997\n"
+            "removed=1 mc_trials=0 a_applications=9180 q_applications=4572 "
+            "grover_oracle_calls=22 linear_steps=0\n"
         )
 
     def test_contain_exact_gmf(self, pinned, capsys):

@@ -182,6 +182,33 @@ class TestGreedy:
         assert err.startswith("error: instance too large")
         assert "Traceback" not in err
 
+    def test_each_removal_is_estimated_once(self):
+        # the intact graph leads the first call; every later call is one iteration's candidates
+        calls, finds = [], []
+        exact = make_exact_estimator()
+
+        def estimator(instance, removals, accounting):
+            calls.append(list(removals))
+            return exact(instance, removals, accounting)
+
+        def finder(scores, accounting):
+            finds.append(len(scores))
+            return linear_finder(scores, accounting)
+
+        inst = generate_random_instance(
+            6, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
+        )
+        plan = greedy_contain(inst, estimator, finder, k_max=3, strategy="all")
+        assert len(plan.removed) == 2 and len(finds) == 3  # the third iteration is rejected
+        assert calls[0] == [(), *((e,) for e in candidate_edges(inst, (), "all"))]
+        asked = [removal for call in calls for removal in call]
+        assert len(asked) == len(set(asked))
+        assert len(calls) == len(finds)
+        for k_max, instance in [(0, inst), (2, ProblemInstance(Graph(3, []), frozenset({0}), 1.0))]:
+            calls.clear()
+            greedy_contain(instance, estimator, finder, k_max=k_max, strategy="all")
+            assert calls == [[()]]
+
     def test_negative_k_max(self, star):
         with pytest.raises(ValueError):
             greedy_contain(star, make_exact_estimator(), linear_finder, k_max=-1, strategy="all")

@@ -20,13 +20,12 @@ Two interchangeable modes:
   contract, no statevector, so it is bound by the exact oracle's work budget
   and the evaluation-register cap, not by the qubit cap.
 
-One estimate's repetitions share one outcome distribution from a one-entry
-cache, which keeps that array of 2^m floats after the call (128 MiB at m = 24).
+One estimate builds its outcome distribution once, draws every repetition
+from it and keeps nothing after the call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import asin, ceil, inf, log2, pi, sqrt
 from statistics import median
 
@@ -183,14 +182,10 @@ def qae_estimate(
     rng_seed: int | np.random.Generator,
     mode: str,
 ) -> AmplitudeEstimate:
+    """One amplitude estimate of ``instance`` without ``removal``: the median
+    a_hat of ``QPE_REPETITIONS`` runs drawn from one generator and from the one
+    outcome distribution built here, with their Q and A applications summed."""
     check_evaluation_qubits(m)
-    dist = _outcome_distribution(instance, tuple(removal), m, mode)
-    return read_estimate(dist, np.random.default_rng(rng_seed))
-
-
-@lru_cache(maxsize=1)
-def _outcome_distribution(instance: ProblemInstance, removal: tuple, m: int, mode: str):
-    """Read-only outcome distribution, shared by ``qae_influence``'s consecutive repetitions."""
     sub = instance.without_edges(removal)
     if mode == "statevector":
         dist = _statevector_qpe_distribution(build_a_operator(sub, eval_qubits=m), m)
@@ -198,8 +193,13 @@ def _outcome_distribution(instance: ProblemInstance, removal: tuple, m: int, mod
         dist = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    dist.flags.writeable = False
-    return dist
+    rng = np.random.default_rng(rng_seed)
+    runs = [read_estimate(dist, rng) for _ in range(QPE_REPETITIONS)]
+    return AmplitudeEstimate(
+        a_hat=median(r.a_hat for r in runs),
+        q_applications=sum(r.q_applications for r in runs),
+        a_applications=sum(r.a_applications for r in runs),
+    )
 
 
 def evaluation_qubits_for(epsilon: float) -> int:
@@ -219,18 +219,14 @@ def qae_influence(
     rng_seed: int,
     mode: str,
 ) -> InfluenceEstimate:
-    m = evaluation_qubits_for(epsilon)
-    rng = np.random.default_rng(rng_seed)
-    estimates = [
-        qae_estimate(instance, removal, m=m, rng_seed=rng, mode=mode)
-        for _ in range(QPE_REPETITIONS)
-    ]
-    a_hat = median(e.a_hat for e in estimates)
+    est = qae_estimate(
+        instance, removal, m=evaluation_qubits_for(epsilon), rng_seed=rng_seed, mode=mode
+    )
     n = instance.graph.node_count
     n_seeds = len(instance.seeds)
-    sigma = min(max(a_hat * n, float(n_seeds)), float(n))
+    sigma = min(max(est.a_hat * n, float(n_seeds)), float(n))
     return InfluenceEstimate(
         sigma=sigma,
         std_error=epsilon * n,
-        trials_or_calls=sum(e.q_applications for e in estimates),
+        trials_or_calls=est.q_applications,
     )

@@ -27,8 +27,8 @@ from qcontain.qae import (
     _statevector_qpe_distribution,
     apply_a,
     build_a_operator,
-    qae_estimate,
     qpe_outcome_distribution,
+    read_estimate,
 )
 
 
@@ -141,13 +141,12 @@ def test_criterion_4_qae_accuracy_and_scaling(report):
     q_apps = []
     for m in m_grid:
         bound = math.pi / 2**m + math.pi**2 / 2 ** (2 * m)
+        dist = qpe_outcome_distribution(a, m)
         single = []
         voted = []
         for r in range(500):
             triple = [
-                qae_estimate(
-                    FIXED_8EDGE, (), m=m, rng_seed=70000 + 1000 * m + 3 * r + j, mode="analytic"
-                ).a_hat
+                read_estimate(dist, np.random.default_rng(70000 + 1000 * m + 3 * r + j)).a_hat
                 for j in range(3)
             ]
             single.append(abs(triple[0] - a))

@@ -218,11 +218,21 @@ def test_qae_a_applications_follow_repetitions(monkeypatch, single_edge):
     from qcontain import qae
 
     monkeypatch.setattr(qae, "QPE_REPETITIONS", 5)
+    returned = []
+
+    def recorded(*args, _original=qae.qae_estimate, **kwargs):
+        returned.append(_original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(qae, "qae_estimate", recorded)
     acc = RunAccounting()
     (est,) = make_qae_estimator(0.2, call_seeds(0), mode="analytic")(single_edge, [()], acc)
     q = (1 << qae.evaluation_qubits_for(0.2)) - 1
     assert est.trials_or_calls == acc.q_applications == 5 * q
     assert acc.a_applications == 5 * (2 * q + 1)
+    # the accounting's A formula and the estimate's own count cannot drift apart
+    (amp,) = returned
+    assert (acc.q_applications, acc.a_applications) == (amp.q_applications, amp.a_applications)
 
 
 def test_accounting_defaults_zero():

@@ -19,12 +19,13 @@ edges (Kempe, Kleinberg, Tardos 2003), so the order of rounds does not matter.
 One propagation kernel, ``_Kernel``, runs every such cascade. It packs 64
 cascades per machine word and keeps rows of active bits only for the seeds
 that are arc sources and the other arc heads, the only nodes whose bits can
-matter; each round gathers the active bits of every arc's source, ANDs them
-with the arc's live bits and ORs them into the arc's destination, until a
-round adds nothing. It returns each cascade's infected count. An arc is left
-out of a cascade in one way: its live bit is zero, so a removal is scored on
-the live bits of the whole graph with its arcs dead. Two callers feed it
-live bits:
+matter. Each non-seed arc head gets a row of in-arc slots, padded with dead
+slots to the width of its class, and each round gathers the active bits of
+every slot's source, ANDs them with the slot arc's live bits and ORs each
+head's slots together, until a round adds nothing. It returns each
+cascade's infected count. An arc is left out of a cascade in one way: its
+live bit is zero, so a removal is scored on the live bits of the whole
+graph with its arcs dead. Two callers feed it live bits:
 
 * ``draw_live`` -- packed ``coins < p`` for Monte Carlo trials; its counts
   equal per-trial simulation exactly. Coins are drawn once per draw, in
@@ -32,19 +33,21 @@ live bits:
   C order, so the estimate is the same as from one draw. Each chunk scores
   every removal: one propagation with the arcs they all remove dead, then
   tiles of only the cascades each removal can change (Kimura, Saito and
-  Motoda 2009). Each removal keeps four exact integers, (trials, |V|, sum c,
+  Motoda 2009), gathered as rows of the chunk's trial-major live bits and
+  packed again. Each removal keeps four exact integers, (trials, |V|, sum c,
   sum c^2) over its infected counts c, and ``mc_influence`` reads sigma and
   its standard error from them.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
-  2E * 2^E / 8 bytes, and unpacking its non-seed rows to count takes at most
+  (2E + 1) * 2^E / 8 bytes, the live bits of the at most 2E in-arc slots as
+  much again, and unpacking its non-seed rows to count takes at most
   E * 2^E bytes, whatever |V| and the seed set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, sqrt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -81,63 +84,103 @@ class _Kernel:
     is, so the active bit table has rows only for the seeds that are arc
     sources and the other arc heads: ``row`` maps each to its row, and the
     ``lit`` seed rows come first. Only arcs from a row into a non-seed head
-    can change the table: ``source`` maps each of them to its source row,
-    sorted by destination, so one OR-reduce per round merges all arcs into
-    a node. Round r activates the nodes r live hops from the seeds.
+    can change the table: ``source`` maps each of them to its source row.
+    Each such head, a target, gets in-arc slots, padded to the width of its
+    class. Targets are taken by falling in-degree, and one joins the widest
+    open class while its in-degree is at least half that width, so there
+    are at most twice as many slots as arcs; near-uniform in-degrees make
+    one class. A class's targets have consecutive rows, and ``classes``
+    holds (first target row, source rows, arcs) for each, the last two
+    (width x targets) slot tables. A dead slot reads its target's first arc
+    from one more active row that is always zero. A round gathers every
+    slot's source bits, ANDs them with its arc's live bits and ORs each
+    target's slots, one word at a time, and writes each class's targets
+    before the next class reads them; so by round r the nodes r live hops
+    from the seeds are active.
     """
 
     def __init__(self, graph: Graph, seeds: frozenset[int]):
         edges = graph.edges
         heads = {e.dst for e in edges} - seeds
-        nodes = [*seeds.intersection(e.src for e in edges), *heads]
+        lit = seeds.intersection(e.src for e in edges)
+        into: dict[int, list[int]] = {}  # target -> its in-arcs from a row
+        for k, e in enumerate(edges):
+            if e.dst in heads and (e.src in lit or e.src in heads):
+                into.setdefault(e.dst, []).append(k)
+        widths: list[list[int]] = []  # targets by falling in-degree, one list per class
+        for v in sorted(into, key=lambda v: -len(into[v])):
+            if not widths or 2 * len(into[v]) < len(into[widths[-1][0]]):
+                widths.append([])
+            widths[-1].append(v)
+        targets = [v for members in widths for v in members]
+        nodes = [*lit, *targets, *(heads - into.keys())]
         self.row = {v: r for r, v in enumerate(nodes)}
-        self.lit = len(nodes) - len(heads)
+        self.lit = len(lit)
         self.n_seeds = len(seeds)
-        self.source = {
-            k: self.row[edges[k].src]
-            for k in sorted(range(len(edges)), key=lambda k: edges[k].dst)
-            if edges[k].src in self.row and edges[k].dst in heads
-        }
-        dst = [self.row[edges[k].dst] for k in self.source]
-        starts = [i for i in range(len(dst)) if i == 0 or dst[i] != dst[i - 1]]
-        self.arcs = np.array(list(self.source), dtype=np.intp)
-        self.targets = np.array([dst[i] for i in starts], dtype=np.intp)
-        self.src = np.array(list(self.source.values()), dtype=np.intp)
-        self.starts = np.array(starts, dtype=np.intp)
+        self.source = {k: self.row[edges[k].src] for v in targets for k in into[v]}
+        zero = len(nodes)  # the active table's extra row, which stays zero
+        self.classes = []  # (first target row, source rows, arcs), both (width x targets)
+        for members in widths:
+            width = len(into[members[0]])
+            pads = [width - len(into[v]) for v in members]
+            arcs = [into[v] + into[v][:1] * d for v, d in zip(members, pads)]
+            src = [[self.source[k] for k in into[v]] + [zero] * d for v, d in zip(members, pads)]
+            slots = np.array([src, arcs], dtype=np.intp).transpose(0, 2, 1)
+            self.classes.append((self.row[members[0]], *slots))
 
     def active(self, live: np.ndarray) -> np.ndarray:
         """The active bit table of the cascades of ``live``, one row per node of ``row``."""
-        active = np.zeros((len(self.row), live.shape[1]), dtype=np.uint64)
+        active = np.zeros((len(self.row) + 1, live.shape[1]), dtype=np.uint64)
         active[: self.lit] = ~np.uint64(0)
-        if len(self.arcs):
-            live = live[self.arcs]
-            reached = active[self.targets]
-            while True:
-                grown = np.bitwise_or.reduceat(active[self.src] & live, self.starts, axis=0) | reached
-                if (grown == reached).all():
-                    break
-                active[self.targets] = reached = grown
-        return active
+        gates = [(active[r : r + src.shape[1]], src, live[arcs]) for r, src, arcs in self.classes]
+        grew = True
+        while grew:
+            grew = False
+            for reached, src, gate in gates:
+                slots = active[src]
+                slots &= gate
+                grown = np.bitwise_or.reduce(slots, axis=0)
+                if not (grown == reached).all():
+                    reached[...] = grown
+                    grew = True
+        return active[:-1]
 
     def count(self, active: np.ndarray) -> np.ndarray:
-        """Infected count (int64) of each cascade of an active bit table."""
+        """Infected count (int64) of each cascade of an active bit table.
+
+        The unpacked 0/1 bytes are added 8 to a word, at most 255 rows at a
+        time, so no byte carries into the next.
+        """
         infected = np.unpackbits(active[self.lit :].view(np.uint8), axis=1, bitorder="little")
-        return self.n_seeds + infected.sum(axis=0, dtype=np.int64)
+        counts = np.full(infected.shape[1], self.n_seeds, dtype=np.int64)
+        for start in range(0, len(infected), 255):
+            counts += np.add.reduce(infected[start : start + 255].view(np.uint64)).view(np.uint8)
+        return counts
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """``_Kernel``'s packed ``live`` words of an (arcs x cascades) table of 0s and 1s.
+    """``_Kernel``'s packed ``live`` words of a (cascades x arcs) table of 0s and 1s.
 
-    The padding cascades of the last word are dead on every arc.
+    Each group of 8 cascades is shifted into one byte per arc, 8 arcs to a
+    word, and the bytes are then laid out arc-major. A table of a multiple
+    of 64 cascades and of 8 arcs is packed as it is; any other is padded
+    first, and the padding cascades of the last word are dead on every arc.
     """
-    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bits.dtype)
-    padded[:, : bits.shape[1]] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    n, m = bits.shape
+    if n % 64 or m % 8:
+        padded = np.zeros((-(-n // 64) * 64, -(-m // 8) * 8), dtype=np.uint8)
+        padded[:n, :m] = bits
+        bits = padded
+    groups = bits.view(np.uint64).reshape(len(bits) // 8, 8, bits.shape[1] // 8)
+    packed = groups[:, 0].copy()
+    for i in range(1, 8):
+        packed |= groups[:, i] << np.uint64(i)
+    return np.ascontiguousarray(packed.view(np.uint8)[:, :m].T).view(np.uint64)
 
 
 def _pack_live(graph: Graph, coins: np.ndarray) -> np.ndarray:
     """Packed live bits, ``coins < p``, of a (trials x edges) coin matrix."""
-    return _pack((coins < np.array([e.p for e in graph.edges])).T)
+    return _pack(coins < np.array([e.p for e in graph.edges]))
 
 
 def _chunk_rows(n_edges: int) -> int:
@@ -163,9 +206,10 @@ def _score_chunk(
     each other arc of a removal that can change a cascade, sorted by
     removal; an arc does so only where it is live from an active source. So
     a removal's sums are the base ones with its affected cascades' base
-    counts swapped for new ones. The affected cascades of all removals are
-    gathered into the columns of tiles of at most one coin chunk's rows,
-    each column with its removal's extra arcs cleared, and run again.
+    counts swapped for new ones. The chunk's live bits are unpacked once,
+    trial-major; the affected cascades of all removals are gathered as rows
+    of tiles of at most one coin chunk's rows, each row with its removal's
+    extra arcs cleared, and packed and run again.
     """
     active = kernel.active(live)
     counts = kernel.count(active)[:n]
@@ -175,19 +219,21 @@ def _score_chunk(
         return
     first = np.flatnonzero(np.diff(cand, prepend=-1))
     hit = np.bitwise_or.reduceat(live[arcs] & active[srcs], first, axis=0)
-    hit = np.unpackbits(hit.view(np.uint8), axis=1, count=n, bitorder="little")
-    who, cols = np.divmod(np.flatnonzero(hit), n)  # sorted by removal
-    who = cand[first][who]
-    bits = np.unpackbits(live.view(np.uint8), axis=1, count=n, bitorder="little")
+    hit = np.unpackbits(hit.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    per = np.count_nonzero(hit, axis=1)
+    who, cols = np.repeat(cand[first], per), np.flatnonzero(hit)  # sorted by removal
+    cols -= np.repeat(np.arange(0, len(hit) * n, n), per)
+    bits = np.zeros((n, -(-len(live) // 8) * 8), dtype=np.uint8)  # trial-major, 8 arcs to a word
+    bits[:, : len(live)] = np.unpackbits(live.view(np.uint8).T, axis=0, count=n, bitorder="little")
     step = _chunk_rows(len(live))
     for start in range(0, len(cols), step):
         c, t = who[start : start + step], cols[start : start + step]
-        tile = np.take(bits, t, axis=1)
+        tile = bits[t]
         i, j = np.searchsorted(cand, (c[0], c[-1] + 1))  # the tile's removals' extra arcs
         mine = cand[i:j]
         lo, hi = np.searchsorted(c, mine).tolist(), np.searchsorted(c, mine, "right").tolist()
         for k, a, b in zip(arcs[i:j].tolist(), lo, hi):
-            tile[k, a:b] = 0
+            tile[a:b, k] = 0
         old, new = counts[t], kernel.count(kernel.active(_pack(tile)))[: len(t)]
         np.add.at(rows, (c, 2), new - old)
         np.add.at(rows, (c, 3), new * new - old * old)
@@ -247,14 +293,14 @@ def mc_influence(instance: ProblemInstance, trials: int, rng_seed) -> InfluenceE
         row = rng_seed
     else:
         (row,) = draw_live(instance, trials, rng_seed, [()])
-    drawn, nodes, total, squares = map(int, row)
+    drawn, nodes, total, squares = row.tolist()
     if nodes != instance.graph.node_count:
         raise ValueError(f"row is of {nodes} nodes, not {instance.graph.node_count}")
     if drawn != trials:
         raise ValueError(f"draw holds {drawn} trials, not {trials}")
     sigma = total / trials
     spread = (trials * squares - total * total) / trials  # sum (c - sigma)^2, rounded once
-    std_error = float(np.sqrt(spread / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
+    std_error = sqrt(spread / (trials - 1)) / sqrt(trials) if trials > 1 else 0.0
     return InfluenceEstimate(sigma=sigma, std_error=std_error, trials_or_calls=trials)
 
 

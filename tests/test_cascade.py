@@ -344,6 +344,66 @@ def test_removal_mask_matches_the_cut_graph(data, trials, coin_seed):
     assert masked.tolist() == batch_infected_counts(sub.graph, sub.seeds, kept).tolist()
 
 
+def skewed_in_degree_graph(seed: int) -> Graph:
+    """Targets of in-degree 1, 2, 3, 5, 9 and 17 and a hub of in-degree 200.
+
+    Seed 0 feeds a pool of 200 nodes; each target takes the one before it
+    and the rest of its in-arcs from the pool, so a cascade can run from the
+    seed through every target to the hub.
+    """
+    rng = np.random.default_rng(seed)
+    edges = [Edge(0, u, float(rng.uniform(0.2, 0.9)), 0.1) for u in range(1, 201)]
+    target = 201
+    for degree in (1, 2, 3, 5, 9, 17, 200):
+        feeders = [int(u) for u in rng.choice(np.arange(1, 201), size=degree, replace=False)]
+        if target > 201:
+            feeders[0] = target - 1
+        edges += [Edge(u, target, float(rng.uniform(0.05, 0.6)), 0.1) for u in feeders]
+        target += 1
+    return Graph(target, edges)
+
+
+@pytest.mark.parametrize("trials", [1, 64, 200])  # one word, one full word, four words
+def test_kernel_matches_per_trial_cascades_on_skewed_in_degrees(trials):
+    g = skewed_in_degree_graph(trials)
+    seeds = frozenset({0})
+    kernel = cascade._Kernel(g, seeds)
+    assert len(kernel.classes) == 4  # widths 200, 17, 5 and 2
+    assert sum(src.size for _, src, _ in kernel.classes) <= 2 * len(kernel.source)
+    coins = np.random.default_rng(trials).random((trials, len(g.edges)))
+    expected = [len(cascade_from_coins(g, seeds, row).infected) for row in coins]
+    assert batch_infected_counts(g, seeds, coins).tolist() == expected
+
+
+def test_padded_slots_are_at_most_twice_the_arcs_of_an_in_star():
+    # the hub's 5,000 in-arcs and one arc from the seed into each of its other
+    # feeders: one table padded to the hub's width would hold 25M slots
+    n = 10_000
+    feeders = [Edge(0, v, 0.5, 0.1) for v in range(1, 5000)]
+    g = Graph(n, feeders + [Edge(v, n - 1, 0.5, 0.1) for v in range(5000)])
+    kernel = cascade._Kernel(g, frozenset({0}))
+    assert len(g.edges) == len(kernel.source) == 9999
+    assert sum(src.size for _, src, _ in kernel.classes) <= 2 * len(kernel.source)
+    coins = np.random.default_rng(0).random((64, len(g.edges)))
+    live = coins < 0.5
+    reached = live[:, :4999] & live[:, 5000:]  # seed -> v -> hub
+    hub = live[:, 4999] | reached.any(axis=1)
+    expected = 1 + live[:, :4999].sum(axis=1) + hub
+    assert batch_infected_counts(g, frozenset({0}), coins).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("cascades", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("arcs", [1, 7, 8, 9, 65])
+def test_pack_matches_packbits_of_the_transpose(cascades, arcs):
+    bits = np.random.default_rng(1000 * cascades + arcs).random((cascades, arcs)) < 0.5
+    padded = np.zeros((arcs, -(-cascades // 64) * 64), dtype=bool)  # padding cascades dead
+    padded[:, :cascades] = bits.T
+    expected = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    for table in (bits, bits.view(np.uint8)):
+        packed = cascade._pack(table)
+        assert packed.dtype == np.uint64 and packed.tolist() == expected.tolist()
+
+
 @given(
     inst=small_instances(
         probs=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])), max_pairs=7
@@ -706,6 +766,25 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
         for removal, row in zip(removals[1:], rows[1:]):
             alone = cascade.draw_live(inst, t, 3, [removal])[0]
             assert mc_influence(inst, t, row) == mc_influence(inst, t, alone)
+
+
+def test_std_error_has_the_bits_of_the_numpy_formula():
+    # 1,000 valid rows, (trials, |V|, sum c, sum c^2), many with trials * sum c^2
+    # beyond int64; math.sqrt and np.sqrt are both correctly rounded
+    rng = np.random.default_rng(0)
+    beyond = 0
+    for _ in range(1000):
+        trials = int(2 ** rng.uniform(1, 40))
+        nodes = int(rng.integers(1, min(1 << 15, int(np.sqrt(((1 << 63) - 1) // trials))) + 1))
+        total = int(rng.integers(0, trials * nodes, endpoint=True))
+        squares = int(rng.integers(-(-(total * total) // trials), total * nodes, endpoint=True))
+        beyond += trials * squares >= 1 << 63
+        inst = ProblemInstance(Graph(nodes, []), frozenset({0}), 1.0)
+        est = mc_influence(inst, trials, np.array([trials, nodes, total, squares], dtype=np.int64))
+        spread = (trials * squares - total * total) / trials
+        assert est.std_error == float(np.sqrt(spread / (trials - 1)) / np.sqrt(trials))
+        assert type(est.std_error) is float and est.sigma == total / trials
+    assert beyond >= 100
 
 
 def test_shared_draw_must_hold_the_trials_asked_for(chain3):

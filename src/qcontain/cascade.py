@@ -19,13 +19,13 @@ edges (Kempe, Kleinberg, Tardos 2003), so the order of rounds does not matter.
 One propagation kernel, ``_Kernel``, runs every such cascade. It packs 64
 cascades per machine word and keeps rows of active bits only for the seeds
 that are arc sources and the other arc heads, the only nodes whose bits can
-matter. Each non-seed arc head gets a row of in-arc slots, padded with dead
-slots to the width of its class, and each round gathers the active bits of
-every slot's source, ANDs them with the slot arc's live bits and ORs each
-head's slots together, until a round adds nothing. It returns each
-cascade's infected count. An arc is left out of a cascade in one way: its
-live bit is zero, so a removal is scored on the live bits of the whole
-graph with its arcs dead. Two callers feed it live bits:
+matter. Each non-seed arc head gets a row of in-arc slots, padded to the
+width of its class with repeats of its first slot, and each round gathers
+the active bits of every slot's source, ANDs them with the slot arc's live
+bits and ORs each head's slots together, until a round adds nothing. It
+returns each cascade's infected count. An arc is left out of a cascade in
+one way: its live bit is zero, so a removal is scored on the live bits of
+the whole graph with its arcs dead. Two callers feed it live bits:
 
 * ``draw_live`` -- packed ``coins < p`` for Monte Carlo trials; its counts
   equal per-trial simulation exactly. Coins are drawn once per draw, in
@@ -40,8 +40,8 @@ graph with its arcs dead. Two callers feed it live bits:
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
-  (2E + 1) * 2^E / 8 bytes, the live bits of the at most 2E in-arc slots as
-  much again, and unpacking its non-seed rows to count takes at most
+  2E * 2^E / 8 bytes, the live bits of the at most 2E in-arc slots as much
+  again, and unpacking its non-seed rows to count takes at most
   E * 2^E bytes, whatever |V| and the seed set.
 """
 from __future__ import annotations
@@ -91,12 +91,12 @@ class _Kernel:
     are at most twice as many slots as arcs; near-uniform in-degrees make
     one class. A class's targets have consecutive rows, and ``classes``
     holds (first target row, source rows, arcs) for each, the last two
-    (width x targets) slot tables. A dead slot reads its target's first arc
-    from one more active row that is always zero. A round gathers every
-    slot's source bits, ANDs them with its arc's live bits and ORs each
-    target's slots, one word at a time, and writes each class's targets
-    before the next class reads them; so by round r the nodes r live hops
-    from the seeds are active.
+    (width x targets) slot tables. A dead slot repeats its target's first
+    slot, which ORs in nothing new. A round gathers every slot's source
+    bits, ANDs them with its arc's live bits and ORs each target's slots,
+    one word at a time, and writes each class's targets before the next
+    class reads them; so by round r the nodes r live hops from the seeds
+    are active.
     """
 
     def __init__(self, graph: Graph, seeds: frozenset[int]):
@@ -118,19 +118,17 @@ class _Kernel:
         self.lit = len(lit)
         self.n_seeds = len(seeds)
         self.source = {k: self.row[edges[k].src] for v in targets for k in into[v]}
-        zero = len(nodes)  # the active table's extra row, which stays zero
         self.classes = []  # (first target row, source rows, arcs), both (width x targets)
         for members in widths:
             width = len(into[members[0]])
-            pads = [width - len(into[v]) for v in members]
-            arcs = [into[v] + into[v][:1] * d for v, d in zip(members, pads)]
-            src = [[self.source[k] for k in into[v]] + [zero] * d for v, d in zip(members, pads)]
+            arcs = [into[v] + into[v][:1] * (width - len(into[v])) for v in members]
+            src = [[self.source[k] for k in ks] for ks in arcs]
             slots = np.array([src, arcs], dtype=np.intp).transpose(0, 2, 1)
             self.classes.append((self.row[members[0]], *slots))
 
     def active(self, live: np.ndarray) -> np.ndarray:
         """The active bit table of the cascades of ``live``, one row per node of ``row``."""
-        active = np.zeros((len(self.row) + 1, live.shape[1]), dtype=np.uint64)
+        active = np.zeros((len(self.row), live.shape[1]), dtype=np.uint64)
         active[: self.lit] = ~np.uint64(0)
         gates = [(active[r : r + src.shape[1]], src, live[arcs]) for r, src, arcs in self.classes]
         grew = True
@@ -143,7 +141,7 @@ class _Kernel:
                 if not (grown == reached).all():
                     reached[...] = grown
                     grew = True
-        return active[:-1]
+        return active
 
     def count(self, active: np.ndarray) -> np.ndarray:
         """Infected count (int64) of each cascade of an active bit table.

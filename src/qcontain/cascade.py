@@ -2,7 +2,8 @@
 
 Two routes to the expected influence sigma:
 
-* ``mc_influence`` -- Monte Carlo average over cascade trials.
+* ``mc_influence`` -- the Monte Carlo average over the cascade trials of
+  the row ``draw_live`` gave a removal on a call's one draw.
 * ``exact_influence`` -- the trusted oracle: a forward DP over (active set,
   frontier) states, whose cost grows with |V| rather than |E|. Exact
   influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
@@ -185,12 +186,13 @@ def _chunk_rows(n_edges: int) -> int:
     return max(64, COIN_CHUNK_BYTES // (8 * max(n_edges, 1)) // 64 * 64)
 
 
-def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[np.ndarray]:
-    """Packed live bits of ``trials`` cascades from ``rng_seed``'s coins, chunk by chunk."""
+def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[tuple[int, np.ndarray]]:
+    """(cascades, packed live bits) per chunk of ``trials`` cascades from ``rng_seed``'s coins."""
     rng = np.random.default_rng(rng_seed)
     rows = _chunk_rows(len(graph.edges))
     for start in range(0, trials, rows):
-        yield _pack_live(graph, rng.random((min(rows, trials - start), len(graph.edges))))
+        n = min(rows, trials - start)
+        yield n, _pack_live(graph, rng.random((n, len(graph.edges))))
 
 
 def _score_chunk(
@@ -268,29 +270,21 @@ def draw_live(
     ).reshape(-1, 3).T
     rows = np.zeros((len(closed), 4), dtype=np.int64)
     rows[:, 1] = g.node_count
-    done = 0
-    for live in _live_chunks(g, trials, rng_seed):
-        n = min(trials - done, 64 * live.shape[1])
+    for n, live in _live_chunks(g, trials, rng_seed):
         live[list(base)] = 0
         _score_chunk(kernel, live, n, extra, rows)
-        done += n
     return rows
 
 
-def mc_influence(instance: ProblemInstance, trials: int, rng_seed) -> InfluenceEstimate:
-    """Monte Carlo estimate of sigma for ``instance``.
+def mc_influence(instance: ProblemInstance, trials: int, row: np.ndarray) -> InfluenceEstimate:
+    """Monte Carlo estimate of sigma for a removal of ``instance``, from its ``draw_live`` row.
 
-    ``rng_seed`` seeds a fresh draw of ``instance`` itself, or is the row
-    ``draw_live`` gave a removal of ``instance``. That removal's arcs and
-    undirected partners are dead in every cascade, so each count is the one
-    ``instance.without_edges`` gives on the same coins without the removed
-    columns. sigma is sum c / trials; the standard error comes from the exact
-    integer spread trials * sum c^2 - (sum c)^2.
+    The removal's arcs and undirected partners are dead in every cascade, so
+    each count is the one ``instance.without_edges`` gives on the same coins
+    without the removed columns. sigma is sum c / trials; the standard error
+    comes from the exact integer spread trials * sum c^2 - (sum c)^2. A row
+    of another node count, or of another number of trials, is refused.
     """
-    if isinstance(rng_seed, np.ndarray):
-        row = rng_seed
-    else:
-        (row,) = draw_live(instance, trials, rng_seed, [()])
     drawn, nodes, total, squares = row.tolist()
     if nodes != instance.graph.node_count:
         raise ValueError(f"row is of {nodes} nodes, not {instance.graph.node_count}")

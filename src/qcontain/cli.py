@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import qsim
-from .cascade import exact_influence, mc_influence
+from .cascade import exact_influence
 from .containment import (
     RunAccounting,
     call_seeds,
@@ -173,7 +173,8 @@ def cmd_bench_estimation(args) -> int:
     for rep, seq in zip(range(args.reps), call_seeds(args.rng)):
         seeds = seq.generate_state(2)
         for trials in mc_grid:
-            est = mc_influence(inst, trials, np.random.SeedSequence(int(seeds[0]), spawn_key=(trials,)))
+            seed = np.random.SeedSequence(int(seeds[0]), spawn_key=(trials,))
+            (est,) = make_mc_estimator(trials, iter([seed]))(inst, [()], RunAccounting())
             rows.append(("mc", trials, abs(est.sigma / n - a_true), rep))
         for m in m_grid:
             rng = np.random.default_rng(np.random.SeedSequence(int(seeds[1]), spawn_key=(m,)))

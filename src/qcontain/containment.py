@@ -11,16 +11,16 @@ Removal indices always refer to the original instance graph. Each removal
 is estimated once: the intact graph ``()`` is scored in the first greedy
 iteration's call, ahead of its candidates, and alone only when no iteration
 runs. The QAE estimator scores each removal on its own subgraph, with one
-seed per removal. The exact estimator scores a call's removals with one
-forward DP and one reverse pass on the graph without the arcs they all
-remove, so a plan of k iterations runs k forward DPs. The Monte Carlo
-estimator takes one seed per call, and every removal is scored on that
+seed per removal, and adds the call's Q and A applications once. The exact
+estimator scores a call's removals with one forward DP and one reverse pass
+on the graph without the arcs they all remove, so a plan of k iterations
+runs k forward DPs. Every Monte Carlo estimate comes from the Monte Carlo
+estimator, which takes one seed per call and scores every removal on that
 call's live-edge draw over the original arcs with its arcs dead (Kimura,
-Saito and Motoda 2009);
-``cascade.draw_live`` streams the call's coins once and gives each removal
-four exact integers, (trials, |V|, sum c, sum c^2) over its infected counts
-c, and each removal's ``mc_influence`` call reads its estimate from its row.
-Candidate selection walks the original arcs too, so it builds no subgraph.
+Saito and Motoda 2009); ``cascade.draw_live`` streams the coins once and
+gives each removal four exact integers, (trials, |V|, sum c, sum c^2) over
+its infected counts c, read by its ``mc_influence`` call. Candidate
+selection walks the original arcs too, so it builds no subgraph.
 """
 from __future__ import annotations
 
@@ -231,16 +231,15 @@ def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
 
 
 def make_qae_estimator(epsilon: float, seeds: Iterator, mode: str) -> Estimator:
-    def one(instance, removal, accounting):
-        est = qae.qae_influence(
-            instance, removal, epsilon=epsilon, rng_seed=next(seeds), mode=mode
-        )
-        accounting.q_applications += est.trials_or_calls
-        # each repetition applies A 2q + 1 times for its q applications of Q
-        accounting.a_applications += 2 * est.trials_or_calls + qae.QPE_REPETITIONS
-        return est
-
     def estimator(instance, removals, accounting):
-        return [one(instance, removal, accounting) for removal in removals]
+        ests = [
+            qae.qae_influence(instance, r, epsilon=epsilon, rng_seed=next(seeds), mode=mode)
+            for r in removals
+        ]
+        q = sum(est.trials_or_calls for est in ests)
+        accounting.q_applications += q
+        # each repetition applies A 2q + 1 times for its q applications of Q
+        accounting.a_applications += 2 * q + qae.QPE_REPETITIONS * len(removals)
+        return ests
 
     return estimator

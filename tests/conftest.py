@@ -1,6 +1,12 @@
 import pytest
 
+from qcontain.containment import RunAccounting, make_mc_estimator
 from qcontain.graph import Edge, Graph, ProblemInstance
+
+
+def mc_estimate(instance, trials, seed):
+    """The MC estimator's estimate of the intact ``instance``, on the one draw ``seed`` gives."""
+    return make_mc_estimator(trials, iter([seed]))(instance, [()], RunAccounting())[0]
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qcontain import qsim
-from qcontain.cascade import exact_influence, mc_influence
+from qcontain.cascade import exact_influence
 from qcontain.cli import main as cli_main
 from qcontain.containment import (
     call_seeds,
@@ -30,6 +30,8 @@ from qcontain.qae import (
     qpe_outcome_distribution,
     read_estimate,
 )
+
+from conftest import mc_estimate
 
 
 @pytest.fixture
@@ -64,7 +66,7 @@ def test_criterion_1_live_edge_ic_equivalence(report):
     worst = 0.0
     for i, inst in enumerate(small_instances(20, seed_base=3000, max_edges=10)):
         exact = exact_influence(inst).sigma
-        mc = mc_influence(inst, trials=200_000, rng_seed=500 + i)
+        mc = mc_estimate(inst, 200_000, 500 + i)
         se = max(mc.std_error, 1e-12)
         worst = max(worst, abs(mc.sigma - exact) / se)
     elapsed = time.time() - start
@@ -85,7 +87,7 @@ def mc_rmse_curve(inst, sigma, trial_grid, reps=100):
     rmses = []
     for trials in trial_grid:
         errs = [
-            mc_influence(inst, trials=trials, rng_seed=1000 * trials + r).sigma - sigma
+            mc_estimate(inst, trials, 1000 * trials + r).sigma - sigma
             for r in range(reps)
         ]
         rmses.append(float(np.sqrt(np.mean(np.square(errs)))))

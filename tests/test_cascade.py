@@ -30,6 +30,8 @@ from qcontain.graph import (
     serialize_instance,
 )
 
+from conftest import mc_estimate
+
 
 @dataclass(frozen=True)
 class CascadeTrial:
@@ -121,30 +123,30 @@ def test_chain_full_infection_frequency(chain3):
 
 def test_mc_single_node():
     inst = ProblemInstance(Graph(1, []), frozenset({0}), 1.0)
-    est = mc_influence(inst, 50, rng_seed=0)
+    est = mc_estimate(inst, 50, 0)
     assert est.sigma == 1.0
     assert est.std_error == 0.0
     assert est.trials_or_calls == 50
 
 
 def test_mc_single_edge(single_edge):
-    est = mc_influence(single_edge, 10000, rng_seed=1)
+    est = mc_estimate(single_edge, 10000, 1)
     # exact value 1.5; per-trial sd 0.5 so 4 standard errors = 0.02
     assert abs(est.sigma - 1.5) < 0.02
 
 
 def test_mc_chain(chain3):
-    est = mc_influence(chain3, 10000, rng_seed=2)
+    est = mc_estimate(chain3, 10000, 2)
     assert abs(est.sigma - 1.75) < 0.027
 
 
 def test_mc_zero_trials_rejected(single_edge):
     with pytest.raises(ValueError):
-        mc_influence(single_edge, 0, rng_seed=0)
+        mc_estimate(single_edge, 0, 0)
 
 
 def test_mc_deterministic(chain3):
-    assert mc_influence(chain3, 500, rng_seed=9) == mc_influence(chain3, 500, rng_seed=9)
+    assert mc_estimate(chain3, 500, 9) == mc_estimate(chain3, 500, 9)
 
 
 def test_batch_matches_sequential_simulation():
@@ -233,7 +235,7 @@ def test_mc_agrees_with_exact_oracle():
         if len(inst.graph.edges) > 10:
             continue
         truth = exact_influence(inst).sigma
-        est = mc_influence(inst, 50000, rng_seed=seed + 100)
+        est = mc_estimate(inst, 50000, seed + 100)
         band = max(5 * est.std_error, 1e-9)
         assert abs(est.sigma - truth) < band
 
@@ -255,7 +257,7 @@ def test_mc_standard_error_matches_exact_variance():
         if variance < 1e-12:
             continue
         trials = 20_000
-        est = mc_influence(inst, trials, rng_seed=1000 + s)
+        est = mc_estimate(inst, trials, 1000 + s)
         exact_se = np.sqrt(variance / trials)
         assert 0.9 <= est.std_error / exact_se <= 1.1, s
         assert abs(est.sigma - mean) <= 5 * exact_se, s
@@ -538,7 +540,7 @@ def test_mc_counts_only_rows_an_arc_can_reach():
     inst = parse_instance("nodes 10000\n0 1 0.5 0.1\nseeds 0\nlambda 1.0\n")
     tracemalloc.start()
     try:
-        est = mc_influence(inst, 10000, rng_seed=0)
+        est = mc_estimate(inst, 10000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -552,7 +554,7 @@ def test_mc_counts_seeds_without_a_row_each():
     inst = parse_instance(f"nodes 10000\n0 9999 0.5 0.1\nseeds {seeds}\nlambda 1.0\n")
     tracemalloc.start()
     try:
-        est = mc_influence(inst, 10000, rng_seed=0)
+        est = mc_estimate(inst, 10000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -565,7 +567,7 @@ def test_mc_memory_does_not_grow_with_trials():
     inst = parse_instance("nodes 2\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n")
     tracemalloc.start()
     try:
-        est = mc_influence(inst, 4_000_000, rng_seed=0)
+        est = mc_estimate(inst, 4_000_000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -593,7 +595,6 @@ def test_mc_estimator_streams_a_single_removal(monkeypatch):
     inst, [est], peak = star_estimator_peak(monkeypatch, [()])
     seed = next(call_seeds(0))
     assert est == mc_influence(inst, 1 << 20, cascade.draw_live(inst, 1 << 20, seed, [()])[0])
-    assert est == mc_influence(inst, 1 << 20, seed)
     assert peak < 512 << 10
 
 
@@ -719,7 +720,7 @@ def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
     )
     assert len(inst.graph.edges) > 24
     truth = exact_influence(inst).sigma
-    est = mc_influence(inst, 20000, rng_seed=nodes + 100)
+    est = mc_estimate(inst, 20000, nodes + 100)
     assert abs(est.sigma - truth) < 5 * est.std_error
 
 
@@ -742,7 +743,7 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
     inst = generate_random_instance(
         7, 0.4, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=2, lam=1.0, rng_seed=13
     )
-    whole = {t: mc_influence(inst, t, rng_seed=3) for t in (1, 63, 64, 65, 1000, 4096, 4097, 6000)}
+    whole = {t: mc_estimate(inst, t, 3) for t in (1, 63, 64, 65, 1000, 4096, 4097, 6000)}
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     assert cascade._chunk_rows(len(inst.graph.edges)) == 64
     calls = []
@@ -756,7 +757,7 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
     removals = [(), (0,), (1, 2), (0,)]
     for t, est in whole.items():
         calls.clear()
-        assert mc_influence(inst, t, rng_seed=3) == est
+        assert mc_estimate(inst, t, 3) == est
         assert sum(calls) == t and max(calls) <= 64
         calls.clear()
         # every removal is scored on one stream of the coins
@@ -864,6 +865,24 @@ lambda 0.8
 """
 
 
+# bench-estimation --mc-trials 100,400 --qae-m 3 --reps 3 --rng 5 on PINNED_MC_INSTANCE:
+# each MC row is a draw of its own SeedSequence(seed, spawn_key=(trials,)) stream
+PINNED_BENCH_CSV = """\
+# work_units: mc = Monte Carlo trials; qae = Grover-operator (Q) applications
+# error: absolute error in the normalized influence vs the exact live-edge oracle
+method,work_units,error,rng_seed
+mc,100,0.0037800000000000056,0
+mc,400,0.005386666666666651,0
+qae,7,0.16121999999999992,0
+mc,100,0.016220000000000012,1
+mc,400,0.0058633333333333315,1
+qae,7,0.16122000000000014,1
+mc,100,0.020446666666666613,2
+mc,400,0.010386666666666766,2
+qae,7,0.16121999999999992,2
+"""
+
+
 class TestPinnedCliOutput:
     """MC output, byte for byte: ``estimate`` as the per-arc boolean kernel
     printed it, ``contain`` as it prints with one shared draw per iteration,
@@ -910,6 +929,42 @@ class TestPinnedCliOutput:
             "removed=2 mc_trials=0 a_applications=0 q_applications=0 "
             "grover_oracle_calls=25 linear_steps=0\n"
         )
+
+    def test_every_mc_estimate_reads_a_drawn_row(self, pinned, tmp_path, monkeypatch, capsys):
+        # one MC path: every estimate is read from a row of a draw_live draw
+        draws, reads = [], []
+
+        def wrap(name, calls):
+            original = getattr(cascade, name)
+
+            def wrapped(*args):
+                calls.append(args)
+                return original(*args)
+
+            for module in (cascade, containment):
+                monkeypatch.setattr(module, name, wrapped)
+
+        wrap("draw_live", draws)
+        wrap("mc_influence", reads)
+        for argv in (
+            ["estimate", "--method", "mc", "--trials", "500"],
+            ["contain", "--estimator", "mc", "--trials", "500", "--k-max", "2"],
+        ):
+            assert main([*argv, "--instance", pinned, "--rng", "5"]) == 0
+        assert len(draws) == 3
+        assert len(reads) == sum(len(removals) for *_, removals in draws)
+        assert all(isinstance(row, np.ndarray) for *_, row in reads)
+        draws.clear()
+        reads.clear()
+        out = tmp_path / "bench.csv"
+        argv = ["bench-estimation", "--instance", pinned, "--mc-trials", "100,400", "--qae-m", "3",
+                "--reps", "3", "--rng", "5", "--out", str(out)]
+        assert main(argv) == 0
+        # one draw of the intact graph per (rep, trials) pair
+        assert [trials for _, trials, _, _ in draws] == [100, 400] * 3
+        assert all(removals == [()] for *_, removals in draws)
+        assert len(reads) == 6 and all(isinstance(row, np.ndarray) for *_, row in reads)
+        assert out.read_text() == PINNED_BENCH_CSV
 
     def test_estimate(self, pinned, capsys):
         argv = ["estimate", "--instance", pinned, "--method", "mc", "--trials", "500", "--rng", "5"]

@@ -466,7 +466,7 @@ def test_bench_estimation_checks_qae_m_before_the_sweep(instance_file, monkeypat
         raise AssertionError("sweep started before --qae-m was checked")
 
     monkeypatch.setattr(cli, "exact_influence", refuse)
-    monkeypatch.setattr(cli, "mc_influence", refuse)
+    monkeypatch.setattr(cli, "make_mc_estimator", refuse)
     code, _, err = run(
         ["bench-estimation", "--instance", instance_file, "--qae-m", "4,40", "--reps", "1"], capsys
     )
@@ -482,7 +482,7 @@ def test_bench_estimation_checks_mc_trials_before_the_sweep(
         raise AssertionError("sweep started before --mc-trials was checked")
 
     monkeypatch.setattr(cli, "exact_influence", refuse)
-    monkeypatch.setattr(cli, "mc_influence", refuse)
+    monkeypatch.setattr(cli, "make_mc_estimator", refuse)
     code, out, err = run(
         ["bench-estimation", "--instance", instance_file, "--mc-trials", grid, "--reps", "1"], capsys
     )
@@ -518,7 +518,7 @@ def test_bench_estimation_rejects_repeated_grid_values(
         raise AssertionError("sweep started before the grids were checked")
 
     monkeypatch.setattr(cli, "exact_influence", refuse)
-    monkeypatch.setattr(cli, "mc_influence", refuse)
+    monkeypatch.setattr(cli, "make_mc_estimator", refuse)
     out = tmp_path / "bench.csv"
     code, stdout, err = run(
         ["bench-estimation", "--instance", instance_file, *grid, "--reps", "1", "--out", str(out)],

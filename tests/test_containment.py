@@ -235,6 +235,26 @@ def test_qae_a_applications_follow_repetitions(monkeypatch, single_edge):
     assert (acc.q_applications, acc.a_applications) == (amp.q_applications, amp.a_applications)
 
 
+def test_qae_accounting_adds_a_call_once_over_its_removals(monkeypatch, chain3):
+    # on [()] alone, a per-call QPE_REPETITIONS term and a per-estimate one agree
+    from qcontain import qae
+
+    monkeypatch.setattr(qae, "QPE_REPETITIONS", 5)
+    returned = []
+
+    def recorded(*args, _original=qae.qae_estimate, **kwargs):
+        returned.append(_original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(qae, "qae_estimate", recorded)
+    acc = RunAccounting()
+    removals = [(), (0,), (1,)]
+    ests = make_qae_estimator(0.2, call_seeds(0), mode="statevector")(chain3, removals, acc)
+    assert len(ests) == len(returned) == 3
+    assert acc.q_applications == sum(amp.q_applications for amp in returned)
+    assert acc.a_applications == sum(amp.a_applications for amp in returned)
+
+
 def test_accounting_defaults_zero():
     acc = RunAccounting()
     assert acc.mc_trials == 0

@@ -28,16 +28,16 @@ returns each cascade's infected count. An arc is left out of a cascade in
 one way: its live bit is zero, so a removal is scored on the live bits of
 the whole graph with its arcs dead. Two callers feed it live bits:
 
-* ``draw_live`` -- packed ``coins < p`` for Monte Carlo trials; its counts
-  equal per-trial simulation exactly. Coins are drawn once per draw, in
-  chunks of at most ``COIN_CHUNK_BYTES``; the generator fills its stream in
-  C order, so the estimate is the same as from one draw. Each chunk scores
-  every removal: one propagation with the arcs they all remove dead, then
-  tiles of only the cascades each removal can change (Kimura, Saito and
-  Motoda 2009), gathered as rows of the chunk's trial-major live bits and
-  packed again. Each removal keeps four exact integers, (trials, |V|, sum c,
-  sum c^2) over its infected counts c, and ``mc_influence`` reads sigma and
-  its standard error from them.
+* ``draw_live`` -- Monte Carlo trials, each chunk's ``coins < p`` kept as
+  one trial-major table of live bytes; its counts equal per-trial
+  simulation exactly. Coins are drawn once per draw, in chunks of at most
+  ``COIN_CHUNK_BYTES``; the generator fills its stream in C order, so the
+  estimate is the same as from one draw. Each chunk scores every removal:
+  one propagation of the packed table with the arcs they all remove dead,
+  then tiles of only the cascades each removal can change (Kimura, Saito
+  and Motoda 2009), gathered as rows of the same table and packed. Each
+  removal keeps four exact integers, (trials, |V|, sum c, sum c^2) over its
+  infected counts c, and ``mc_influence`` reads sigma and its standard error.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
   QAE A operator rotates its ancilla by; the bit table takes at most
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, sqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -177,58 +177,42 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed.view(np.uint8)[:, :m].T).view(np.uint64)
 
 
-def _pack_live(graph: Graph, coins: np.ndarray) -> np.ndarray:
-    """Packed live bits, ``coins < p``, of a (trials x edges) coin matrix."""
-    return _pack(coins < np.array([e.p for e in graph.edges]))
-
-
 def _chunk_rows(n_edges: int) -> int:
     return max(64, COIN_CHUNK_BYTES // (8 * max(n_edges, 1)) // 64 * 64)
 
 
-def _live_chunks(graph: Graph, trials: int, rng_seed) -> Iterator[tuple[int, np.ndarray]]:
-    """(cascades, packed live bits) per chunk of ``trials`` cascades from ``rng_seed``'s coins."""
-    rng = np.random.default_rng(rng_seed)
-    rows = _chunk_rows(len(graph.edges))
-    for start in range(0, trials, rows):
-        n = min(rows, trials - start)
-        yield n, _pack_live(graph, rng.random((n, len(graph.edges))))
+def _score_chunk(kernel: _Kernel, live: np.ndarray, extra: np.ndarray, rows: np.ndarray) -> None:
+    """Add the cascades of ``live``, one 0/1 byte per cascade and arc, to ``rows``.
 
-
-def _score_chunk(
-    kernel: _Kernel, live: np.ndarray, n: int, extra: np.ndarray, rows: np.ndarray
-) -> None:
-    """Add the first ``n`` cascades of ``live`` to ``rows``, one per removal.
-
-    The arcs every removal removes are dead in ``live``, so one
-    propagation gives every cascade's base count c, and every row gains
-    (n, 0, sum c, sum c^2). ``extra`` holds the (removal, arc, source row) of
-    each other arc of a removal that can change a cascade, sorted by
+    ``live`` is trial-major, padded with dead arcs to a multiple of 8, and
+    the arcs every removal removes are zero in it; so one propagation of its
+    packed words gives every cascade's base count c, and every row gains
+    (cascades, 0, sum c, sum c^2). ``extra`` holds the (removal, arc, source
+    row) of each other arc of a removal that can change a cascade, sorted by
     removal; an arc does so only where it is live from an active source. So
     a removal's sums are the base ones with its affected cascades' base
-    counts swapped for new ones. The chunk's live bits are unpacked once,
-    trial-major; the affected cascades of all removals are gathered as rows
-    of tiles of at most one coin chunk's rows, each row with its removal's
-    extra arcs cleared, and packed and run again.
+    counts swapped for new ones. Those cascades of all removals are gathered
+    as rows of ``live``, in tiles of at most one coin chunk's rows, each row
+    with its removal's extra arcs cleared, and packed and run again.
     """
-    active = kernel.active(live)
+    n = len(live)
+    packed = _pack(live)
+    active = kernel.active(packed)
     counts = kernel.count(active)[:n]
     rows += (n, 0, counts.sum(), counts @ counts)
     cand, arcs, srcs = extra
     if not len(cand):
         return
     first = np.flatnonzero(np.diff(cand, prepend=-1))
-    hit = np.bitwise_or.reduceat(live[arcs] & active[srcs], first, axis=0)
+    hit = np.bitwise_or.reduceat(packed[arcs] & active[srcs], first, axis=0)
     hit = np.unpackbits(hit.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
     per = np.count_nonzero(hit, axis=1)
     who, cols = np.repeat(cand[first], per), np.flatnonzero(hit)  # sorted by removal
     cols -= np.repeat(np.arange(0, len(hit) * n, n), per)
-    bits = np.zeros((n, -(-len(live) // 8) * 8), dtype=np.uint8)  # trial-major, 8 arcs to a word
-    bits[:, : len(live)] = np.unpackbits(live.view(np.uint8).T, axis=0, count=n, bitorder="little")
-    step = _chunk_rows(len(live))
+    step = _chunk_rows(live.shape[1])
     for start in range(0, len(cols), step):
         c, t = who[start : start + step], cols[start : start + step]
-        tile = bits[t]
+        tile = live[t]
         i, j = np.searchsorted(cand, (c[0], c[-1] + 1))  # the tile's removals' extra arcs
         mine = cand[i:j]
         lo, hi = np.searchsorted(c, mine).tolist(), np.searchsorted(c, mine, "right").tolist()
@@ -239,6 +223,14 @@ def _score_chunk(
         np.add.at(rows, (c, 3), new * new - old * old)
 
 
+def check_draw(trials: int, node_count: int) -> None:
+    """Refuse ``trials`` < 1, or a sum of squares, at most trials * |V|^2, that could reach 2^63."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials * node_count**2 >= 1 << 63:
+        raise ValueError(f"{trials} trials of {node_count} nodes overflow the int64 sums")
+
+
 def draw_live(
     instance: ProblemInstance, trials: int, rng_seed, removals: Iterable[Iterable[int]]
 ) -> np.ndarray:
@@ -247,15 +239,12 @@ def draw_live(
     A row is four int64s, (trials, |V|, sum c, sum c^2) over the removal's
     infected counts c. The coins stream once from
     ``np.random.default_rng(rng_seed)``, so any seed numpy takes works,
-    whatever the number of removals. A sum of squares is at most
-    trials * |V|^2, so that must be below 2^63, which is checked, like
-    ``trials``, before any coin is drawn.
+    whatever the number of removals. Each chunk of ``_chunk_rows`` trials is
+    one live table, its ``coins < p`` with the arcs every removal removes
+    cleared. ``check_draw`` runs before any coin is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     g = instance.graph
-    if trials * g.node_count**2 >= 1 << 63:
-        raise ValueError(f"{trials} trials of {g.node_count} nodes overflow the int64 sums")
+    check_draw(trials, g.node_count)
     kernel = _Kernel(g, instance.seeds)
     closed = [closed_removal(g, r) for r in removals]
     base = frozenset.intersection(*closed) if closed else frozenset()
@@ -270,9 +259,14 @@ def draw_live(
     ).reshape(-1, 3).T
     rows = np.zeros((len(closed), 4), dtype=np.int64)
     rows[:, 1] = g.node_count
-    for n, live in _live_chunks(g, trials, rng_seed):
-        live[list(base)] = 0
-        _score_chunk(kernel, live, n, extra, rows)
+    p = np.array([e.p for e in g.edges])
+    rng = np.random.default_rng(rng_seed)
+    step = _chunk_rows(len(p))
+    for start in range(0, trials, step):
+        live = np.zeros((min(step, trials - start), -(-len(p) // 8) * 8), dtype=np.uint8)
+        np.less(rng.random((len(live), len(p))), p, out=live[:, : len(p)])
+        live[:, list(base)] = 0
+        _score_chunk(kernel, live, extra, rows)
     return rows
 
 

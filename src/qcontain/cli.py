@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import qsim
-from .cascade import exact_influence
+from .cascade import check_draw, exact_influence
 from .containment import (
     RunAccounting,
     call_seeds,
@@ -166,6 +166,8 @@ def cmd_bench_estimation(args) -> int:
     for m in m_grid:
         check_evaluation_qubits(m)
     n = inst.graph.node_count
+    for trials in mc_grid:
+        check_draw(trials, n)
     a_true = exact_influence(inst).sigma / n
     # QAE rows are read from the exact amplitude's outcome distribution, built once per m
     dists = {m: qpe_outcome_distribution(a_true, m) for m in m_grid}

@@ -60,7 +60,8 @@ def cascade_from_coins(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -
 def batch_infected_counts(graph: Graph, seeds: frozenset[int], coins: np.ndarray) -> np.ndarray:
     """The propagation kernel's infected count for each row of a (trials x edges) coin matrix."""
     kernel = cascade._Kernel(graph, seeds)
-    return kernel.count(kernel.active(cascade._pack_live(graph, coins)))[: len(coins)]
+    live = cascade._pack(coins < np.array([e.p for e in graph.edges]))
+    return kernel.count(kernel.active(live))[: len(coins)]
 
 
 def simulate_ic(instance: ProblemInstance, rng: np.random.Generator) -> CascadeTrial:
@@ -337,7 +338,7 @@ def test_removal_mask_matches_the_cut_graph(data, trials, coin_seed):
     removal = data.draw(st.lists(st.sampled_from(range(len(g.edges))), max_size=3)) if g.edges else []
     coins = np.random.default_rng(coin_seed).random((trials, len(g.edges)))
     removed = closed_removal(g, removal)
-    live = cascade._pack_live(g, coins)
+    live = cascade._pack(coins < np.array([e.p for e in g.edges]))
     live[sorted(removed)] = 0
     kernel = cascade._Kernel(g, inst.seeds)
     masked = kernel.count(kernel.active(live))[:trials]
@@ -644,7 +645,8 @@ def test_scored_draw_matches_a_full_propagation_per_removal(data, trials, coin_s
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cascade, "COIN_CHUNK_BYTES", 64 * 8)
         rows = cascade.draw_live(inst, trials, coin_seed, removals)
-    live = cascade._pack_live(g, np.random.default_rng(coin_seed).random((trials, len(g.edges))))
+    coins = np.random.default_rng(coin_seed).random((trials, len(g.edges)))
+    live = cascade._pack(coins < np.array([e.p for e in g.edges]))
     assert len(rows) == len(removals)
     kernel = cascade._Kernel(g, inst.seeds)
     for removal, row in zip(removals, rows):
@@ -747,13 +749,13 @@ def test_chunked_coins_give_the_same_estimate(monkeypatch):
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     assert cascade._chunk_rows(len(inst.graph.edges)) == 64
     calls = []
-    pack = cascade._pack_live
+    score = cascade._score_chunk
 
-    def counting(graph, coins):
-        calls.append(coins.shape[0])
-        return pack(graph, coins)
+    def counting(kernel, live, extra, rows):
+        calls.append(len(live))
+        return score(kernel, live, extra, rows)
 
-    monkeypatch.setattr(cascade, "_pack_live", counting)
+    monkeypatch.setattr(cascade, "_score_chunk", counting)
     removals = [(), (0,), (1, 2), (0,)]
     for t, est in whole.items():
         calls.clear()
@@ -813,10 +815,10 @@ def test_a_generator_seed_gives_the_rows_of_its_int_seed(chain3):
 def test_sums_that_could_overflow_are_rejected_before_any_coin(
     monkeypatch, chain3, tmp_path, capsys
 ):
-    def no_coins(graph, coins):
+    def no_coins(kernel, live, extra, rows):
         raise AssertionError("a coin was drawn")
 
-    monkeypatch.setattr(cascade, "_pack_live", no_coins)
+    monkeypatch.setattr(cascade, "_score_chunk", no_coins)
     monkeypatch.setattr(cascade, "COIN_CHUNK_BYTES", 0)
     trials = -(-(1 << 63) // 9)  # the fewest whose sum of squares could reach 2^63 on 3 nodes
     with pytest.raises(AssertionError, match="a coin was drawn"):

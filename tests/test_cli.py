@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontain import cascade, cli, gmf, graph, qae
+from qcontain import cli, containment, gmf, graph, qae
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
 from qcontain.graph import MAX_EDGES, MAX_NODES
@@ -237,7 +237,7 @@ class TestContain:
             monkeypatch.setattr(module, name, recorded)
 
         # Monte Carlo seeds become coins here, once per iteration's shared draw
-        record(cascade, "_live_chunks", "estimator")
+        record(containment, "draw_live", "estimator")
         record(qae, "qae_influence", "estimator")
         record(gmf, "durr_hoyer_min", "finder")
         argv = ["contain", "--instance", str(star), "--estimator", *estimator,
@@ -489,6 +489,25 @@ def test_bench_estimation_checks_mc_trials_before_the_sweep(
     assert code == 2
     assert out == ""
     assert err == f"error: --mc-trials value {bad} must be >= 1\n"
+
+
+def test_bench_estimation_checks_mc_sums_before_the_sweep(tmp_path, monkeypatch, capsys):
+    # a grid value whose sum of squares could reach 2^63 on 3 nodes is refused
+    # before the first row draws, by the rule draw_live checks
+    path = tmp_path / "chain3.txt"
+    path.write_text("nodes 3\n0 1 0.5 0.1\n1 2 0.5 0.1\nseeds 0\nlambda 1.0\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw ran before --mc-trials was checked")
+
+    monkeypatch.setattr(containment, "draw_live", refuse)
+    trials = -(-(1 << 63) // 9)  # the fewest that could overflow on 3 nodes
+    argv = ["bench-estimation", "--instance", str(path), "--qae-m", "3", "--reps", "1"]
+    with pytest.raises(AssertionError, match="a draw ran"):
+        main([*argv, "--mc-trials", f"100,{trials - 1}"])
+    code, out, err = run([*argv, "--mc-trials", f"100,{trials}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {trials} trials of 3 nodes overflow the int64 sums\n"
 
 
 def test_bench_estimation_runs_the_exact_oracle_once(instance_file, monkeypatch, capsys):

@@ -8,13 +8,12 @@ plane, and canonical phase estimation on Q reads theta off the m-qubit grid.
 
 Two interchangeable modes:
 
-* ``statevector`` -- simulates phase estimation on the edge+ancilla system
-  register. The evaluation register only controls Q, so the state before the
-  inverse QFT is built directly as a block of M = 2^m rows Q^y|psi>/sqrt(M)
-  instead of running the controlled-Q ladder; one ``apply_q`` writes each row
-  in place from the one before it. The block holds as many amplitudes as the
-  full s+m qubit register, so evaluation qubits still count toward the qubit
-  cap.
+* ``statevector`` -- simulates A|0> on the edge+ancilla system register and
+  runs the rank-2 readout of the simulated amplitude: Q keeps A|0> in the
+  plane of its good (ancilla 1) and bad parts, so phase estimation on Q is
+  read from the angle between those two parts alone. The evaluation qubits
+  still count toward the qubit cap, as they would in the full s+m qubit
+  register.
 * ``analytic`` -- computes a exactly with the exact oracle and runs the same
   readout on the two coordinates of the plane Q rotates; identical output
   contract, no statevector, so it is bound by the exact oracle's work budget
@@ -26,7 +25,7 @@ from it and keeps nothing after the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, ceil, inf, log2, pi, sqrt
+from math import asin, atan2, ceil, inf, log2, pi, sqrt
 from statistics import median
 
 import numpy as np
@@ -90,69 +89,45 @@ def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
     return qsim.apply_ry_indexed(state, spec.n_edge_qubits, 2.0 * np.arcsin(np.sqrt(spec.f_table)))
 
 
-def build_q_operator(psi: np.ndarray):
-    """The amplitude-amplification operator Q as a function on system states.
-
-    Q = (2|psi><psi| - I) S_f with |psi> = A|0>, i.e. the sign convention
-    under which Q has eigenvalues e^{+-2i theta} and phase estimation reads
-    theta/pi directly. A (2|0><0| - I) A^dagger is the reflection about psi,
-    so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A.
-
-    ``apply_q(state, out=None)`` writes Q state into ``out`` (a new array if
-    None), which may be ``state`` itself, and returns it.
-    """
-    # the ancilla is the top qubit, so S_f flips the sign of the upper half
-    sign = np.ones(len(psi), dtype=complex)
-    sign[len(psi) // 2:] = -1
-
-    def apply_q(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(state, sign, out=out)
-        return np.subtract(2 * np.vdot(psi, out) * psi, out, out=out)
-
-    return apply_q
-
-
-def _readout(block: np.ndarray) -> np.ndarray:
-    """Outcome distribution from the state before the inverse QFT; row y pairs with outcome y."""
-    # numpy's forward FFT has the inverse QFT's sign, exp(-2 pi i k y / M)
-    block = np.fft.fft(block, axis=0)
-    block /= sqrt(len(block))
-    return np.sum(np.abs(block) ** 2, axis=1)
-
-
 def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
-    """Exact phase-estimation outcome distribution for amplitude a.
+    """Exact phase-estimation outcome distribution for amplitude a = sin^2 theta."""
+    return _plane_readout(asin(sqrt(a)), m)
 
-    A|0> = cos(theta)|bad> + sin(theta)|good> with a = sin^2 theta, and Q
-    rotates the (bad, good) plane by 2 theta, so Q^y A|0> has coordinates
-    (cos, sin)((2y + 1) theta) there. The readout is the statevector one on
-    these 2 coordinates instead of 2^s.
+
+def _plane_readout(theta: float, m: int) -> np.ndarray:
+    """Phase-estimation outcome distribution of A|0> = cos(theta)|bad> + sin(theta)|good>.
+
+    Q rotates the (bad, good) plane by 2 theta, so before the inverse QFT the
+    state is sum_y |y> Q^y A|0> / sqrt(M), whose row y has the coordinates
+    (cos, sin)((2y + 1) theta) / sqrt(M) there. Each of the two columns is
+    run through the inverse QFT in turn, and outcome y gets the squared
+    moduli of row y.
     """
     dim = 1 << m
-    angles = (2 * np.arange(dim) + 1) * asin(sqrt(a))
-    block = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    del angles  # a quarter of the complex block, not kept through the FFT
-    block /= sqrt(dim)
-    return _readout(block)
+    angles = (2 * np.arange(dim) + 1) * theta
+    dist = np.zeros(dim)
+    for column in (np.cos, np.sin):
+        amps = column(angles)
+        amps /= sqrt(dim)
+        # numpy's forward FFT has the inverse QFT's sign, exp(-2 pi i k y / M)
+        amps = np.fft.fft(amps)
+        amps /= sqrt(dim)
+        dist += np.abs(amps) ** 2
+    return dist
 
 
 def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
-    """Phase-estimation readout distribution, evaluated in blocks.
+    """Phase-estimation readout distribution of the simulated A|0>.
 
-    The evaluation register only controls Q, so before the inverse QFT the
-    state is sum_y |y> Q^y |psi> / sqrt(M). Row y of the (M, 2^s) block holds
-    Q^y psi / sqrt(M), written in place from row y - 1 by one ``apply_q``.
-    The block holds the same 2^(s+m) amplitudes as the full register, hence
-    the s + m qubit cap that ``build_a_operator(eval_qubits=m)`` checks.
+    Q = (2|psi><psi| - I) S_f keeps psi = A|0> in the plane of its good part
+    (the ancilla-1 upper half) and its bad part, so the readout is that of
+    the plane, at the angle the two parts' norms give. asin(sqrt(a)) of the
+    good part's weight a would lose half its digits as a nears 1 and fail
+    where the float sum rounds past 1.
     """
     psi = apply_a(qsim.init_state(spec.n_qubits), spec)
-    apply_q = build_q_operator(psi)
-    dim = 1 << m
-    block = np.empty((dim, len(psi)), dtype=complex)
-    block[0] = psi / sqrt(dim)
-    for prev, row in zip(block, block[1:]):
-        apply_q(prev, out=row)
-    return _readout(block)
+    half = len(psi) // 2
+    return _plane_readout(atan2(np.linalg.norm(psi[half:]), np.linalg.norm(psi[:half])), m)
 
 
 def check_evaluation_qubits(m: int) -> None:

@@ -10,20 +10,27 @@ from hypothesis import strategies as st
 from qcontain import qae, qsim
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
-from qcontain.graph import Graph, ProblemInstance, generate_random_instance, parse_instance
+from qcontain.graph import (
+    Edge,
+    Graph,
+    ProblemInstance,
+    generate_random_instance,
+    parse_instance,
+)
 from qcontain.qae import (
     QPE_REPETITIONS,
     AmplitudeEstimate,
     _statevector_qpe_distribution,
     apply_a,
     build_a_operator,
-    build_q_operator,
     evaluation_qubits_for,
     qae_estimate,
     qae_influence,
     qpe_outcome_distribution,
     read_estimate,
 )
+
+from qpe_reference import build_q_operator, readout, row_loop_qpe_distribution
 
 
 def median_of_reads(dist, rng_seed):
@@ -125,6 +132,18 @@ def amplitudes_and_m(draw):
     grid = st.integers(0, 1 << m).map(lambda k: math.sin(math.pi * k / (1 << m)) ** 2)
     a = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-300]), grid))
     return a, m
+
+
+@st.composite
+def qae_instances(draw):
+    """Directed instances of 0-10 arcs, their probabilities including 0 and 1."""
+    n = draw(st.integers(1, 6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    edges = [Edge(a, b, draw(probs), 0.1) for a, b in chosen]
+    seeds = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return ProblemInstance(Graph(n, edges), frozenset(seeds), 1.0)
 
 
 class TestAOperator:
@@ -259,10 +278,11 @@ class TestQpeReadout:
         assert abs(dist.sum() - 1.0) <= 1e-12
 
     def test_readout_peak_memory(self):
-        # the (2^m x 2) complex block is 32 MiB at m = 20. The real input is
-        # half a block, and numpy 2's FFT takes a complex copy of it beside
-        # its output, a block each: 2.5 blocks. The angle array, kept alive
-        # through the FFT, made it 2.75
+        # the (2^m x 2) complex block is 32 MiB at m = 20. One column at a
+        # time goes through the FFT: its real input, the complex copy numpy 2
+        # takes of it and its output are 5/8 of a block, and the angles and
+        # the distribution a quarter each, 1.75 blocks. The whole block in
+        # one FFT took 2.5
         block = (1 << 20) * 2 * 16
         tracemalloc.start()
         try:
@@ -271,7 +291,7 @@ class TestQpeReadout:
         finally:
             tracemalloc.stop()
         assert abs(dist.sum() - 1.0) <= 1e-9
-        assert peak < 2.6 * block
+        assert peak < 1.9 * block
 
     def test_modes_agree(self, single_edge):
         spec = build_a_operator(single_edge, eval_qubits=0)
@@ -293,9 +313,9 @@ class TestQpeReadout:
             for rem in ((), removal):
                 spec = build_a_operator(inst.without_edges(rem), eval_qubits=0)
                 m = min(6, 14 - spec.n_qubits)
-                block = _statevector_qpe_distribution(spec, m)
                 ladder = ladder_qpe_distribution(spec, m)
-                assert np.abs(block - ladder).max() <= 1e-12
+                for dist in (_statevector_qpe_distribution(spec, m), row_loop_qpe_distribution(spec, m)):
+                    assert np.abs(dist - ladder).max() <= 1e-12
                 checked += 1
         assert checked >= 8
 
@@ -312,12 +332,29 @@ class TestQpeReadout:
             probabilities.update(e.p for e in inst.graph.edges)
             spec = build_a_operator(inst, eval_qubits=0)
             for m in (3, 6):
-                reference = qae._readout(recurrence_block(a_state(spec), m))
-                dist = _statevector_qpe_distribution(spec, m)
+                reference = readout(recurrence_block(a_state(spec), m))
+                dist = row_loop_qpe_distribution(spec, m)
                 assert np.array_equal(dist.view(np.uint64), reference.view(np.uint64))
             checked += 1
         assert checked >= 8
         assert {0.0, 1.0} <= probabilities
+
+    @given(qae_instances(), st.integers(1, 8))
+    @example(ProblemInstance(Graph(1, []), frozenset({0}), 1.0), 1)
+    @example(ProblemInstance(Graph(2, [Edge(0, 1, 1.0, 0.1)]), frozenset({0}), 1.0), 8)
+    @example(ProblemInstance(Graph(2, [Edge(0, 1, 0.0, 0.1)]), frozenset({0}), 1.0), 8)
+    # a = 1, and the good part's squares sum to one ulp below it on numpy 2.4
+    @example(
+        ProblemInstance(Graph(2, [Edge(0, 1, 0.25, 0.1), Edge(1, 0, 1.0, 0.1)]), frozenset({1}), 1.0), 7
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_row_loop_on_generated_instances(self, inst, m):
+        spec = build_a_operator(inst, eval_qubits=m)
+        good = a_state(spec)[1 << spec.n_edge_qubits:]
+        a = exact_influence(inst).sigma / inst.graph.node_count
+        assert abs(np.vdot(good, good).real - a) <= 1e-15
+        dist = _statevector_qpe_distribution(spec, m)
+        assert np.abs(dist - row_loop_qpe_distribution(spec, m)).max() <= 1e-12
 
     def test_modes_agree_on_chain(self, chain3):
         spec = build_a_operator(chain3, eval_qubits=0)
@@ -506,3 +543,62 @@ def test_qae_influence_keeps_nothing_after_the_call(chain3):
         tracemalloc.stop()
     # the 2^18 floats of its outcome distribution are 2 MiB
     assert retained < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the good part's squares sum to 1 + 2^-51 here on numpy 2.4, past
+        # where asin(sqrt(a)) raises
+        "nodes 3\n0 1 0.2 0.1\n1 2 0.4 0.1\n2 0 0.1 0.1\n1 0 0.6 0.1\nseeds 0 1 2\nlambda 1.0\n",
+        "nodes 4\n0 1 0.9 0.1\n1 2 0.2 0.1\n2 3 0.6 0.1\n3 0 0.5 0.1\nseeds 0 1 2 3\nlambda 1.0\n",
+        "nodes 4\n0 1 1.0 0.1\n1 2 1.0 0.1\n2 3 1.0 0.1\nseeds 0\nlambda 1.0\n",
+    ],
+    ids=["all-seeds-past-1", "all-seeds", "p1-chain"],
+)
+def test_an_amplitude_of_one_reads_as_one(tmp_path, capsys, text):
+    # every node is infected in every configuration, so a = 1, and the
+    # statevector readout reads it as 1 wherever the float sum of the good
+    # part's squares rounds
+    inst = parse_instance(text)
+    assert exact_influence(inst).sigma == inst.graph.node_count
+    spec = build_a_operator(inst, eval_qubits=6)
+    one = qpe_outcome_distribution(1.0, 6)
+    assert np.array_equal(_statevector_qpe_distribution(spec, 6), one)
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    outputs = []
+    for analytic in ([], ["--analytic"]):
+        argv = ["contain", "--instance", str(path), "--estimator", "qae", "--epsilon", "0.1",
+                "--finder", "linear", "--k-max", "2", "--rng", "2", *analytic]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_statevector_distribution_at_the_qubit_cap_holds_no_block(tmp_path, capsys):
+    # 12 edge qubits, the ancilla and 11 evaluation qubits fill the 24-qubit
+    # cap; the (2^11 x 2^13) block of Q rows alone was 256 MiB
+    arcs = "".join(f"{u} {v} 0.5 0.1\n" for u in range(4) for v in range(4) if u != v)
+    text = f"nodes 4\n{arcs}seeds 0\nlambda 1.0\n"
+    inst = parse_instance(text)
+    assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS
+    spec = build_a_operator(inst, eval_qubits=11)
+    tracemalloc.start()
+    try:
+        dist = _statevector_qpe_distribution(spec, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(dist.sum() - 1.0) <= 1e-12
+    assert peak < 4 << 20
+    # through the CLI: epsilon 0.01 takes m = 11, and 0.005 takes m = 12, one qubit past the cap
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    argv = ["estimate", "--instance", str(path), "--method", "qae", "--rng", "1", "--epsilon"]
+    assert main([*argv, "0.01"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "0.005"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: statevector QAE needs 25 qubits") and err.endswith("\n")

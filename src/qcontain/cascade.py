@@ -40,7 +40,8 @@ the whole graph with its arcs dead. Two callers feed it live bits:
   infected counts c, and ``mc_influence`` reads sigma and its standard error.
 * ``live_edge_reachability`` -- all 2^|E| live-edge configurations as fixed
   bit patterns, E * 2^E / 8 bytes, for the per-configuration counts that the
-  QAE A operator rotates its ancilla by; the bit table takes at most
+  QAE A operator rotates its ancilla by, run once per instance
+  (``ProblemInstance.live_counts``); the bit table takes at most
   2E * 2^E / 8 bytes, the live bits of the at most 2E in-arc slots as much
   again, and unpacking its non-seed rows to count takes at most
   E * 2^E bytes, whatever |V| and the seed set.

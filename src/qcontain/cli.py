@@ -180,7 +180,7 @@ def cmd_bench_estimation(args) -> int:
             rows.append(("mc", trials, abs(est.sigma / n - a_true), rep))
         for m in m_grid:
             rng = np.random.default_rng(np.random.SeedSequence(int(seeds[1]), spawn_key=(m,)))
-            est = read_estimate(dists[m], rng)
+            est = read_estimate(dists[m], rng, 1)
             rows.append(("qae", est.q_applications, abs(est.a_hat - a_true), rep))
     notes = [
         "work_units: mc = Monte Carlo trials; qae = Grover-operator (Q) applications",

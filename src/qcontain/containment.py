@@ -10,8 +10,9 @@ The loop is parameterized over an influence estimator and a minimum finder:
 Removal indices always refer to the original instance graph. Each removal
 is estimated once: the intact graph ``()`` is scored in the first greedy
 iteration's call, ahead of its candidates, and alone only when no iteration
-runs. The QAE estimator scores each removal on its own subgraph, with one
-seed per removal, and adds the call's Q and A applications once. The exact
+runs. The QAE estimator scores each removal with one seed of its own and
+adds the call's Q and A applications once; in statevector mode every
+removal's A operator is cut from the instance's one count table. The exact
 estimator scores a call's removals with one forward DP and one reverse pass
 on the graph without the arcs they all remove, so a plan of k iterations
 runs k forward DPs. Every Monte Carlo estimate comes from the Monte Carlo

@@ -7,6 +7,7 @@ arc of a pair removes both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -95,6 +96,15 @@ class ProblemInstance:
                 raise ValueError(f"seed {s} is not a node")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError(f"lambda out of range: {self.lam}")
+
+    @cached_property
+    def live_counts(self) -> np.ndarray:
+        """``cascade.live_edge_reachability`` of the graph, built on first use and
+        kept for the instance's lifetime; its entries with an arc's bit clear are
+        the counts without that arc."""
+        from .cascade import live_edge_reachability  # cascade imports this module
+
+        return live_edge_reachability(self.graph, self.seeds)
 
     def without_edges(self, removal: Iterable[int]) -> "ProblemInstance":
         """Without the given arcs and their undirected partners; itself when nothing is removed."""

@@ -19,8 +19,9 @@ Two interchangeable modes:
   contract, no statevector, so it is bound by the exact oracle's work budget
   and the evaluation-register cap, not by the qubit cap.
 
-One estimate builds its outcome distribution once, draws every repetition
-from it and keeps nothing after the call.
+One estimate builds its outcome distribution once and draws every
+repetition from it in one call. Statevector mode cuts each removal's A
+operator from the instance's count table; nothing else outlives the call.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from statistics import median
 import numpy as np
 
 from . import qsim
-from .cascade import InfluenceEstimate, exact_influence, live_edge_reachability
-from .graph import ProblemInstance
+from .cascade import InfluenceEstimate, exact_influence
+from .graph import ProblemInstance, closed_removal
 
 QPE_REPETITIONS = 3
 
@@ -61,7 +62,8 @@ def build_a_operator(instance: ProblemInstance, eval_qubits: int) -> AOperatorSp
     """A operator for ``instance``, one edge qubit per arc of its graph.
 
     The qubit cap covers the edge qubits, the ancilla and the ``eval_qubits``
-    of phase estimation, and is checked before the f_table is enumerated.
+    of phase estimation, and is checked before the instance's count table is
+    read, so an over-cap instance builds none.
     """
     g = instance.graph
     n_edges = len(g.edges)
@@ -72,7 +74,7 @@ def build_a_operator(instance: ProblemInstance, eval_qubits: int) -> AOperatorSp
             f"{eval_qubits} evaluation) > cap {qsim.MAX_QUBITS}; "
             "rerun with --analytic, which simulates no statevector"
         )
-    f_table = live_edge_reachability(g, instance.seeds) / g.node_count
+    f_table = instance.live_counts / g.node_count
     angles = tuple(2.0 * asin(sqrt(e.p)) for e in g.edges)
     return AOperatorSpec(
         n_edge_qubits=n_edges,
@@ -136,16 +138,17 @@ def check_evaluation_qubits(m: int) -> None:
         raise ValueError(f"evaluation qubits m = {m} must be in [1, {qsim.MAX_QUBITS}]")
 
 
-def read_estimate(dist: np.ndarray, rng: np.random.Generator) -> AmplitudeEstimate:
-    """One phase-estimation run: outcome y drawn from ``dist`` over M outcomes
-    gives a_hat = sin^2(pi y / M), after M - 1 applications of Q."""
+def read_estimate(dist: np.ndarray, rng: np.random.Generator, runs: int) -> AmplitudeEstimate:
+    """``runs`` phase-estimation runs drawn from ``dist`` in one call: outcome y
+    of M gives sin^2(pi y / M) after M - 1 applications of Q, and the estimate
+    is the median, with every run's Q and A applications."""
     dim = len(dist)
-    y = int(rng.choice(dim, p=dist))
-    q_apps = dim - 1
+    ys = rng.choice(dim, size=runs, p=dist)
+    q_apps = runs * (dim - 1)
     return AmplitudeEstimate(
-        a_hat=float(np.sin(pi * y / dim) ** 2),
+        a_hat=median(float(np.sin(pi * int(y) / dim) ** 2) for y in ys),
         q_applications=q_apps,
-        a_applications=2 * q_apps + 1,
+        a_applications=2 * q_apps + runs,
     )
 
 
@@ -157,24 +160,24 @@ def qae_estimate(
     rng_seed: int | np.random.Generator,
     mode: str,
 ) -> AmplitudeEstimate:
-    """One amplitude estimate of ``instance`` without ``removal``: the median
-    a_hat of ``QPE_REPETITIONS`` runs drawn from one generator and from the one
-    outcome distribution built here, with their Q and A applications summed."""
+    """One amplitude estimate of ``instance`` without ``removal``: ``QPE_REPETITIONS``
+    runs drawn on one generator from the one outcome distribution built here.
+    Statevector mode checks the cap on the intact instance and drops the removed
+    arcs' qubits from its A operator, highest first, keeping the dead-arc half."""
     check_evaluation_qubits(m)
-    sub = instance.without_edges(removal)
     if mode == "statevector":
-        dist = _statevector_qpe_distribution(build_a_operator(sub, eval_qubits=m), m)
+        spec = build_a_operator(instance, eval_qubits=m)
+        f_table, angles = spec.f_table, list(spec.edge_angles)
+        for k in sorted(closed_removal(instance.graph, removal), reverse=True):
+            f_table = f_table.reshape(-1, 2, 1 << k)[:, 0, :].reshape(-1)
+            del angles[k]
+        dist = _statevector_qpe_distribution(AOperatorSpec(len(angles), tuple(angles), f_table), m)
     elif mode == "analytic":
+        sub = instance.without_edges(removal)
         dist = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(rng_seed)
-    runs = [read_estimate(dist, rng) for _ in range(QPE_REPETITIONS)]
-    return AmplitudeEstimate(
-        a_hat=median(r.a_hat for r in runs),
-        q_applications=sum(r.q_applications for r in runs),
-        a_applications=sum(r.a_applications for r in runs),
-    )
+    return read_estimate(dist, np.random.default_rng(rng_seed), QPE_REPETITIONS)
 
 
 def evaluation_qubits_for(epsilon: float) -> int:

@@ -22,8 +22,8 @@ MAX_QUBITS = 24
 
 
 def n_qubits_of(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)))
-    if 1 << n != len(state):
+    n = len(state).bit_length() - 1
+    if n < 0 or 1 << n != len(state):
         raise ValueError("state length is not a power of two")
     return n
 

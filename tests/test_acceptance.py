@@ -150,7 +150,7 @@ def test_criterion_4_qae_accuracy_and_scaling(report):
         voted = []
         for r in range(500):
             triple = [
-                read_estimate(dist, np.random.default_rng(70000 + 1000 * m + 3 * r + j)).a_hat
+                read_estimate(dist, np.random.default_rng(70000 + 1000 * m + 3 * r + j), 1).a_hat
                 for j in range(3)
             ]
             single.append(abs(triple[0] - a))

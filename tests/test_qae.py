@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcontain import qae, qsim
+from qcontain import cascade, qae, qsim
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
 from qcontain.graph import (
@@ -34,9 +35,9 @@ from qpe_reference import build_q_operator, readout, row_loop_qpe_distribution
 
 
 def median_of_reads(dist, rng_seed):
-    """``QPE_REPETITIONS`` reads of ``dist`` on one generator: their median and summed counts."""
+    """``QPE_REPETITIONS`` single reads of ``dist`` on one generator: their median and summed counts."""
     rng = np.random.default_rng(rng_seed)
-    runs = [read_estimate(dist, rng) for _ in range(QPE_REPETITIONS)]
+    runs = [read_estimate(dist, rng, 1) for _ in range(QPE_REPETITIONS)]
     return AmplitudeEstimate(
         a_hat=sorted(r.a_hat for r in runs)[QPE_REPETITIONS // 2],
         q_applications=sum(r.q_applications for r in runs),
@@ -367,7 +368,7 @@ class TestQpeReadout:
 class TestQaeEstimate:
     def test_counters(self, single_edge):
         a = exact_influence(single_edge).sigma / single_edge.graph.node_count
-        run = read_estimate(qpe_outcome_distribution(a, 3), np.random.default_rng(0))
+        run = read_estimate(qpe_outcome_distribution(a, 3), np.random.default_rng(0), 1)
         assert run.q_applications == 7
         assert run.a_applications == 15
         est = qae_estimate(single_edge, (), m=3, rng_seed=0, mode="analytic")
@@ -387,7 +388,7 @@ class TestQaeEstimate:
         bound = math.pi / 2**m + math.pi**2 / 2 ** (2 * m)
         dist = qpe_outcome_distribution(exact_influence(chain3).sigma / 3, m)
         rng = np.random.default_rng(11)
-        hits = sum(abs(read_estimate(dist, rng).a_hat - a) <= bound for _ in range(200))
+        hits = sum(abs(read_estimate(dist, rng, 1).a_hat - a) <= bound for _ in range(200))
         assert hits / 200 >= 0.8
 
     def test_bad_mode(self, single_edge):
@@ -602,3 +603,125 @@ def test_statevector_distribution_at_the_qubit_cap_holds_no_block(tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: statevector QAE needs 25 qubits") and err.endswith("\n")
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The graph of every ``live_edge_reachability`` call, in order."""
+    graphs = []
+
+    def counted(graph, seeds, _original=cascade.live_edge_reachability):
+        graphs.append(graph)
+        return _original(graph, seeds)
+
+    monkeypatch.setattr(cascade, "live_edge_reachability", counted)
+    return graphs
+
+
+@given(
+    st.integers(0, 6).flatmap(lambda m: st.lists(st.floats(0.0, 1.0), min_size=1 << m, max_size=1 << m)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_readout_call_is_the_median_of_single_draws(weights, seed, runs):
+    total = math.fsum(weights)
+    if total < 1e-6:
+        weights, total = [1.0] * len(weights), float(len(weights))
+    dist = np.array(weights) / total
+    dim = len(dist)
+    rng = np.random.default_rng(seed)
+    singles = [float(np.sin(math.pi * int(rng.choice(dim, p=dist)) / dim) ** 2) for _ in range(runs)]
+    assert read_estimate(dist, np.random.default_rng(seed), runs) == AmplitudeEstimate(
+        a_hat=statistics.median(singles),
+        q_applications=runs * (dim - 1),
+        a_applications=runs * (2 * (dim - 1) + 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nodes 4\n0 1 1.0 0.1\n1 2 0.0 0.2\n2 3 0.5 0.1\n0 2 0.3 0.1\n3 1 1.0 0.1\nseeds 0\nlambda 1.0\n",
+        # every removal of an undirected instance drops both arcs of a pair
+        "nodes 4\nundirected\n0 1 1.0 0.1\n1 2 0.0 0.2\n2 3 0.6 0.1\n0 3 0.25 0.1\nseeds 0 2\nlambda 1.0\n",
+    ],
+    ids=["directed", "undirected"],
+)
+def test_a_removal_slices_the_instance_a_operator_into_the_subgraph_one(monkeypatch, tables, text):
+    inst = parse_instance(text)
+    m = 3
+    handed = []
+
+    def recorded(spec, m, _original=qae._statevector_qpe_distribution):
+        handed.append(spec)
+        return _original(spec, m)
+
+    monkeypatch.setattr(qae, "_statevector_qpe_distribution", recorded)
+    arcs = range(len(inst.graph.edges))
+    for removal in [(), *((k,) for k in arcs), *itertools.combinations(arcs, 2)]:
+        qae_estimate(inst, removal, m=m, rng_seed=0, mode="statevector")
+        sliced = handed.pop()
+        own = build_a_operator(inst.without_edges(removal), m)
+        assert np.array_equal(sliced.f_table, own.f_table)
+        assert sliced.edge_angles == own.edge_angles
+        assert sliced.n_edge_qubits == own.n_edge_qubits
+    assert sum(g is inst.graph for g in tables) == 1
+
+
+def test_a_qae_plan_builds_one_count_table(monkeypatch, tables, tmp_path, capsys):
+    # an undirected chain out of seed 0: each removal drops two edge qubits
+    path = tmp_path / "inst.txt"
+    path.write_text(
+        "nodes 6\nundirected\n0 1 1.0 0.01\n0 2 1.0 0.01\n1 3 1.0 0.01\n2 4 1.0 0.01\n"
+        "3 5 0.9 0.01\nseeds 0\nlambda 1.0\n"
+    )
+    estimated = []
+
+    def recorded(instance, removal, _original=qae.qae_estimate, **kwargs):
+        estimated.append((instance, removal))
+        return _original(instance, removal, **kwargs)
+
+    monkeypatch.setattr(qae, "qae_estimate", recorded)
+    argv = ["contain", "--instance", str(path), "--estimator", "qae", "--epsilon", "0.1",
+            "--rng", "3", "--k-max", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # three iterations: two accepted removals, then one with nothing to accept
+    assert "removed=2 " in out
+    assert len(tables) == 1
+    instances = {id(instance) for instance, _ in estimated}
+    assert len(instances) == 1 and tables[0] is estimated[0][0].graph
+    removals = [removal for _, removal in estimated]
+    assert removals[0] == () and len(set(removals)) == len(removals) == 1 + 5 + 4 + 3
+    # the printed Q count is one estimate per removal
+    q = QPE_REPETITIONS * ((1 << evaluation_qubits_for(0.1)) - 1)
+    assert f"q_applications={len(removals) * q} " in out
+
+
+def test_an_over_cap_instance_builds_no_count_table(monkeypatch, tmp_path, capsys):
+    arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 18))
+    path = tmp_path / "inst.txt"
+    path.write_text(f"nodes 18\n{arcs}seeds 0\nlambda 1.0\n")
+
+    def refused(graph, seeds):
+        raise AssertionError("count table built past the qubit cap")
+
+    monkeypatch.setattr(cascade, "live_edge_reachability", refused)
+    argv = ["contain", "--instance", str(path), "--estimator", "qae", "--epsilon", "0.01"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: statevector QAE needs 29 qubits (17 edges + 1 ancilla + 11 evaluation) > cap 24; "
+        "rerun with --analytic, which simulates no statevector\n"
+    )
+
+
+def test_the_qubit_cap_is_checked_on_the_intact_instance():
+    # 13 arcs, the ancilla and 11 evaluation qubits are one past the cap; without
+    # one arc the subgraph fits, but a removal is read from the intact table
+    arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 14))
+    inst = parse_instance(f"nodes 14\n{arcs}seeds 0\nlambda 1.0\n")
+    assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS + 1
+    build_a_operator(inst.without_edges((0,)), eval_qubits=11)
+    with pytest.raises(ValueError, match="needs 25 qubits"):
+        qae_estimate(inst, (0,), m=11, rng_seed=0, mode="statevector")

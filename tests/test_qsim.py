@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,19 @@ def norm(state):
 def test_init_state():
     assert np.allclose(qsim.init_state(1), [1, 0])
     assert np.allclose(qsim.init_state(2), [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("length", [0, 3, 6, 12])
+def test_n_qubits_of_refuses_a_length_that_is_not_a_power_of_two(length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="power of two"):
+            qsim.n_qubits_of(np.zeros(length, dtype=complex))
+
+
+def test_n_qubits_of_a_power_of_two():
+    for n in range(11):
+        assert qsim.n_qubits_of(np.zeros(1 << n, dtype=complex)) == n
 
 
 def test_init_state_over_cap():

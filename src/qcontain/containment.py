@@ -10,9 +10,10 @@ The loop is parameterized over an influence estimator and a minimum finder:
 Removal indices always refer to the original instance graph. Each removal
 is estimated once: the intact graph ``()`` is scored in the first greedy
 iteration's call, ahead of its candidates, and alone only when no iteration
-runs. The QAE estimator scores each removal with one seed of its own and
-adds the call's Q and A applications once; in statevector mode every
-removal's A operator is cut from the instance's one count table. The exact
+runs. The QAE estimator scores each removal with one ``qae_estimate`` on a
+seed of its own, adds each estimate's own Q and A applications and converts
+the estimates to influences; in statevector mode every removal's A operator
+is cut from the instance's one count table. The exact
 estimator scores a call's removals with one forward DP and one reverse pass
 on the graph without the arcs they all remove, so a plan of k iterations
 runs k forward DPs. Every Monte Carlo estimate comes from the Monte Carlo
@@ -233,14 +234,10 @@ def make_mc_estimator(trials: int, seeds: Iterator) -> Estimator:
 
 def make_qae_estimator(epsilon: float, seeds: Iterator, mode: str) -> Estimator:
     def estimator(instance, removals, accounting):
-        ests = [
-            qae.qae_influence(instance, r, epsilon=epsilon, rng_seed=next(seeds), mode=mode)
-            for r in removals
-        ]
-        q = sum(est.trials_or_calls for est in ests)
-        accounting.q_applications += q
-        # each repetition applies A 2q + 1 times for its q applications of Q
-        accounting.a_applications += 2 * q + qae.QPE_REPETITIONS * len(removals)
-        return ests
+        m = qae.evaluation_qubits_for(epsilon)
+        amps = [qae.qae_estimate(instance, r, m=m, rng_seed=next(seeds), mode=mode) for r in removals]
+        accounting.q_applications += sum(amp.q_applications for amp in amps)
+        accounting.a_applications += sum(amp.a_applications for amp in amps)
+        return [qae.qae_influence(instance, amp, epsilon) for amp in amps]
 
     return estimator

@@ -5,8 +5,7 @@ below its current threshold. A Grover run is sampled from its closed form: the
 index space is padded to the next power of two N, padded indices are never
 marked, and k iterations find one of the M marked items with probability
 sin^2((2k+1) * asin(sqrt(M/N))) (Boyer, Brassard, Hoyer and Tapp 1998).
-``_statevector_distribution`` simulates the circuit that the tests check the
-closed form against.
+The tests check that closed form against the simulated circuit.
 """
 from __future__ import annotations
 
@@ -15,8 +14,6 @@ from math import asin, ceil, sin, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
-
-from . import qsim
 
 GROWTH = 8 / 7
 BUDGET_CONSTANT = 9.0
@@ -40,17 +37,6 @@ class MinFindResult:
 
 def _padded_size(size: int) -> int:
     return max(2, 1 << (size - 1).bit_length())  # at least one qubit
-
-
-def _statevector_distribution(marked: np.ndarray, iterations: int) -> np.ndarray:
-    n_qubits = len(marked).bit_length() - 1
-    state = qsim.init_state(n_qubits)
-    for q in range(n_qubits):
-        state = qsim.apply_h(state, q)
-    for _ in range(iterations):
-        state = qsim.phase_flip_if(state, marked)
-        state = qsim.diffusion(state)
-    return qsim.register_distribution(state)
 
 
 def grover_search(

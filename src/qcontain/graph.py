@@ -157,6 +157,8 @@ def parse_instance(text: str) -> ProblemInstance:
             if node_count > MAX_NODES:
                 raise ParseError(lineno, f"node count {node_count} exceeds the limit {MAX_NODES}")
         elif key == "undirected":
+            if len(tokens) != 1:
+                raise ParseError(lineno, "expected 'undirected' with no value")
             undirected = True
         elif key == "seeds":
             if len(tokens) < 2:

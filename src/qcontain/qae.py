@@ -19,8 +19,9 @@ Two interchangeable modes:
   contract, no statevector, so it is bound by the exact oracle's work budget
   and the evaluation-register cap, not by the qubit cap.
 
-One estimate builds its outcome distribution once and draws every
-repetition from it in one call. Statevector mode cuts each removal's A
+One estimate builds its outcome distribution once, draws every repetition
+from it in one call and counts its own Q and A applications;
+``qae_influence`` only converts it. ``build_a_operator`` cuts a removal's A
 operator from the instance's count table; nothing else outlives the call.
 """
 from __future__ import annotations
@@ -58,12 +59,16 @@ class AmplitudeEstimate:
     a_applications: int
 
 
-def build_a_operator(instance: ProblemInstance, eval_qubits: int) -> AOperatorSpec:
-    """A operator for ``instance``, one edge qubit per arc of its graph.
+def build_a_operator(
+    instance: ProblemInstance, removal: tuple[int, ...], eval_qubits: int
+) -> AOperatorSpec:
+    """A operator of ``instance`` without ``removal``, one edge qubit per arc left.
 
-    The qubit cap covers the edge qubits, the ancilla and the ``eval_qubits``
-    of phase estimation, and is checked before the instance's count table is
-    read, so an over-cap instance builds none.
+    The qubit cap covers the intact instance's edge qubits, the ancilla and the
+    ``eval_qubits`` of phase estimation, and is checked before the instance's
+    count table is read, so an over-cap instance builds none. The removed arcs'
+    qubits are then dropped from the table, highest first, keeping the half
+    where the arc is dead.
     """
     g = instance.graph
     n_edges = len(g.edges)
@@ -74,13 +79,12 @@ def build_a_operator(instance: ProblemInstance, eval_qubits: int) -> AOperatorSp
             f"{eval_qubits} evaluation) > cap {qsim.MAX_QUBITS}; "
             "rerun with --analytic, which simulates no statevector"
         )
+    gone = closed_removal(g, removal)
     f_table = instance.live_counts / g.node_count
-    angles = tuple(2.0 * asin(sqrt(e.p)) for e in g.edges)
-    return AOperatorSpec(
-        n_edge_qubits=n_edges,
-        edge_angles=angles,
-        f_table=f_table,
-    )
+    for k in sorted(gone, reverse=True):
+        f_table = f_table.reshape(-1, 2, 1 << k)[:, 0, :].reshape(-1)
+    angles = tuple(2.0 * asin(sqrt(e.p)) for k, e in enumerate(g.edges) if k not in gone)
+    return AOperatorSpec(len(angles), angles, f_table)
 
 
 def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
@@ -161,17 +165,10 @@ def qae_estimate(
     mode: str,
 ) -> AmplitudeEstimate:
     """One amplitude estimate of ``instance`` without ``removal``: ``QPE_REPETITIONS``
-    runs drawn on one generator from the one outcome distribution built here.
-    Statevector mode checks the cap on the intact instance and drops the removed
-    arcs' qubits from its A operator, highest first, keeping the dead-arc half."""
+    runs drawn on one generator from the one outcome distribution built here."""
     check_evaluation_qubits(m)
     if mode == "statevector":
-        spec = build_a_operator(instance, eval_qubits=m)
-        f_table, angles = spec.f_table, list(spec.edge_angles)
-        for k in sorted(closed_removal(instance.graph, removal), reverse=True):
-            f_table = f_table.reshape(-1, 2, 1 << k)[:, 0, :].reshape(-1)
-            del angles[k]
-        dist = _statevector_qpe_distribution(AOperatorSpec(len(angles), tuple(angles), f_table), m)
+        dist = _statevector_qpe_distribution(build_a_operator(instance, removal, m), m)
     elif mode == "analytic":
         sub = instance.without_edges(removal)
         dist = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
@@ -190,21 +187,12 @@ def evaluation_qubits_for(epsilon: float) -> int:
 
 
 def qae_influence(
-    instance: ProblemInstance,
-    removal: tuple[int, ...],
-    *,
-    epsilon: float,
-    rng_seed: int,
-    mode: str,
+    instance: ProblemInstance, estimate: AmplitudeEstimate, epsilon: float
 ) -> InfluenceEstimate:
-    est = qae_estimate(
-        instance, removal, m=evaluation_qubits_for(epsilon), rng_seed=rng_seed, mode=mode
-    )
+    """``estimate`` as an influence: sigma = a_hat |V| clamped to [|seeds|, |V|],
+    with the requested error epsilon |V| and the estimate's Q applications as work."""
     n = instance.graph.node_count
-    n_seeds = len(instance.seeds)
-    sigma = min(max(est.a_hat * n, float(n_seeds)), float(n))
+    sigma = min(max(estimate.a_hat * n, float(len(instance.seeds))), float(n))
     return InfluenceEstimate(
-        sigma=sigma,
-        std_error=epsilon * n,
-        trials_or_calls=est.q_applications,
+        sigma=sigma, std_error=epsilon * n, trials_or_calls=estimate.q_applications
     )

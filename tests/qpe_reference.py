@@ -6,6 +6,9 @@ Q^y psi / sqrt(M), written in place from row y - 1 by one ``apply_q``, and
 the readout runs the inverse QFT down the rows. The tests compare
 ``qae._statevector_qpe_distribution``, which reads the same distribution
 from the angle between psi's good and bad parts, against this block.
+
+``grover_distribution`` is the Grover search circuit, against which the
+tests check the closed form that ``gmf.grover_search`` samples.
 """
 from __future__ import annotations
 
@@ -57,3 +60,16 @@ def row_loop_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
     for prev, row in zip(block, block[1:]):
         apply_q(prev, out=row)
     return readout(block)
+
+
+def grover_distribution(marked: np.ndarray, iterations: int) -> np.ndarray:
+    """Outcome distribution of ``iterations`` Grover iterations on the uniform
+    superposition over the ``len(marked)`` (a power of two) indices."""
+    n_qubits = len(marked).bit_length() - 1
+    state = qsim.init_state(n_qubits)
+    for q in range(n_qubits):
+        state = qsim.apply_h(state, q)
+    for _ in range(iterations):
+        state = qsim.phase_flip_if(state, marked)
+        state = qsim.diffusion(state)
+    return qsim.register_distribution(state)

@@ -21,7 +21,7 @@ from qcontain.containment import (
     make_exact_estimator,
     objective,
 )
-from qcontain.gmf import _statevector_distribution, durr_hoyer_min, make_gmf_finder
+from qcontain.gmf import durr_hoyer_min, make_gmf_finder
 from qcontain.graph import Edge, Graph, ProblemInstance, generate_random_instance
 from qcontain.qae import (
     _statevector_qpe_distribution,
@@ -32,7 +32,7 @@ from qcontain.qae import (
 )
 
 from conftest import mc_estimate
-from qpe_reference import row_loop_qpe_distribution
+from qpe_reference import grover_distribution, row_loop_qpe_distribution
 
 
 @pytest.fixture
@@ -118,7 +118,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
     )
     for inst in instances:
         a_true = exact_influence(inst).sigma / inst.graph.node_count
-        spec = build_a_operator(inst, eval_qubits=0)
+        spec = build_a_operator(inst, (), eval_qubits=0)
         state = apply_a(qsim.init_state(spec.n_qubits), spec)
         p1 = qsim.probability_of(state, spec.n_edge_qubits, 1)
         worst_p1 = max(worst_p1, abs(p1 - a_true))
@@ -190,7 +190,7 @@ def test_criterion_5_grover_closed_form(report):
             mask[:m_marked] = True
             theta = math.asin(math.sqrt(m_marked / n))
             for k in range(6):
-                dist = _statevector_distribution(mask, k)
+                dist = grover_distribution(mask, k)
                 success = float(dist[mask].sum())
                 closed = math.sin((2 * k + 1) * theta) ** 2
                 worst = max(worst, abs(success - closed))

@@ -238,7 +238,7 @@ class TestContain:
 
         # Monte Carlo seeds become coins here, once per iteration's shared draw
         record(containment, "draw_live", "estimator")
-        record(qae, "qae_influence", "estimator")
+        record(qae, "qae_estimate", "estimator")
         record(gmf, "durr_hoyer_min", "finder")
         argv = ["contain", "--instance", str(star), "--estimator", *estimator,
                 "--finder", "gmf", "--k-max", "2", "--rng", "3"]
@@ -345,6 +345,13 @@ def test_more_names_than_nodes_exits_2(tmp_path, capsys):
     code, _, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
     assert code == 2
     assert err.startswith("error: line 3:")
+
+
+def test_undirected_with_a_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "flag.txt"
+    path.write_text("nodes 3\nundirected false\n0 1 0.5 0.3\n1 2 0.5 0.3\nseeds 0\nlambda 1.0\n")
+    code, out, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
+    assert (code, out, err) == (2, "", "error: line 2: expected 'undirected' with no value\n")
 
 
 def test_missing_instance_file(capsys):

@@ -6,13 +6,14 @@ import pytest
 from qcontain import gmf
 from qcontain.gmf import (
     _padded_size,
-    _statevector_distribution,
     durr_hoyer_min,
     grover_search,
     make_gmf_finder,
 )
 from qcontain.cli import main
 from qcontain.containment import RunAccounting, call_seeds
+
+from qpe_reference import grover_distribution
 
 
 def mask_of(n_items, marked):
@@ -23,7 +24,7 @@ def mask_of(n_items, marked):
 
 def statevector_success(n_padded, marked, iterations):
     mask = mask_of(n_padded, marked)
-    dist = _statevector_distribution(mask, iterations)
+    dist = grover_distribution(mask, iterations)
     return float(dist[mask].sum())
 
 
@@ -60,7 +61,7 @@ class TestGroverSearch:
     @pytest.mark.parametrize(
         "m, n", [(m, n) for m in (0, 1, 2, 4) for n in (2, 4, 8, 16) if m <= n]
     )
-    def test_backends_agree(self, m, n):
+    def test_closed_form_matches_the_circuit(self, m, n):
         # the closed form that grover_search samples, against the circuit
         marked = list(range(m))
         theta = math.asin(math.sqrt(m / n))

@@ -64,6 +64,14 @@ class TestParse:
             parse_instance(text)
         assert str(info.value) == f"line 5: repeated '{extra.split()[0]}' line"
 
+    @pytest.mark.parametrize("line", ["undirected false", "undirected 0", "undirected yes no"])
+    def test_undirected_with_a_value_names_its_line(self, line):
+        # 'undirected false' once built two arcs per edge
+        text = f"nodes 3\n{line}\n0 1 0.5 0.3\n1 2 0.5 0.3\nseeds 0\nlambda 1\n"
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == "line 2: expected 'undirected' with no value"
+
     def test_repeated_seed_lines_add_up(self):
         inst = parse_instance("nodes 3\n0 1 0.5 0.3\nseeds 0\nseeds 2\nlambda 1.0\n")
         assert inst.seeds == {0, 2}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcontain import cascade, qae, qsim
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
+from qcontain.containment import RunAccounting, make_qae_estimator
 from qcontain.graph import (
     Edge,
     Graph,
@@ -43,6 +44,12 @@ def median_of_reads(dist, rng_seed):
         q_applications=sum(r.q_applications for r in runs),
         a_applications=sum(r.a_applications for r in runs),
     )
+
+
+def qae_influence_of(inst, removal, epsilon, seed, mode):
+    """The QAE estimator's influence of ``inst`` without ``removal``, on one call seeded by ``seed``."""
+    (est,) = make_qae_estimator(epsilon, iter([seed]), mode)(inst, [removal], RunAccounting())
+    return est
 
 
 def a_state(spec):
@@ -150,15 +157,15 @@ def qae_instances(draw):
 class TestAOperator:
     def test_isolated_seed(self):
         inst = ProblemInstance(Graph(1, []), frozenset({0}), 1.0)
-        spec = build_a_operator(inst, eval_qubits=0)
+        spec = build_a_operator(inst, (), eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_edge(self, single_edge):
-        spec = build_a_operator(single_edge, eval_qubits=0)
+        spec = build_a_operator(single_edge, (), eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(0.75, abs=1e-12)
 
     def test_chain(self, chain3):
-        spec = build_a_operator(chain3, eval_qubits=0)
+        spec = build_a_operator(chain3, (), eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(1.75 / 3, abs=1e-12)
 
     def test_matches_exact_oracle_on_random_instances(self):
@@ -169,11 +176,11 @@ class TestAOperator:
             if len(inst.graph.edges) > 8:
                 continue
             a_true = exact_influence(inst).sigma / inst.graph.node_count
-            spec = build_a_operator(inst, eval_qubits=0)
+            spec = build_a_operator(inst, (), eval_qubits=0)
             assert abs(ancilla_p1(spec) - a_true) < 1e-9
 
     def test_respects_removal(self, single_edge):
-        spec = build_a_operator(single_edge.without_edges((0,)), eval_qubits=0)
+        spec = build_a_operator(single_edge, (0,), eval_qubits=0)
         assert ancilla_p1(spec) == pytest.approx(0.5, abs=1e-12)
 
     def test_qubit_cap(self):
@@ -182,9 +189,9 @@ class TestAOperator:
             4, 1.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
         )
         assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS
-        build_a_operator(inst, eval_qubits=11)
+        build_a_operator(inst, (), eval_qubits=11)
         with pytest.raises(ValueError, match="analytic"):
-            build_a_operator(inst, eval_qubits=12)
+            build_a_operator(inst, (), eval_qubits=12)
 
     def test_counts_only_rows_an_arc_can_reach(self):
         # a 12-arc chain among 10,000 nodes: a (2^12 x |V|) bool table took 44 MiB
@@ -192,7 +199,7 @@ class TestAOperator:
         inst = parse_instance(f"nodes 10000\n{chain}seeds 0\nlambda 1.0\n")
         tracemalloc.start()
         try:
-            spec = build_a_operator(inst, eval_qubits=0)
+            spec = build_a_operator(inst, (), eval_qubits=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,7 +210,7 @@ class TestAOperator:
 
 class TestQOperator:
     def test_rotates_by_two_theta(self, single_edge):
-        spec = build_a_operator(single_edge, eval_qubits=0)
+        spec = build_a_operator(single_edge, (), eval_qubits=0)
         state = a_state(spec)
         q = build_q_operator(state)
         theta = math.asin(math.sqrt(0.75))
@@ -217,7 +224,7 @@ class TestQOperator:
         )
 
     def test_matches_gate_sequence(self, chain3):
-        spec = build_a_operator(chain3, eval_qubits=0)
+        spec = build_a_operator(chain3, (), eval_qubits=0)
         q = build_q_operator(a_state(spec))
         rng = np.random.default_rng(4)
         dim = 1 << spec.n_qubits
@@ -226,7 +233,7 @@ class TestQOperator:
             assert np.allclose(q(state), gate_q(state, spec), atol=1e-12)
 
     def test_unitarity_on_random_states(self, chain3):
-        spec = build_a_operator(chain3, eval_qubits=0)
+        spec = build_a_operator(chain3, (), eval_qubits=0)
         q = build_q_operator(a_state(spec))
         rng = np.random.default_rng(3)
         dim = 1 << spec.n_qubits
@@ -237,7 +244,7 @@ class TestQOperator:
             assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_out_may_be_the_input(self, chain3):
-        spec = build_a_operator(chain3, eval_qubits=0)
+        spec = build_a_operator(chain3, (), eval_qubits=0)
         q = build_q_operator(a_state(spec))
         rng = np.random.default_rng(5)
         dim = 1 << spec.n_qubits
@@ -295,7 +302,7 @@ class TestQpeReadout:
         assert peak < 1.9 * block
 
     def test_modes_agree(self, single_edge):
-        spec = build_a_operator(single_edge, eval_qubits=0)
+        spec = build_a_operator(single_edge, (), eval_qubits=0)
         for m in (2, 3, 4, 5):
             sv = _statevector_qpe_distribution(spec, m)
             an = qpe_outcome_distribution(0.75, m)
@@ -312,7 +319,7 @@ class TestQpeReadout:
                 continue
             removal = (int(np.random.default_rng(seed).integers(n_edges)),)
             for rem in ((), removal):
-                spec = build_a_operator(inst.without_edges(rem), eval_qubits=0)
+                spec = build_a_operator(inst.without_edges(rem), (), eval_qubits=0)
                 m = min(6, 14 - spec.n_qubits)
                 ladder = ladder_qpe_distribution(spec, m)
                 for dist in (_statevector_qpe_distribution(spec, m), row_loop_qpe_distribution(spec, m)):
@@ -331,7 +338,7 @@ class TestQpeReadout:
             if not inst.graph.edges:
                 continue
             probabilities.update(e.p for e in inst.graph.edges)
-            spec = build_a_operator(inst, eval_qubits=0)
+            spec = build_a_operator(inst, (), eval_qubits=0)
             for m in (3, 6):
                 reference = readout(recurrence_block(a_state(spec), m))
                 dist = row_loop_qpe_distribution(spec, m)
@@ -350,7 +357,7 @@ class TestQpeReadout:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_the_row_loop_on_generated_instances(self, inst, m):
-        spec = build_a_operator(inst, eval_qubits=m)
+        spec = build_a_operator(inst, (), eval_qubits=m)
         good = a_state(spec)[1 << spec.n_edge_qubits:]
         a = exact_influence(inst).sigma / inst.graph.node_count
         assert abs(np.vdot(good, good).real - a) <= 1e-15
@@ -358,7 +365,7 @@ class TestQpeReadout:
         assert np.abs(dist - row_loop_qpe_distribution(spec, m)).max() <= 1e-12
 
     def test_modes_agree_on_chain(self, chain3):
-        spec = build_a_operator(chain3, eval_qubits=0)
+        spec = build_a_operator(chain3, (), eval_qubits=0)
         a = 1.75 / 3
         sv = _statevector_qpe_distribution(spec, 4)
         an = qpe_outcome_distribution(a, 4)
@@ -417,21 +424,32 @@ class TestQaeInfluence:
 
     def test_epsilon_validation(self, single_edge):
         with pytest.raises(ValueError):
-            qae_influence(single_edge, (), epsilon=1.0, rng_seed=0, mode="statevector")
+            qae_influence_of(single_edge, (), 1.0, 0, "statevector")
         with pytest.raises(ValueError):
-            qae_influence(single_edge, (), epsilon=0.0, rng_seed=0, mode="statevector")
+            qae_influence_of(single_edge, (), 0.0, 0, "statevector")
         with pytest.raises(ValueError, match="too small"):
-            qae_influence(single_edge, (), epsilon=5e-324, rng_seed=0, mode="statevector")
+            qae_influence_of(single_edge, (), 5e-324, 0, "statevector")
 
     def test_single_edge_estimate(self, single_edge):
-        est = qae_influence(single_edge, (), epsilon=0.05, rng_seed=4, mode="analytic")
+        est = qae_influence_of(single_edge, (), 0.05, 4, "analytic")
         assert abs(est.sigma - 1.5) <= 0.05 * 2
         m = evaluation_qubits_for(0.05)
         assert est.trials_or_calls == 3 * (2**m - 1)
 
     def test_sigma_clamped_to_bounds(self, single_edge):
-        est = qae_influence(single_edge, (), epsilon=0.2, rng_seed=0, mode="analytic")
+        est = qae_influence_of(single_edge, (), 0.2, 0, "analytic")
         assert 1.0 <= est.sigma <= 2.0
+
+    def test_converts_an_estimate_without_estimating(self, monkeypatch):
+        # 5 nodes, 2 of them seeds: sigma = a_hat |V| clamped to [2, 5]
+        inst = ProblemInstance(Graph(5, [Edge(0, 2, 0.5, 0.1)]), frozenset({0, 1}), 1.0)
+        monkeypatch.setattr(qae, "qae_estimate", None)
+        for a_hat, sigma in [(0.0, 2.0), (0.2, 2.0), (0.6, 0.6 * 5), (0.9, 0.9 * 5), (1.0, 5.0)]:
+            amp = AmplitudeEstimate(a_hat=a_hat, q_applications=21, a_applications=45)
+            est = qae_influence(inst, amp, 0.1)
+            assert est.sigma == sigma
+            assert est.std_error == 0.1 * 5
+            assert est.trials_or_calls == 21
 
     @pytest.mark.parametrize("epsilon", [0.4, 0.2, 0.1, 0.05])
     def test_median_fails_its_stated_error_at_most_1_percent(self, epsilon):
@@ -447,7 +465,7 @@ class TestQaeInfluence:
             a = exact_influence(inst).sigma / inst.graph.node_count
             dists = [qpe_outcome_distribution(a, m)]
             if len(inst.graph.edges) + 1 + m <= 14:
-                dists.append(_statevector_qpe_distribution(build_a_operator(inst, m), m))
+                dists.append(_statevector_qpe_distribution(build_a_operator(inst, (), m), m))
             for dist in dists:
                 p = dist[np.abs(grid - a) > epsilon].sum()
                 assert 3 * p**2 - 2 * p**3 <= 0.01, (s, p)
@@ -512,7 +530,7 @@ def test_qae_influence_is_one_estimate_on_one_distribution(
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(qae, name, counted)
-    qae_influence(chain3, (1,), epsilon=0.2, rng_seed=3, mode=mode)
+    qae_influence_of(chain3, (1,), 0.2, 3, mode)
     assert calls == {builder: 1, distribution: 1, "qae_estimate": 1}
 
 
@@ -523,7 +541,7 @@ def test_qae_estimate_reads_the_distribution_of_its_arguments():
     ):
         sub = inst.without_edges(removal)
         if mode == "statevector":
-            fresh = _statevector_qpe_distribution(build_a_operator(sub, m), m)
+            fresh = _statevector_qpe_distribution(build_a_operator(sub, (), m), m)
         else:
             fresh = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
         for seed in range(3):
@@ -533,12 +551,12 @@ def test_qae_estimate_reads_the_distribution_of_its_arguments():
 
 def test_qae_influence_keeps_nothing_after_the_call(chain3):
     # a first call at another m leaves behind any one-time allocations
-    qae_influence(chain3, (), epsilon=0.2, rng_seed=0, mode="analytic")
+    qae_influence_of(chain3, (), 0.2, 0, "analytic")
     assert evaluation_qubits_for(5e-5) == 18
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        qae_influence(chain3, (), epsilon=5e-5, rng_seed=0, mode="analytic")
+        qae_influence_of(chain3, (), 5e-5, 0, "analytic")
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -563,7 +581,7 @@ def test_an_amplitude_of_one_reads_as_one(tmp_path, capsys, text):
     # part's squares rounds
     inst = parse_instance(text)
     assert exact_influence(inst).sigma == inst.graph.node_count
-    spec = build_a_operator(inst, eval_qubits=6)
+    spec = build_a_operator(inst, (), eval_qubits=6)
     one = qpe_outcome_distribution(1.0, 6)
     assert np.array_equal(_statevector_qpe_distribution(spec, 6), one)
     path = tmp_path / "inst.txt"
@@ -584,7 +602,7 @@ def test_statevector_distribution_at_the_qubit_cap_holds_no_block(tmp_path, caps
     text = f"nodes 4\n{arcs}seeds 0\nlambda 1.0\n"
     inst = parse_instance(text)
     assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS
-    spec = build_a_operator(inst, eval_qubits=11)
+    spec = build_a_operator(inst, (), eval_qubits=11)
     tracemalloc.start()
     try:
         dist = _statevector_qpe_distribution(spec, 11)
@@ -648,21 +666,13 @@ def test_one_readout_call_is_the_median_of_single_draws(weights, seed, runs):
     ],
     ids=["directed", "undirected"],
 )
-def test_a_removal_slices_the_instance_a_operator_into_the_subgraph_one(monkeypatch, tables, text):
+def test_a_removal_slices_the_instance_a_operator_into_the_subgraph_one(tables, text):
     inst = parse_instance(text)
     m = 3
-    handed = []
-
-    def recorded(spec, m, _original=qae._statevector_qpe_distribution):
-        handed.append(spec)
-        return _original(spec, m)
-
-    monkeypatch.setattr(qae, "_statevector_qpe_distribution", recorded)
     arcs = range(len(inst.graph.edges))
     for removal in [(), *((k,) for k in arcs), *itertools.combinations(arcs, 2)]:
-        qae_estimate(inst, removal, m=m, rng_seed=0, mode="statevector")
-        sliced = handed.pop()
-        own = build_a_operator(inst.without_edges(removal), m)
+        sliced = build_a_operator(inst, removal, m)
+        own = build_a_operator(inst.without_edges(removal), (), m)
         assert np.array_equal(sliced.f_table, own.f_table)
         assert sliced.edge_angles == own.edge_angles
         assert sliced.n_edge_qubits == own.n_edge_qubits
@@ -722,6 +732,6 @@ def test_the_qubit_cap_is_checked_on_the_intact_instance():
     arcs = "".join(f"0 {v} 0.5 0.1\n" for v in range(1, 14))
     inst = parse_instance(f"nodes 14\n{arcs}seeds 0\nlambda 1.0\n")
     assert len(inst.graph.edges) + 1 + 11 == qsim.MAX_QUBITS + 1
-    build_a_operator(inst.without_edges((0,)), eval_qubits=11)
+    build_a_operator(inst.without_edges((0,)), (), eval_qubits=11)
     with pytest.raises(ValueError, match="needs 25 qubits"):
         qae_estimate(inst, (0,), m=11, rng_seed=0, mode="statevector")

@@ -8,15 +8,13 @@ plane, and canonical phase estimation on Q reads theta off the m-qubit grid.
 
 Two interchangeable modes:
 
-* ``statevector`` -- simulates A|0> on the edge+ancilla system register and
-  runs the rank-2 readout of the simulated amplitude: Q keeps A|0> in the
-  plane of its good (ancilla 1) and bad parts, so phase estimation on Q is
-  read from the angle between those two parts alone. The evaluation qubits
-  still count toward the qubit cap, as they would in the full s+m qubit
-  register.
+* ``statevector`` -- writes A|0> on the edge+ancilla register as the product
+  state its rotations make, bit for bit the state the Ry gates give, and
+  reads phase estimation on Q from the angle between its good (ancilla 1)
+  and bad parts, the plane Q keeps it in. The evaluation qubits still count
+  toward the qubit cap, as they would in the full s+m qubit register.
 * ``analytic`` -- computes a exactly with the exact oracle and runs the same
-  readout on the two coordinates of the plane Q rotates; identical output
-  contract, no statevector, so it is bound by the exact oracle's work budget
+  readout; no statevector, so it is bound by the exact oracle's work budget
   and the evaluation-register cap, not by the qubit cap.
 
 One estimate builds its outcome distribution once, draws every repetition
@@ -64,11 +62,9 @@ def build_a_operator(
 ) -> AOperatorSpec:
     """A operator of ``instance`` without ``removal``, one edge qubit per arc left.
 
-    The qubit cap covers the intact instance's edge qubits, the ancilla and the
-    ``eval_qubits`` of phase estimation, and is checked before the instance's
-    count table is read, so an over-cap instance builds none. The removed arcs'
-    qubits are then dropped from the table, highest first, keeping the half
-    where the arc is dead.
+    The cap on the intact instance's edge qubits, the ancilla and the
+    ``eval_qubits`` is checked before the count table is read. The removed
+    arcs' qubits are dropped from it, highest first, keeping their dead half.
     """
     g = instance.graph
     n_edges = len(g.edges)
@@ -87,12 +83,16 @@ def build_a_operator(
     return AOperatorSpec(len(angles), angles, f_table)
 
 
-def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
-    """Apply A to the low edge+ancilla qubits of ``state``; the ancilla's angles
-    are indexed by the edge qubits alone, whatever any qubits above it hold."""
-    for q, angle in enumerate(spec.edge_angles):
-        state = qsim.apply_ry(state, q, angle)
-    return qsim.apply_ry_indexed(state, spec.n_edge_qubits, 2.0 * np.arcsin(np.sqrt(spec.f_table)))
+def a_state(spec: AOperatorSpec) -> np.ndarray:
+    """psi = A|0> on the edge+ancilla qubits, the product its rotations make."""
+    psi = qsim.init_state(spec.n_qubits)
+    amps = np.ones(1)
+    for angle in spec.edge_angles:
+        amps = np.multiply.outer((np.cos(angle / 2), np.sin(angle / 2)), amps).reshape(-1)
+    rot = 2.0 * np.arcsin(np.sqrt(spec.f_table))
+    psi[: len(amps)] = np.cos(rot / 2) * amps
+    psi[len(amps):] = np.sin(rot / 2) * amps
+    return psi
 
 
 def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
@@ -103,11 +103,10 @@ def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
 def _plane_readout(theta: float, m: int) -> np.ndarray:
     """Phase-estimation outcome distribution of A|0> = cos(theta)|bad> + sin(theta)|good>.
 
-    Q rotates the (bad, good) plane by 2 theta, so before the inverse QFT the
-    state is sum_y |y> Q^y A|0> / sqrt(M), whose row y has the coordinates
-    (cos, sin)((2y + 1) theta) / sqrt(M) there. Each of the two columns is
-    run through the inverse QFT in turn, and outcome y gets the squared
-    moduli of row y.
+    Q rotates the (bad, good) plane by 2 theta, so row y of the state before
+    the inverse QFT, Q^y A|0> / sqrt(M), has the coordinates
+    (cos, sin)((2y + 1) theta) / sqrt(M). Each column goes through the inverse
+    QFT in turn, and outcome y gets the squared moduli of row y.
     """
     dim = 1 << m
     angles = (2 * np.arange(dim) + 1) * theta
@@ -123,17 +122,18 @@ def _plane_readout(theta: float, m: int) -> np.ndarray:
 
 
 def _statevector_qpe_distribution(spec: AOperatorSpec, m: int) -> np.ndarray:
-    """Phase-estimation readout distribution of the simulated A|0>.
+    """Phase-estimation readout distribution of psi = A|0>.
 
-    Q = (2|psi><psi| - I) S_f keeps psi = A|0> in the plane of its good part
-    (the ancilla-1 upper half) and its bad part, so the readout is that of
-    the plane, at the angle the two parts' norms give. asin(sqrt(a)) of the
-    good part's weight a would lose half its digits as a nears 1 and fail
-    where the float sum rounds past 1.
+    ``a_state`` multiplies out the (cos, sin) of each edge qubit's half angle
+    in qubit order, then splits the product by the ancilla's. That is the Ry
+    gates' float product bit for bit: when qubit k's gate runs, every
+    amplitude with qubit k set is 0, so its other term is an exact zero, and
+    no factor is negative. Q = (2|psi><psi| - I) S_f keeps psi in the plane of
+    its good (ancilla 1) and bad parts, so the readout is the plane's, at the
+    angle of the two norms; asin(sqrt(a)) would fail where the sum rounds past 1.
     """
-    psi = apply_a(qsim.init_state(spec.n_qubits), spec)
-    half = len(psi) // 2
-    return _plane_readout(atan2(np.linalg.norm(psi[half:]), np.linalg.norm(psi[:half])), m)
+    bad, good = a_state(spec).reshape(2, -1)
+    return _plane_readout(atan2(np.linalg.norm(good), np.linalg.norm(bad)), m)
 
 
 def check_evaluation_qubits(m: int) -> None:

@@ -7,6 +7,10 @@ the readout runs the inverse QFT down the rows. The tests compare
 ``qae._statevector_qpe_distribution``, which reads the same distribution
 from the angle between psi's good and bad parts, against this block.
 
+``apply_a`` applies A gate by gate, one Ry per edge qubit and the
+ancilla's indexed Ry. The tests check ``qae.a_state``, which writes A|0> as
+a product state, against it bit for bit.
+
 ``grover_distribution`` is the Grover search circuit, against which the
 tests check the closed form that ``gmf.grover_search`` samples.
 """
@@ -17,7 +21,16 @@ from math import sqrt
 import numpy as np
 
 from qcontain import qsim
-from qcontain.qae import AOperatorSpec, apply_a
+from qcontain.qae import AOperatorSpec
+
+
+def apply_a(state: np.ndarray, spec: AOperatorSpec) -> np.ndarray:
+    """Apply A gate by gate to the low edge+ancilla qubits of ``state``: one Ry
+    per edge qubit, in qubit order, then the ancilla's Ry with one angle per
+    edge configuration, whatever any qubits above the ancilla hold."""
+    for q, angle in enumerate(spec.edge_angles):
+        state = qsim.apply_ry(state, q, angle)
+    return qsim.apply_ry_indexed(state, spec.n_edge_qubits, 2.0 * np.arcsin(np.sqrt(spec.f_table)))
 
 
 def build_q_operator(psi: np.ndarray):

@@ -25,7 +25,7 @@ from qcontain.gmf import durr_hoyer_min, make_gmf_finder
 from qcontain.graph import Edge, Graph, ProblemInstance, generate_random_instance
 from qcontain.qae import (
     _statevector_qpe_distribution,
-    apply_a,
+    a_state,
     build_a_operator,
     qpe_outcome_distribution,
     read_estimate,
@@ -119,7 +119,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
     for inst in instances:
         a_true = exact_influence(inst).sigma / inst.graph.node_count
         spec = build_a_operator(inst, (), eval_qubits=0)
-        state = apply_a(qsim.init_state(spec.n_qubits), spec)
+        state = a_state(spec)
         p1 = qsim.probability_of(state, spec.n_edge_qubits, 1)
         worst_p1 = max(worst_p1, abs(p1 - a_true))
         # analytic mode uses the same exact a; its readout distribution must

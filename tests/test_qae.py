@@ -22,8 +22,9 @@ from qcontain.graph import (
 from qcontain.qae import (
     QPE_REPETITIONS,
     AmplitudeEstimate,
+    AOperatorSpec,
+    _plane_readout,
     _statevector_qpe_distribution,
-    apply_a,
     build_a_operator,
     evaluation_qubits_for,
     qae_estimate,
@@ -32,7 +33,7 @@ from qcontain.qae import (
     read_estimate,
 )
 
-from qpe_reference import build_q_operator, readout, row_loop_qpe_distribution
+from qpe_reference import apply_a, build_q_operator, readout, row_loop_qpe_distribution
 
 
 def median_of_reads(dist, rng_seed):
@@ -53,7 +54,7 @@ def qae_influence_of(inst, removal, epsilon, seed, mode):
 
 
 def a_state(spec):
-    """psi = A|0> on the edge+ancilla qubits."""
+    """psi = A|0> on the edge+ancilla qubits, from the gates."""
     return apply_a(qsim.init_state(spec.n_qubits), spec)
 
 
@@ -144,14 +145,93 @@ def amplitudes_and_m(draw):
 
 @st.composite
 def qae_instances(draw):
-    """Directed instances of 0-10 arcs, their probabilities including 0 and 1."""
+    """Directed or undirected instances of 0-10 arcs, their probabilities
+    including 0 and 1."""
     n = draw(st.integers(1, 6))
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    undirected = draw(st.booleans())
+    pairs = [(a, b) for a in range(n) for b in range(n) if a < b or (a > b and not undirected)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5 if undirected else 10)) if pairs else []
     probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    edges = [Edge(a, b, draw(probs), 0.1) for a, b in chosen]
+    edges = []
+    for a, b in chosen:
+        p = draw(probs)
+        edges += [Edge(a, b, p, 0.1)] + ([Edge(b, a, p, 0.1)] if undirected else [])
     seeds = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    return ProblemInstance(Graph(n, edges), frozenset(seeds), 1.0)
+    return ProblemInstance(Graph(n, edges, undirected), frozenset(seeds), 1.0)
+
+
+@st.composite
+def a_specs(draw):
+    """A operators of 0-12 edge qubits, p = 0 and p = 1 among their arcs, with
+    an f_table of infected counts over |V|, all 0 or all 1."""
+    n = draw(st.integers(0, 12))
+    probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    angles = tuple(2.0 * math.asin(math.sqrt(draw(probs))) for _ in range(n))
+    nodes = draw(st.integers(1, 9))
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, nodes + 1, 1 << n)
+    fill = draw(st.sampled_from([None, 0.0, 1.0]))
+    f_table = counts / nodes if fill is None else np.full(1 << n, fill)
+    return AOperatorSpec(n, angles, f_table)
+
+
+@st.composite
+def removal_specs(draw):
+    """``build_a_operator`` of a ``qae_instances`` instance without a random
+    removal, at 0-4 evaluation qubits."""
+    inst = draw(qae_instances())
+    arcs = len(inst.graph.edges)
+    removal = tuple(draw(st.sets(st.integers(0, arcs - 1)))) if arcs else ()
+    return build_a_operator(inst, removal, draw(st.integers(0, 4)))
+
+
+TWO_ARC_CHAIN = ProblemInstance(
+    Graph(3, [Edge(0, 1, 0.6, 0.1), Edge(1, 2, 0.3, 0.1)]), frozenset({0}), 1.0
+)
+
+
+class TestAState:
+    @given(st.one_of(a_specs(), removal_specs()))
+    @example(AOperatorSpec(2, (0.0, 1.3), np.array([0.25, 0.5, 0.75, 1.0])))  # an arc with p = 0
+    @example(AOperatorSpec(2, (2.0 * math.asin(1.0), 0.7), np.array([0.2, 0.4, 0.6, 0.8])))  # p = 1
+    @example(AOperatorSpec(3, (0.4, 1.1, 2.9), np.zeros(8)))
+    @example(AOperatorSpec(3, (0.4, 1.1, 2.9), np.ones(8)))
+    @example(build_a_operator(TWO_ARC_CHAIN, (0, 1), 2))  # every arc removed: no edge qubit
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_gate_state_bit_for_bit(self, spec):
+        gates = apply_a(qsim.init_state(spec.n_qubits), spec)
+        psi = qae.a_state(spec)
+        assert psi.dtype == gates.dtype and psi.shape == gates.shape
+        # real and imaginary parts, signed zeros included
+        assert np.array_equal(psi.view(np.uint64), gates.view(np.uint64))
+        half = len(gates) // 2
+        theta = math.atan2(np.linalg.norm(gates[half:]), np.linalg.norm(gates[:half]))
+        for m in (1, 6):
+            dist = _statevector_qpe_distribution(spec, m)
+            assert np.array_equal(dist.view(np.uint64), _plane_readout(theta, m).view(np.uint64))
+
+    def test_the_widest_register_the_cli_accepts(self):
+        # the first 19 arcs of the 5-node complete digraph, the ancilla and the
+        # m = 4 that epsilon 0.9 takes fill the 24-qubit cap
+        pairs = [(u, v) for u in range(5) for v in range(5) if u != v][:19]
+        arcs = "".join(f"{u} {v} {0.05 * (k + 1):.2f} 0.1\n" for k, (u, v) in enumerate(pairs))
+        inst = parse_instance(f"nodes 5\n{arcs}seeds 0\nlambda 1.0\n")
+        m = evaluation_qubits_for(0.9)
+        assert len(inst.graph.edges) + 1 + m == qsim.MAX_QUBITS
+        spec = build_a_operator(inst, (), m)
+        tracemalloc.start()
+        try:
+            dist = _statevector_qpe_distribution(spec, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(dist.sum() - 1.0) <= 1e-12
+        # tracemalloc peaks, numpy 2.4.6 on x86-64: 32.0 MiB for the product
+        # state (the 16 MiB of the 2^20 complex amplitudes and four 2^19-float
+        # arrays) and 64.1 MiB for the gate form, each Ry writing a new state
+        # beside its products; the bound leaves 8 MiB over the first
+        assert peak < 40 << 20
+        psi = qae.a_state(spec)
+        assert np.array_equal(psi.view(np.uint64), a_state(spec).view(np.uint64))
 
 
 class TestAOperator:

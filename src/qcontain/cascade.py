@@ -9,8 +9,8 @@ Two routes to the expected influence sigma:
   influence is #P-hard, so it has a work budget, ``EXACT_WORK_BUDGET``.
   ``exact_gradient`` runs the same DP with a log of its states and walks
   the log back once for d sigma / d p of every arc, from which sigma with
-  any one arc dead follows exactly. Its floats are added left to right, so
-  the bits do not depend on the Python version.
+  any one arc dead follows exactly. Both skip a removal's arcs as dead, and
+  add floats left to right, so the bits do not depend on the Python version.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
@@ -274,11 +274,10 @@ def draw_live(
 def mc_influence(instance: ProblemInstance, trials: int, row: np.ndarray) -> InfluenceEstimate:
     """Monte Carlo estimate of sigma for a removal of ``instance``, from its ``draw_live`` row.
 
-    The removal's arcs and undirected partners are dead in every cascade, so
-    each count is the one ``instance.without_edges`` gives on the same coins
-    without the removed columns. sigma is sum c / trials; the standard error
-    comes from the exact integer spread trials * sum c^2 - (sum c)^2. A row
-    of another node count, or of another number of trials, is refused.
+    The removal's arcs and undirected partners are dead in every cascade. sigma
+    is sum c / trials; the standard error comes from the exact integer spread
+    trials * sum c^2 - (sum c)^2. A row of another node count, or of another
+    number of trials, is refused.
     """
     drawn, nodes, total, squares = row.tolist()
     if nodes != instance.graph.node_count:
@@ -314,45 +313,49 @@ def live_edge_reachability(graph: Graph, seeds: frozenset[int]) -> np.ndarray:
     return kernel.count(kernel.active(live))[:configs]
 
 
-def exact_influence(instance: ProblemInstance) -> ExactInfluence:
+def exact_influence(instance: ProblemInstance, removal: Iterable[int]) -> ExactInfluence:
     """Exact expected influence by a forward DP over (active set, frontier) states.
 
-    Both sets are int bit masks. A frontier node tries each out-arc once, so
-    from (A, F) each node u outside A joins the next frontier independently,
-    with probability 1 - prod(1 - p_vu) over the arcs (v, u) with v in F.
-    Every transition adds a node, so states are expanded in order of
-    increasing |A| and each is complete when reached; one with no new nodes
-    is terminal. A node joins a frontier exactly once on every run that
-    activates it, so its probability is the summed mass of the states whose
-    frontier holds it.
+    Both sets are int bit masks. The arcs of ``closed_removal(removal)`` are
+    dead, giving the subgraph's bits. A frontier node tries each out-arc once,
+    so from (A, F) each node u outside A joins the next frontier independently,
+    with probability 1 - prod(1 - p_vu) over the arcs (v, u) with v in F. Every
+    transition adds a node, so states are expanded in order of increasing |A|
+    and each is complete when reached; one with no new nodes is terminal. A
+    node joins a frontier exactly once on every run that activates it, so its
+    probability is the summed mass of the states whose frontier holds it.
     """
-    return _forward(instance, None)
+    return _forward(instance, closed_removal(instance.graph, removal), None)
 
 
-def exact_gradient(instance: ProblemInstance) -> tuple[ExactInfluence, list[float]]:
+def exact_gradient(
+    instance: ProblemInstance, removal: Iterable[int]
+) -> tuple[ExactInfluence, list[float]]:
     """``exact_influence`` and d sigma / d p_k of each arc k, by a forward and a reverse pass.
 
     sigma is multilinear in the arc probabilities (Kempe, Kleinberg, Tardos
-    2003), so sigma with arc k dead is exactly sigma - p_k * grad[k]
-    (Griewank and Walther 2008). The forward DP logs the (A, F, mass, sure,
-    maybe) of each state it expands; the reverse pass walks the log back,
-    so each state's successors are done first, and forms the value-to-go
-    V(A, F) = |F| + sum_o P(o) V(next_o). For each uncertain joiner u, with
-    q_u = P(u stays out), S_in and S_out sum P(o) V(next_o) over the outcomes
-    with and without u, and each frontier arc e into u gains
-    mass * q_u / (1 - p_e) * (S_in / (1 - q_u) - S_out / q_u). The forward
-    pass never expands the zero-mass branch where an arc with p = 1 fails,
-    so grad[k] is exact for 0 < p_k < 1, and p_k * grad[k] for p_k = 0 too.
-    Every sum adds its terms left to right from int 0, as the builtin
-    ``sum`` does up to Python 3.11. From 3.12 on, ``sum`` compensates float
-    sums, which would move the gradient's last bits.
+    2003), so sigma with arc k dead too is exactly sigma - p_k * grad[k]
+    (Griewank and Walther 2008); a dead arc's grad is 0.0. The forward DP logs
+    the (A, F, mass, sure, maybe) of each state it expands; the reverse pass
+    walks the log back, so each state's successors are done first, and forms
+    the value-to-go V(A, F) = |F| + sum_o P(o) V(next_o). For each uncertain
+    joiner u, with q_u = P(u stays out), S_in and S_out sum P(o) V(next_o) over
+    the outcomes with and without u, and each live frontier arc e into u gains
+    mass * q_u / (1 - p_e) * (S_in / (1 - q_u) - S_out / q_u). The forward pass
+    never expands the zero-mass branch where an arc with p = 1 fails, so
+    grad[k] is exact for 0 < p_k < 1, and p_k * grad[k] for p_k = 0 too. Every
+    sum adds its terms left to right from int 0, as the builtin ``sum`` does up
+    to Python 3.11; from 3.12 on it compensates float sums, which would move
+    the gradient's last bits.
     """
-    log: list[tuple] = []
-    exact = _forward(instance, log)
     g = instance.graph
+    dead = closed_removal(g, removal)
+    log: list[tuple] = []
+    exact = _forward(instance, dead, log)
     feeds: list[list[tuple[int, int, float]]] = [[] for _ in range(g.node_count)]
     for k, e in enumerate(g.edges):
-        feeds[e.dst].append((e.src, k, 1.0 - e.p))  # (source, arc, 1 - p) per arc into u
+        if k not in dead:
+            feeds[e.dst].append((e.src, k, 1.0 - e.p))  # (source, arc, 1 - p) per live arc into u
     grad = [0.0] * len(g.edges)
     value: dict[tuple[int, int], float] = {}
     for active, frontier, mass, sure, maybe in reversed(log):
@@ -384,13 +387,14 @@ def exact_gradient(instance: ProblemInstance) -> tuple[ExactInfluence, list[floa
     return exact, grad
 
 
-def _forward(instance: ProblemInstance, log: list | None) -> ExactInfluence:
-    """``exact_influence``'s DP. Unless ``log`` is None, each expanded state's
-    (A, F, mass, sure, maybe) is appended to it once its work is within the budget."""
+def _forward(instance: ProblemInstance, dead: frozenset[int], log: list | None) -> ExactInfluence:
+    """``exact_influence``'s DP, skipping the arcs in ``dead``. Unless ``log`` is None, each
+    expanded state's (A, F, mass, sure, maybe) is appended to it once its work is within budget."""
     g = instance.graph
     arcs: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
-    for e in g.edges:
-        arcs[e.src].append((e.dst, 1.0 - e.p))
+    for k, e in enumerate(g.edges):
+        if k not in dead:
+            arcs[e.src].append((e.dst, 1.0 - e.p))
     node_probs = [0.0] * g.node_count
     seeds = sum(1 << s for s in instance.seeds)
     pending = {len(instance.seeds): {(seeds, seeds): 1.0}}

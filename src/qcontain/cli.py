@@ -168,7 +168,7 @@ def cmd_bench_estimation(args) -> int:
     n = inst.graph.node_count
     for trials in mc_grid:
         check_draw(trials, n)
-    a_true = exact_influence(inst).sigma / n
+    a_true = exact_influence(inst, ()).sigma / n
     # QAE rows are read from the exact amplitude's outcome distribution, built once per m
     dists = {m: qpe_outcome_distribution(a_true, m) for m in m_grid}
     rows = []

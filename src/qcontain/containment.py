@@ -7,22 +7,22 @@ The loop is parameterized over an influence estimator and a minimum finder:
   for all of its candidates at once;
 * finder(scores, accounting) -> index of the minimizing candidate.
 
-Removal indices always refer to the original instance graph. Each removal
-is estimated once: the intact graph ``()`` is scored in the first greedy
+Removal indices always refer to the original instance graph. Each removal is
+estimated once: the intact graph ``()`` is scored in the first greedy
 iteration's call, ahead of its candidates, and alone only when no iteration
 runs. The QAE estimator scores each removal with one ``qae_estimate`` on a
 seed of its own, adds each estimate's own Q and A applications and converts
 the estimates to influences; in statevector mode every removal's A operator
-is cut from the instance's one count table. The exact
-estimator scores a call's removals with one forward DP and one reverse pass
-on the graph without the arcs they all remove, so a plan of k iterations
-runs k forward DPs. Every Monte Carlo estimate comes from the Monte Carlo
-estimator, which takes one seed per call and scores every removal on that
-call's live-edge draw over the original arcs with its arcs dead (Kimura,
+is cut from the instance's one count table. The exact estimator scores a
+call's removals with one forward DP and one reverse pass with the arcs they
+all remove dead, so a plan of k iterations runs k forward DPs. Every Monte
+Carlo estimate comes from the Monte Carlo estimator, which takes one seed
+per call and scores every removal on that call's live-edge draw (Kimura,
 Saito and Motoda 2009); ``cascade.draw_live`` streams the coins once and
 gives each removal four exact integers, (trials, |V|, sum c, sum c^2) over
-its infected counts c, read by its ``mc_influence`` call. Candidate
-selection walks the original arcs too, so it builds no subgraph.
+its infected counts c, read by its ``mc_influence`` call. Every estimator,
+and the candidate walk, reads the original arcs with a removal's arcs and
+partners dead; none builds a subgraph.
 """
 from __future__ import annotations
 
@@ -180,10 +180,10 @@ def make_exact_estimator() -> Estimator:
 
     The base is the arcs all of a call's removals remove. If every removal
     removes just the base, as a lone removal such as the intact graph
-    ``[()]`` does, the forward DP of the base subgraph scores them all.
-    Otherwise its gradient, a forward DP and a reverse pass, scores every
-    removal whose other arcs are one logical edge as
-    sigma_base - sum p_a * grad_a. The two arcs of an undirected pair need
+    ``[()]`` does, the forward DP with the base dead scores them all.
+    Otherwise its gradient, a forward DP and a reverse pass indexed by
+    original arc, scores every removal whose other arcs are one logical edge
+    as sigma_base - sum p_a * grad_a. The two arcs of an undirected pair need
     no cross term, since no cascade uses both. A removal of more than one
     logical edge beyond the base, or of an arc with p = 1, where the
     gradient is not exact, runs its own DP. Nothing is kept between calls.
@@ -195,21 +195,19 @@ def make_exact_estimator() -> Estimator:
         g = instance.graph
         closed = [closed_removal(g, r) for r in removals]
         base = frozenset.intersection(*closed)
-        sub = instance.without_edges(base)
         if any(c != base for c in closed):
-            exact, grad = exact_gradient(sub)
+            exact, grad = exact_gradient(instance, base)
         else:
-            exact, grad = exact_influence(sub), []
-        kept = {k: i for i, k in enumerate(k for k in range(len(g.edges)) if k not in base)}
+            exact, grad = exact_influence(instance, base), []
         out = []
         for removal, extra in zip(removals, (c - base for c in closed)):
             if extra and (
                 extra != closed_removal(g, [min(extra)]) or any(g.edges[k].p == 1.0 for k in extra)
             ):
-                alone = exact_influence(instance.without_edges(removal))
+                alone = exact_influence(instance, removal)
                 sigma, work = alone.sigma, alone.work
             else:
-                sigma = exact.sigma - sum(g.edges[k].p * grad[kept[k]] for k in sorted(extra))
+                sigma = exact.sigma - sum(g.edges[k].p * grad[k] for k in sorted(extra))
                 work = exact.work
             # work units: the DP's subset transitions
             out.append(InfluenceEstimate(sigma=sigma, std_error=None, trials_or_calls=work))

@@ -107,7 +107,7 @@ class ProblemInstance:
         return live_edge_reachability(self.graph, self.seeds)
 
     def without_edges(self, removal: Iterable[int]) -> "ProblemInstance":
-        """Without the given arcs and their undirected partners; itself when nothing is removed."""
+        """Without the given arcs and their undirected partners, itself if none; the tests' reference."""
         g = self.graph
         drop = closed_removal(g, removal)
         if not drop:

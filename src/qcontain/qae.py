@@ -13,9 +13,9 @@ Two interchangeable modes:
   reads phase estimation on Q from the angle between its good (ancilla 1)
   and bad parts, the plane Q keeps it in. The evaluation qubits still count
   toward the qubit cap, as they would in the full s+m qubit register.
-* ``analytic`` -- computes a exactly with the exact oracle and runs the same
-  readout; no statevector, so it is bound by the exact oracle's work budget
-  and the evaluation-register cap, not by the qubit cap.
+* ``analytic`` -- computes a with the exact oracle, on the instance's arcs
+  with the removal dead, and runs the same readout; no statevector, so it
+  is bound by the exact oracle's work budget and the evaluation cap.
 
 One estimate builds its outcome distribution once, draws every repetition
 from it in one call and counts its own Q and A applications;
@@ -96,8 +96,8 @@ def a_state(spec: AOperatorSpec) -> np.ndarray:
 
 
 def qpe_outcome_distribution(a: float, m: int) -> np.ndarray:
-    """Exact phase-estimation outcome distribution for amplitude a = sin^2 theta."""
-    return _plane_readout(asin(sqrt(a)), m)
+    """Exact phase-estimation outcome distribution for a = sin^2 theta; an a rounded past 1 reads as 1."""
+    return _plane_readout(asin(sqrt(min(a, 1.0))), m)
 
 
 def _plane_readout(theta: float, m: int) -> np.ndarray:
@@ -170,8 +170,8 @@ def qae_estimate(
     if mode == "statevector":
         dist = _statevector_qpe_distribution(build_a_operator(instance, removal, m), m)
     elif mode == "analytic":
-        sub = instance.without_edges(removal)
-        dist = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
+        a = exact_influence(instance, removal).sigma / instance.graph.node_count
+        dist = qpe_outcome_distribution(a, m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return read_estimate(dist, np.random.default_rng(rng_seed), QPE_REPETITIONS)

@@ -66,7 +66,7 @@ def test_criterion_1_live_edge_ic_equivalence(report):
     start = time.time()
     worst = 0.0
     for i, inst in enumerate(small_instances(20, seed_base=3000, max_edges=10)):
-        exact = exact_influence(inst).sigma
+        exact = exact_influence(inst, ()).sigma
         mc = mc_estimate(inst, 200_000, 500 + i)
         se = max(mc.std_error, 1e-12)
         worst = max(worst, abs(mc.sigma - exact) / se)
@@ -96,7 +96,7 @@ def mc_rmse_curve(inst, sigma, trial_grid, reps=100):
 
 
 def test_criterion_2_mc_rmse_halves_per_4x_trials(report):
-    sigma = exact_influence(FIXED_8EDGE).sigma
+    sigma = exact_influence(FIXED_8EDGE, ()).sigma
     rmses = mc_rmse_curve(FIXED_8EDGE, sigma, (100, 400, 1600, 6400))
     ratios = [rmses[i] / rmses[i + 1] for i in range(3)]
     ok = all(1.6 <= r <= 2.5 for r in ratios)
@@ -117,7 +117,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
         ProblemInstance(Graph(2, [Edge(0, 1, 0.5, 0.3)]), frozenset({0}), 1.0)
     )
     for inst in instances:
-        a_true = exact_influence(inst).sigma / inst.graph.node_count
+        a_true = exact_influence(inst, ()).sigma / inst.graph.node_count
         spec = build_a_operator(inst, (), eval_qubits=0)
         state = a_state(spec)
         p1 = qsim.probability_of(state, spec.n_edge_qubits, 1)
@@ -138,7 +138,7 @@ def test_criterion_3_ancilla_encodes_normalized_influence(report):
 
 
 def test_criterion_4_qae_accuracy_and_scaling(report):
-    a = exact_influence(FIXED_8EDGE).sigma / 7
+    a = exact_influence(FIXED_8EDGE, ()).sigma / 7
     m_grid = (4, 6, 8, 10)
     fracs = []
     mean_errs = []
@@ -160,7 +160,7 @@ def test_criterion_4_qae_accuracy_and_scaling(report):
         q_apps.append(2**m - 1)
     qae_slope = float(np.polyfit(np.log(q_apps), np.log(mean_errs), 1)[0])
 
-    sigma = exact_influence(FIXED_8EDGE).sigma
+    sigma = exact_influence(FIXED_8EDGE, ()).sigma
     trial_grid = (100, 400, 1600, 6400)
     rmses = mc_rmse_curve(FIXED_8EDGE, sigma, trial_grid)
     mc_slope = float(np.polyfit(np.log(trial_grid), np.log(rmses), 1)[0])
@@ -236,7 +236,7 @@ def test_criterion_7_finder_equivalence(report):
     def final_objective(inst, plan):
         if plan.trace:
             return plan.trace[-1][2].total
-        return objective(inst, (), sigma=exact_influence(inst).sigma).total
+        return objective(inst, (), sigma=exact_influence(inst, ()).sigma).total
 
     agree = 0
     total_calls = 0

@@ -166,35 +166,35 @@ def test_batch_matches_sequential_simulation():
 
 class TestExactInfluence:
     def test_single_edge(self, single_edge):
-        result = exact_influence(single_edge)
+        result = exact_influence(single_edge, ())
         assert result.sigma == pytest.approx(1.5, abs=1e-12)
         assert result.node_probs == pytest.approx({0: 1.0, 1: 0.5})
 
     def test_chain(self, chain3):
-        assert exact_influence(chain3).sigma == pytest.approx(1.75, abs=1e-12)
+        assert exact_influence(chain3, ()).sigma == pytest.approx(1.75, abs=1e-12)
 
     def test_deterministic_graph_counts_reachable(self):
         edges = [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.1), Edge(3, 2, 1.0, 0.1)]
         inst = ProblemInstance(Graph(4, edges), frozenset({0}), 1.0)
-        assert exact_influence(inst).sigma == pytest.approx(3.0)
+        assert exact_influence(inst, ()).sigma == pytest.approx(3.0)
 
     def test_too_many_edges_rejected(self, monkeypatch):
         inst = generate_random_instance(
             4, 1.0, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=0
         )
         assert len(inst.graph.edges) == 12
-        exact_influence(inst)
+        exact_influence(inst, ())
         monkeypatch.setattr(cascade, "EXACT_WORK_BUDGET", 4)
         with pytest.raises(ValueError, match="too large"):
-            exact_influence(inst)
+            exact_influence(inst, ())
 
     def test_work_counts_subset_transitions(self, single_edge, chain3):
         # each state expands 2^(uncertain joiners) transitions: 2 + 1 and 2 + 2 + 1
-        assert exact_influence(single_edge).work == 3
-        assert exact_influence(chain3).work == 5
+        assert exact_influence(single_edge, ()).work == 3
+        assert exact_influence(chain3, ()).work == 5
 
     def test_sigma_is_sum_of_node_probs(self, chain3):
-        result = exact_influence(chain3)
+        result = exact_influence(chain3, ())
         assert result.sigma == pytest.approx(sum(result.node_probs.values()))
         for s in chain3.seeds:
             assert result.node_probs[s] == pytest.approx(1.0)
@@ -208,7 +208,7 @@ def test_influence_bounds(rng_seed):
     )
     if len(inst.graph.edges) > 10:
         return
-    sigma = exact_influence(inst).sigma
+    sigma = exact_influence(inst, ()).sigma
     assert len(inst.seeds) - 1e-12 <= sigma <= inst.graph.node_count + 1e-12
 
 
@@ -222,8 +222,8 @@ def test_removing_an_edge_never_increases_influence(rng_seed, data):
     if n_edges == 0 or n_edges > 10:
         return
     k = data.draw(st.integers(0, n_edges - 1))
-    before = exact_influence(inst).sigma
-    after = exact_influence(inst.without_edges([k])).sigma
+    before = exact_influence(inst, ()).sigma
+    after = exact_influence(inst.without_edges([k]), ()).sigma
     assert after <= before + 1e-12
 
 
@@ -235,7 +235,7 @@ def test_mc_agrees_with_exact_oracle():
         )
         if len(inst.graph.edges) > 10:
             continue
-        truth = exact_influence(inst).sigma
+        truth = exact_influence(inst, ()).sigma
         est = mc_estimate(inst, 50000, seed + 100)
         band = max(5 * est.std_error, 1e-9)
         assert abs(est.sigma - truth) < band
@@ -414,7 +414,7 @@ def test_pack_matches_packbits_of_the_transpose(cascades, arcs):
 )
 @settings(max_examples=80, deadline=None)
 def test_dp_matches_live_edge_enumeration(inst):
-    result = exact_influence(inst)
+    result = exact_influence(inst, ())
     expected = enumerated_node_probs(inst)
     assert sorted(result.node_probs) == list(range(inst.graph.node_count))
     for v, prob in result.node_probs.items():
@@ -442,9 +442,39 @@ def test_one_reverse_pass_scores_each_candidate_as_its_own_dp(inst, data):
         prefix = (data.draw(st.sampled_from(first)),)
     removals = [prefix, *((*prefix, k) for k in candidate_edges(inst, prefix, "all"))]
     scores = exact_scores(inst, removals)
-    assert scores[0] == exact_influence(inst.without_edges(prefix)).sigma
+    assert scores[0] == exact_influence(inst.without_edges(prefix), ()).sigma
     for removal, sigma in zip(removals, scores):
-        assert abs(sigma - exact_influence(inst.without_edges(removal)).sigma) <= 1e-12
+        assert abs(sigma - exact_influence(inst.without_edges(removal), ()).sigma) <= 1e-12
+
+
+@given(
+    inst=small_instances(
+        probs=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])), max_pairs=7
+    ),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_removal_is_dead_arcs_of_the_instance_bit_for_bit(inst, data):
+    # the reference is the subgraph, re-indexed; an undirected removal names
+    # only the second arc of each pair, so its first arc is dead by closure
+    g = inst.graph
+    arcs = [k for k, mate in enumerate(g.partner) if mate is None or k > mate]
+    removal = data.draw(st.lists(st.sampled_from(arcs), unique=True), "removal") if arcs else []
+    dead = closed_removal(g, removal)
+    sub = inst.without_edges(removal)
+    assert exact_influence(inst, removal) == exact_influence(sub, ())
+    exact, grad = cascade.exact_gradient(inst, removal)
+    sub_exact, sub_grad = cascade.exact_gradient(sub, ())
+    assert exact == sub_exact
+    assert len(grad) == len(g.edges)
+    live = [k for k in range(len(g.edges)) if k not in dead]
+    assert [repr(grad[k]) for k in live] == [repr(x) for x in sub_grad]
+    assert all(repr(grad[k]) == "0.0" for k in dead)
+    for bad in (len(g.edges), -1):
+        with pytest.raises(ValueError, match="invalid edge index"):
+            exact_influence(inst, [*removal, bad])
+        with pytest.raises(ValueError, match="invalid edge index"):
+            cascade.exact_gradient(inst, [*removal, bad])
 
 
 def test_a_certain_arc_is_scored_by_its_own_dp():
@@ -460,14 +490,14 @@ def test_a_removal_of_two_more_edges_is_scored_by_its_own_dp(chain3):
 
 
 def test_the_reverse_pass_keeps_the_forward_result(chain3):
-    exact, grad = cascade.exact_gradient(chain3)
-    assert exact == exact_influence(chain3)
+    exact, grad = cascade.exact_gradient(chain3, ())
+    assert exact == exact_influence(chain3, ())
     # sigma = 1 + p0 + p0 p1 at p = 0.5
     assert grad == pytest.approx([1.5, 0.5], abs=1e-15)
 
 
 def test_a_lone_removal_runs_the_forward_dp_alone(chain3, monkeypatch):
-    def refuse(instance):
+    def refuse(instance, removal):
         raise AssertionError("a lone removal ran the reverse pass")
 
     monkeypatch.setattr(containment, "exact_gradient", refuse)
@@ -492,16 +522,16 @@ PINNED_GRADIENT = [
 
 
 def test_the_gradient_has_pinned_bits():
-    assert [repr(x) for x in cascade.exact_gradient(gen_instance(1, 0.5))[1]] == PINNED_GRADIENT
+    assert [repr(x) for x in cascade.exact_gradient(gen_instance(1, 0.5), ())[1]] == PINNED_GRADIENT
 
 
 def count_forward_dps(monkeypatch) -> list:
     runs = []
     forward = cascade._forward
 
-    def counted(instance, log):
+    def counted(instance, dead, log):
         runs.append(instance)
-        return forward(instance, log)
+        return forward(instance, dead, log)
 
     monkeypatch.setattr(cascade, "_forward", counted)
     return runs
@@ -721,7 +751,7 @@ def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
         rng_seed=nodes
     )
     assert len(inst.graph.edges) > 24
-    truth = exact_influence(inst).sigma
+    truth = exact_influence(inst, ()).sigma
     est = mc_estimate(inst, 20000, nodes + 100)
     assert abs(est.sigma - truth) < 5 * est.std_error
 
@@ -729,7 +759,7 @@ def test_dp_agrees_with_mc_beyond_enumeration(nodes, edge_prob):
 def test_long_chain_needs_no_recursion():
     n = 2000
     edges = [Edge(v, v + 1, 0.5, 0.1) for v in range(n - 1)]
-    result = exact_influence(ProblemInstance(Graph(n, edges), frozenset({0}), 1.0))
+    result = exact_influence(ProblemInstance(Graph(n, edges), frozenset({0}), 1.0), ())
     assert result.sigma == pytest.approx(sum(0.5**k for k in range(n)), abs=1e-12)
     assert result.node_probs[10] == pytest.approx(0.5**10, abs=1e-15)
 

@@ -405,6 +405,55 @@ def test_exact_and_analytic_past_24_edges(tmp_path, capsys, flags, sigma):
     assert float(out.splitlines()[1].split()[1]) == pytest.approx(sigma, abs=1e-3)
 
 
+# every node is infected in every run, and the exact DP's sigma rounds to
+# 9.000000000000004, so a = sigma / |V| is 2 ulps above 1
+SIGMA_PAST_NODES = """nodes 9
+0 1 1.0 0.0
+2 1 0.7913911829079403 0.0
+2 3 0.35463040692230363 0.0
+2 5 0.7639132580252468 0.0
+2 6 0.12422250956374536 0.0
+2 7 1.0 0.0
+2 8 0.13545665470051527 0.0
+3 0 1.0 0.0
+3 8 0.09176931519415643 0.0
+4 0 0.5174524363814725 0.0
+4 1 0.7793081450502338 0.0
+4 5 0.4837614315747716 0.0
+4 8 1.0 0.0
+5 3 0.8628861313474716 0.0
+5 6 1.0 0.0
+5 8 0.1575132269029751 0.0
+6 3 1.0 0.0
+7 3 0.390756930070452 0.0
+7 4 1.0 0.0
+7 5 0.9923936600849581 0.0
+7 8 0.11000144845883797 0.0
+8 5 1.0 0.0
+seeds 2
+lambda 1.0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--method", "qae", "--analytic", "--epsilon", "0.1"],
+        ["contain", "--estimator", "qae", "--analytic", "--epsilon", "0.1"],
+        ["bench-estimation", "--mc-trials", "100", "--qae-m", "3", "--reps", "1"],
+    ],
+    ids=["estimate", "contain", "bench-estimation"],
+)
+def test_an_exact_amplitude_past_one_exits_0(tmp_path, capsys, argv):
+    path = tmp_path / "nine.txt"
+    path.write_text(SIGMA_PAST_NODES)
+    assert exact_influence(graph.parse_instance(SIGMA_PAST_NODES), ()).sigma > 9.0
+    code, out, err = run([*argv, "--instance", str(path)], capsys)
+    assert (code, err) == (0, "")
+    if argv[0] == "estimate":
+        assert out.splitlines()[1] == "sigma 9.0"
+
+
 def run_capped(argv, cap_kib=CHILD_AS_KIB):
     """Run the CLI in a child process whose address space is capped."""
 
@@ -520,9 +569,9 @@ def test_bench_estimation_checks_mc_sums_before_the_sweep(tmp_path, monkeypatch,
 def test_bench_estimation_runs_the_exact_oracle_once(instance_file, monkeypatch, capsys):
     calls = []
 
-    def counted(inst):
+    def counted(inst, removal):
         calls.append(inst)
-        return exact_influence(inst)
+        return exact_influence(inst, removal)
 
     monkeypatch.setattr(cli, "exact_influence", counted)
     monkeypatch.setattr(qae, "exact_influence", counted)

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import qcontain
 
@@ -45,3 +47,19 @@ def test_the_count_sees_functions_and_methods():
     assert "qcontain.qae.qae_influence" in names
     assert "qcontain.graph.ProblemInstance.without_edges" in names
     assert not any(name.endswith("AmplitudeEstimate.__init__") for name in names)
+
+
+def test_only_graph_calls_without_edges():
+    # an estimator leaves a removal's arcs dead on the instance's own arcs;
+    # the subgraph is the tests' reference, never an estimator's path
+    modules = sorted(Path(qcontain.__file__).parent.glob("*.py"))
+    assert "graph.py" in {path.name for path in modules}
+    callers = {
+        path.name
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "without_edges"
+    }
+    assert callers <= {"graph.py"}, sorted(callers)

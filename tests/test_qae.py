@@ -255,7 +255,7 @@ class TestAOperator:
             )
             if len(inst.graph.edges) > 8:
                 continue
-            a_true = exact_influence(inst).sigma / inst.graph.node_count
+            a_true = exact_influence(inst, ()).sigma / inst.graph.node_count
             spec = build_a_operator(inst, (), eval_qubits=0)
             assert abs(ancilla_p1(spec) - a_true) < 1e-9
 
@@ -439,7 +439,7 @@ class TestQpeReadout:
     def test_matches_the_row_loop_on_generated_instances(self, inst, m):
         spec = build_a_operator(inst, (), eval_qubits=m)
         good = a_state(spec)[1 << spec.n_edge_qubits:]
-        a = exact_influence(inst).sigma / inst.graph.node_count
+        a = exact_influence(inst, ()).sigma / inst.graph.node_count
         assert abs(np.vdot(good, good).real - a) <= 1e-15
         dist = _statevector_qpe_distribution(spec, m)
         assert np.abs(dist - row_loop_qpe_distribution(spec, m)).max() <= 1e-12
@@ -454,7 +454,7 @@ class TestQpeReadout:
 
 class TestQaeEstimate:
     def test_counters(self, single_edge):
-        a = exact_influence(single_edge).sigma / single_edge.graph.node_count
+        a = exact_influence(single_edge, ()).sigma / single_edge.graph.node_count
         run = read_estimate(qpe_outcome_distribution(a, 3), np.random.default_rng(0), 1)
         assert run.q_applications == 7
         assert run.a_applications == 15
@@ -473,7 +473,7 @@ class TestQaeEstimate:
         a = 1.75 / 3
         m = 5
         bound = math.pi / 2**m + math.pi**2 / 2 ** (2 * m)
-        dist = qpe_outcome_distribution(exact_influence(chain3).sigma / 3, m)
+        dist = qpe_outcome_distribution(exact_influence(chain3, ()).sigma / 3, m)
         rng = np.random.default_rng(11)
         hits = sum(abs(read_estimate(dist, rng, 1).a_hat - a) <= bound for _ in range(200))
         assert hits / 200 >= 0.8
@@ -487,7 +487,7 @@ class TestQaeEstimate:
             qae_estimate(single_edge, (), m=0, rng_seed=0, mode="statevector")
 
     def test_readout_of_the_analytic_distribution_is_analytic_mode(self, chain3):
-        a = exact_influence(chain3).sigma / chain3.graph.node_count
+        a = exact_influence(chain3, ()).sigma / chain3.graph.node_count
         for m in (1, 3, 6):
             dist = qpe_outcome_distribution(a, m)
             for seed in range(8):
@@ -542,7 +542,7 @@ class TestQaeInfluence:
             inst = generate_random_instance(
                 5, 0.3, p_range=(0.0, 1.0), i_range=(0.0, 1.0), n_seeds=1, lam=1.0, rng_seed=s
             )
-            a = exact_influence(inst).sigma / inst.graph.node_count
+            a = exact_influence(inst, ()).sigma / inst.graph.node_count
             dists = [qpe_outcome_distribution(a, m)]
             if len(inst.graph.edges) + 1 + m <= 14:
                 dists.append(_statevector_qpe_distribution(build_a_operator(inst, (), m), m))
@@ -623,7 +623,7 @@ def test_qae_estimate_reads_the_distribution_of_its_arguments():
         if mode == "statevector":
             fresh = _statevector_qpe_distribution(build_a_operator(sub, (), m), m)
         else:
-            fresh = qpe_outcome_distribution(exact_influence(sub).sigma / sub.graph.node_count, m)
+            fresh = qpe_outcome_distribution(exact_influence(sub, ()).sigma / sub.graph.node_count, m)
         for seed in range(3):
             est = qae_estimate(inst, removal, m=m, rng_seed=seed, mode=mode)
             assert est == median_of_reads(fresh, seed)
@@ -660,7 +660,7 @@ def test_an_amplitude_of_one_reads_as_one(tmp_path, capsys, text):
     # statevector readout reads it as 1 wherever the float sum of the good
     # part's squares rounds
     inst = parse_instance(text)
-    assert exact_influence(inst).sigma == inst.graph.node_count
+    assert exact_influence(inst, ()).sigma == inst.graph.node_count
     spec = build_a_operator(inst, (), eval_qubits=6)
     one = qpe_outcome_distribution(1.0, 6)
     assert np.array_equal(_statevector_qpe_distribution(spec, 6), one)
@@ -673,6 +673,15 @@ def test_an_amplitude_of_one_reads_as_one(tmp_path, capsys, text):
         assert main(argv) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("m", [3, 7, 14])
+def test_an_amplitude_rounded_past_one_reads_as_one(m):
+    # 9.000000000000004 / 9, the exact DP's sigma of a 9-node instance whose
+    # every node is infected, is 2 ulps above 1, where asin(sqrt(a)) raises
+    past = 1.0000000000000004
+    assert past > 1.0 and math.sqrt(past) > 1.0
+    assert np.array_equal(qpe_outcome_distribution(past, m), qpe_outcome_distribution(1.0, m))
 
 
 def test_statevector_distribution_at_the_qubit_cap_holds_no_block(tmp_path, capsys):

@@ -11,6 +11,7 @@ Two routes to the expected influence sigma:
   the log back once for d sigma / d p of every arc, from which sigma with
   any one arc dead follows exactly. Both skip a removal's arcs as dead, and
   add floats left to right, so the bits do not depend on the Python version.
+  Each node's probability is bounded at 1, so sigma never exceeds |V|.
 
 Each edge is attempted at most once per run, so a run can pre-draw one uniform
 coin per edge: edge k is live in trial t iff coins[t, k] < p(k). A trial's
@@ -323,7 +324,7 @@ def exact_influence(instance: ProblemInstance, removal: Iterable[int]) -> ExactI
     transition adds a node, so states are expanded in order of increasing |A|
     and each is complete when reached; one with no new nodes is terminal. A
     node joins a frontier exactly once on every run that activates it, so its
-    probability is the summed mass of the states whose frontier holds it.
+    probability is the summed mass of the states whose frontier holds it, at most 1.
     """
     return _forward(instance, closed_removal(instance.graph, removal), None)
 
@@ -434,6 +435,7 @@ def _forward(instance: ProblemInstance, dead: frozenset[int], log: list | None) 
                     # new holds only nodes outside active
                     level = pending.setdefault(size + new.bit_count(), {})
                     level[active | new, new] = level.get((active | new, new), 0.0) + w
+    node_probs = [min(prob, 1.0) for prob in node_probs]
     return ExactInfluence(
         sigma=fsum(node_probs),
         node_probs=dict(enumerate(node_probs)),

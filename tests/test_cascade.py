@@ -208,8 +208,9 @@ def test_influence_bounds(rng_seed):
     )
     if len(inst.graph.edges) > 10:
         return
-    sigma = exact_influence(inst, ()).sigma
-    assert len(inst.seeds) - 1e-12 <= sigma <= inst.graph.node_count + 1e-12
+    result = exact_influence(inst, ())
+    assert len(inst.seeds) - 1e-12 <= result.sigma <= inst.graph.node_count
+    assert max(result.node_probs.values()) <= 1.0
 
 
 @given(rng_seed=st.integers(0, 2**32 - 1), data=st.data())

@@ -58,6 +58,31 @@ def a_state(spec):
     return apply_a(qsim.init_state(spec.n_qubits), spec)
 
 
+def amplitude_rounding_bound(n_arcs):
+    """A first-order bound on |‖good‖² - a| for E = ``n_arcs`` edge qubits,
+    a from the exact DP, from the rounding steps of each side; u = 2^-53 and
+    sqrt, asin, arcsin, cos and sin are taken to be within one ulp.
+
+    Statevector: ‖good‖² sums 2^E squared amplitudes, each the float product
+    of E + 1 factors, an arc's cos or sin of half of 2 asin(sqrt(p)), then the
+    ancilla's sin of half of 2 arcsin(sqrt(f)), f = count / |V|. A factor's
+    square moves by at most 2u from the rounded sqrt (2p|delta|), 2u from the
+    angle's last ulp (the angle is below 2) and 4u from cos or sin, so it is
+    within 8u of its p, 1 - p or f, and within 9u for f, whose division
+    rounds too. The exact weights sum to 1, so an arc's two factors move the
+    sum by at most 16u and the ancilla's by 9u. The E multiplications and the
+    squaring round once each, (2E + 1)u, and a sum of 2^E nonnegative terms
+    in any order adds (2^E - 1)u: (18E + 9 + 2^E)u in all.
+
+    DP: a node's probability sums at most 2^E disjoint outcomes, each a
+    product of at most E branch factors, q = prod(1 - p) over the frontier
+    arcs into a node, or 1 - q, both within 2u per arc, and E multiplications,
+    (4E + E)u; its sum adds (2^E - 1)u, and fsum and the division by |V| 2u
+    more: (5E + 2 + 2^E)u.
+    """
+    return (23 * n_arcs + 11 + 2 ** (n_arcs + 1)) * 2.0**-53
+
+
 def ancilla_p1(spec):
     return qsim.probability_of(a_state(spec), spec.n_edge_qubits, 1)
 
@@ -435,12 +460,20 @@ class TestQpeReadout:
     @example(
         ProblemInstance(Graph(2, [Edge(0, 1, 0.25, 0.1), Edge(1, 0, 1.0, 0.1)]), frozenset({1}), 1.0), 7
     )
+    # 10 arcs, a = 0.9, and the good part's squares sum to 0.8999999999999986,
+    # 13 u below it, more than 1e-15
+    @example(
+        ProblemInstance(Graph(5, [
+            e for a, b, p in [(0, 4, 0.5), (2, 3, 0.5), (0, 2, 0.9), (0, 1, 0.25), (1, 2, 0.2)]
+            for e in (Edge(a, b, p, 0.1), Edge(b, a, p, 0.1))
+        ], True), frozenset({0, 1, 2, 3}), 1.0), 1
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_the_row_loop_on_generated_instances(self, inst, m):
         spec = build_a_operator(inst, (), eval_qubits=m)
         good = a_state(spec)[1 << spec.n_edge_qubits:]
         a = exact_influence(inst, ()).sigma / inst.graph.node_count
-        assert abs(np.vdot(good, good).real - a) <= 1e-15
+        assert abs(np.vdot(good, good).real - a) <= amplitude_rounding_bound(spec.n_edge_qubits)
         dist = _statevector_qpe_distribution(spec, m)
         assert np.abs(dist - row_loop_qpe_distribution(spec, m)).max() <= 1e-12
 

@@ -28,7 +28,7 @@ from .qae import check_evaluation_qubits, qpe_outcome_distribution, read_estimat
 
 
 def _load_instance(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_instance(fh.read())
 
 

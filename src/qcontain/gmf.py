@@ -32,7 +32,6 @@ class MinFindResult:
     min_index: int
     min_value: float
     total_oracle_calls: int
-    rounds: tuple[tuple[float, int], ...]
 
 
 def _padded_size(size: int) -> int:
@@ -85,33 +84,25 @@ def durr_hoyer_min(
     best = int(rng.integers(n_items))
     best_val = float(values[best])
     if n_items == 1:
-        return MinFindResult(best, best_val, 0, ())
+        return MinFindResult(best, best_val, 0)
     calls = 0
-    rounds: list[tuple[float, int]] = []
     r = 0
     fail_calls = 0
     while calls < budget and fail_calls < fail_budget and r < _MAX_ROUNDS:
         cap = min(ceil(GROWTH**r), iteration_cap)
         k = int(rng.integers(0, cap + 1))
         k = min(k, budget - calls)
-        threshold = best_val
-        found = grover_search(values < threshold, k, rng_seed=rng)
+        found = grover_search(values < best_val, k, rng_seed=rng)
         calls += k
         if found is not None:
             calls += 1  # classical verification of the returned candidate
-            rounds.append((threshold, found))
             best = found
             best_val = float(values[best])
             fail_calls = 0
         else:
             fail_calls += k
         r += 1
-    return MinFindResult(
-        min_index=best,
-        min_value=best_val,
-        total_oracle_calls=calls,
-        rounds=tuple(rounds),
-    )
+    return MinFindResult(min_index=best, min_value=best_val, total_oracle_calls=calls)
 
 
 def make_gmf_finder(seeds: Iterator):

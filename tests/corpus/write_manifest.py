@@ -18,6 +18,7 @@ import numpy as np
 from qcontain.cli import main
 
 CORPUS = Path(__file__).resolve().parent
+README = CORPUS.parents[1] / "README.md"
 INSTANCES = sorted(path.name for path in CORPUS.glob("*.txt"))
 PLATFORM = {"python": "%d.%d" % sys.version_info[:2], "numpy": ".".join(np.__version__.split(".")[:2])}
 
@@ -50,9 +51,16 @@ def hash_calls(lines: list[str]) -> list[str]:
     return digests
 
 
-if __name__ == "__main__":
-    # contain with every estimator, finder, strategy and k_max on three instances,
-    # estimate with every method on every instance, then each call in calls.list
+def readme_calls() -> list[str]:
+    """The ``qcontain ...`` lines of README's CLI block, in order, without the program name."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.removeprefix("qcontain ") for line in block.splitlines() if line.startswith("qcontain ")]
+
+
+def calls() -> list[str]:
+    """Every call the manifest pins, once each, in order: contain with every estimator,
+    finder, strategy and k_max on three instances, estimate with every method on every
+    instance, then each call in calls.list, then README's CLI block."""
     estimators = ["exact", "mc --trials 500", "qae --epsilon 0.3", "qae --epsilon 0.3 --analytic"]
     lines = [f"contain --instance {inst} --estimator {est} --finder {finder} --strategy {strategy} "
              f"--k-max {k_max} --rng 3 --out out.csv"
@@ -62,6 +70,11 @@ if __name__ == "__main__":
     lines += [f"estimate --instance {inst} --method {est} --rng 3 --out out.csv"
               for inst in INSTANCES for est in estimators]
     listed = (CORPUS / "calls.list").read_text(encoding="utf-8").splitlines()
-    lines = list(dict.fromkeys(lines + [line for line in listed if line and line[0] != "#"]))
+    lines += [line for line in listed if line and line[0] != "#"]
+    return list(dict.fromkeys(lines + readme_calls()))
+
+
+if __name__ == "__main__":
+    lines = calls()
     manifest = {**PLATFORM, "entries": dict(zip(lines, hash_calls(lines)))}
     (CORPUS / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from qcontain.containment import (
     make_mc_estimator,
 )
 from qcontain.graph import (
+    MAX_EDGES,
     Edge,
     Graph,
     ProblemInstance,
@@ -770,6 +771,11 @@ def test_chunk_rows_bound_coin_memory():
         rows = cascade._chunk_rows(n_edges)
         assert rows % 64 == 0
         assert rows * 8 * max(n_edges, 1) <= cascade.COIN_CHUNK_BYTES
+
+
+def test_the_arc_limit_is_one_64_trial_coin_chunk():
+    # MAX_EDGES is the most arcs whose 64 trials of 8-byte coins fit in one chunk
+    assert MAX_EDGES * 64 * 8 == cascade.COIN_CHUNK_BYTES
 
 
 def test_chunked_coins_give_the_same_estimate(monkeypatch):

@@ -3,7 +3,6 @@ import gc
 import io
 import os
 import resource
-import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus.write_manifest import readme_calls
 from qcontain import cli, containment, gmf, graph, qae
 from qcontain.cascade import exact_influence
 from qcontain.cli import main
@@ -20,7 +20,6 @@ from qcontain.graph import MAX_EDGES, MAX_NODES
 from qcontain.qsim import MAX_QUBITS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-README = Path(__file__).resolve().parents[1] / "README.md"
 # the address-space cap of the child only, in KiB: a size check that is
 # missing shows as a MemoryError traceback instead of exhausting the machine
 CHILD_AS_KIB = 3_000_000
@@ -338,6 +337,15 @@ def test_undirected_with_a_value_exits_2(tmp_path, capsys):
     path.write_text("nodes 3\nundirected false\n0 1 0.5 0.3\n1 2 0.5 0.3\nseeds 0\nlambda 1.0\n")
     code, out, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
     assert (code, out, err) == (2, "", "error: line 2: expected 'undirected' with no value\n")
+
+
+def test_a_byte_order_mark_prints_the_same_bytes(tmp_path, capsys):
+    text = "nodes 3\n0 1 0.5 0.3\n1 2 0.5 0.3\nseeds 0\nlambda 0.7\n"
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.txt").write_text(text, encoding="utf-8-sig")
+    plain, bom = (run(["contain", "--instance", str(tmp_path / name), "--k-max", "2"], capsys)
+                  for name in ("plain.txt", "bom.txt"))
+    assert plain[0] == 0 and bom == plain
 
 
 def test_missing_instance_file(capsys):
@@ -791,10 +799,9 @@ def test_fuzzed_flags_exit_0_or_2(fuzz_dir, data):
 
 
 def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
-    # every `qcontain ...` line of README's CLI block, in order: gen writes the
-    # inst.txt the later lines read
-    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qcontain ")]
+    # every `qcontain ...` line of README's CLI block, in order: each gen writes
+    # the instance the lines after it read
+    examples = [line.split() for line in readme_calls()]
     assert examples and examples[0][0] == "gen"
     monkeypatch.chdir(tmp_path)
     for argv in examples:

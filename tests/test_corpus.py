@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from corpus.write_manifest import CORPUS, PLATFORM, hash_calls
+from corpus.write_manifest import CORPUS, PLATFORM, calls, hash_calls
 
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
 ENTRIES = MANIFEST["entries"]
@@ -12,6 +12,12 @@ ENTRIES = MANIFEST["entries"]
 @pytest.fixture(scope="module")
 def hashes():
     return dict(zip(ENTRIES, hash_calls(list(ENTRIES))))
+
+
+def test_the_manifest_holds_every_call_in_order():
+    # a call added to calls.list, README's CLI block or the products, a new
+    # instance text among them, is pinned only once the writer has hashed it
+    assert list(ENTRIES) == calls()
 
 
 def test_every_entry_hashes_as_written(hashes, capfd):

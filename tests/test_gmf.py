@@ -88,12 +88,6 @@ class TestDurrHoyer:
             result = durr_hoyer_min(values, rng_seed=rng)
             assert result.min_value == values[result.min_index]
 
-    def test_round_thresholds_strictly_decrease(self):
-        result = durr_hoyer_min(list(range(32, 0, -1)), rng_seed=3)
-        thresholds = [t for t, _ in result.rounds]
-        assert thresholds == sorted(thresholds, reverse=True)
-        assert len(set(thresholds)) == len(thresholds)
-
     def test_statistical_success_and_cost(self):
         found = 0
         calls = []

@@ -137,6 +137,12 @@ def parse_instance(text: str) -> ProblemInstance:
     lam: float | None = None
     names: dict[str, int] = {}
 
+    def number(convert, token: str):
+        # int and float also read other scripts' digits and '_' separators
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
+        return convert(token)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,7 +155,7 @@ def parse_instance(text: str) -> ProblemInstance:
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected 'nodes <N>'")
             try:
-                node_count = int(tokens[1])
+                node_count = number(int, tokens[1])
             except ValueError:
                 raise ParseError(lineno, f"bad node count {tokens[1]!r}") from None
             if node_count < 1:
@@ -170,7 +176,7 @@ def parse_instance(text: str) -> ProblemInstance:
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected 'lambda <x>'")
             try:
-                lam = float(tokens[1])
+                lam = number(float, tokens[1])
             except ValueError:
                 raise ParseError(lineno, f"bad lambda {tokens[1]!r}") from None
             if not (0.0 <= lam <= 1.0):
@@ -179,8 +185,8 @@ def parse_instance(text: str) -> ProblemInstance:
             if len(tokens) != 4:
                 raise ParseError(lineno, f"malformed line {line!r}")
             try:
-                p = float(tokens[2])
-                i = float(tokens[3])
+                p = number(float, tokens[2])
+                i = number(float, tokens[3])
             except ValueError:
                 raise ParseError(lineno, f"malformed line {line!r}") from None
             edge_lines.append((lineno, tokens[0], tokens[1], p, i))
@@ -196,7 +202,7 @@ def parse_instance(text: str) -> ProblemInstance:
 
     def resolve(lineno: int, token: str) -> int:
         try:
-            idx = int(token)
+            idx = number(int, token)
         except ValueError:
             idx = None
         kinds.add(idx is not None)

@@ -2,7 +2,13 @@
 stderr and ``--out`` bytes, and the Python and numpy minor versions it ran on.
 After a change that moves output bytes on purpose, rerun it from the repository
 root, ``PYTHONPATH=src python tests/corpus/write_manifest.py``, and list the
-entries that moved in CHANGES.md."""
+entries that moved in CHANGES.md.
+
+calls.list is also the one list of the CLI's refusals. A call there that exits
+non-zero with the CLI's own message is followed by a ``#> <exit code> <stderr
+line>`` line, which ``refusals()`` reads; the writer skips it as it skips every
+``#`` line, so no hash depends on it. A call that argparse refuses needs none:
+its stderr starts with ``usage:``, in the interpreter's own wording."""
 import contextlib
 import hashlib
 import io
@@ -23,9 +29,10 @@ INSTANCES = sorted(path.name for path in CORPUS.glob("*.txt"))
 PLATFORM = {"python": "%d.%d" % sys.version_info[:2], "numpy": ".".join(np.__version__.split(".")[:2])}
 
 
-def hash_calls(lines: list[str]) -> list[str]:
-    """Each call's sha256, run in turn in a temporary directory that holds the instance texts."""
-    home, digests = os.getcwd(), []
+def run_calls(lines: list[str]) -> list[tuple]:
+    """Each call's (exit code, stdout, stderr, ``--out`` bytes or None), run in turn in a
+    temporary directory that holds the instance texts."""
+    home, results = os.getcwd(), []
     with tempfile.TemporaryDirectory() as tmp:
         for name in INSTANCES:
             shutil.copy(CORPUS / name, tmp)
@@ -44,17 +51,41 @@ def hash_calls(lines: list[str]) -> list[str]:
                     path.unlink()
                     if path.name in INSTANCES:
                         shutil.copy(CORPUS / path.name, path)
-                text = repr((code, out.getvalue(), err.getvalue(), data))
-                digests.append(hashlib.sha256(text.encode()).hexdigest())
+                results.append((code, out.getvalue(), err.getvalue(), data))
         finally:
             os.chdir(home)
-    return digests
+    return results
+
+
+def hash_calls(results: list[tuple]) -> list[str]:
+    """The sha256 of each of ``run_calls``'s results."""
+    return [hashlib.sha256(repr(result).encode()).hexdigest() for result in results]
 
 
 def readme_calls() -> list[str]:
     """The ``qcontain ...`` lines of README's CLI block, in order, without the program name."""
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line.removeprefix("qcontain ") for line in block.splitlines() if line.startswith("qcontain ")]
+
+
+def _listed() -> list[str]:
+    return (CORPUS / "calls.list").read_text(encoding="utf-8").splitlines()
+
+
+def listed_calls() -> list[str]:
+    """The calls of calls.list, in order."""
+    return [line for line in _listed() if line and line[0] != "#"]
+
+
+def refusals() -> dict[str, tuple[int, str]]:
+    """Each call of calls.list that a ``#> <code> <line>`` line follows: its exit code and
+    the one line it writes to stderr, in order."""
+    lines, found = _listed(), {}
+    for call, note in zip(lines, lines[1:]):
+        if note.startswith("#> "):
+            _, code, line = note.split(" ", 2)
+            found[call] = (int(code), line)
+    return found
 
 
 def calls() -> list[str]:
@@ -69,12 +100,11 @@ def calls() -> list[str]:
              for k_max in [0, 3]]
     lines += [f"estimate --instance {inst} --method {est} --rng 3 --out out.csv"
               for inst in INSTANCES for est in estimators]
-    listed = (CORPUS / "calls.list").read_text(encoding="utf-8").splitlines()
-    lines += [line for line in listed if line and line[0] != "#"]
+    lines += listed_calls()
     return list(dict.fromkeys(lines + readme_calls()))
 
 
 if __name__ == "__main__":
     lines = calls()
-    manifest = {**PLATFORM, "entries": dict(zip(lines, hash_calls(lines)))}
+    manifest = {**PLATFORM, "entries": dict(zip(lines, hash_calls(run_calls(lines))))}
     (CORPUS / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")

@@ -42,7 +42,7 @@ def build_q_operator(psi: np.ndarray):
     so Q is applied as 2 psi <psi|S_f v> - S_f v without undoing A.
 
     ``apply_q(state, out=None)`` writes Q state into ``out`` (a new array if
-    None), which may be ``state`` itself, and returns it.
+    None) and returns it.
     """
     # the ancilla is the top qubit, so S_f flips the sign of the upper half
     sign = np.ones(len(psi), dtype=complex)

@@ -116,6 +116,43 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3: node '0' mixes integer ids"):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("nodes 1_0\n", "line 1: bad node count '1_0'", id="nodes-underscore"),
+            pytest.param("nodes ١٠\n", "line 1: bad node count '١٠'", id="nodes-arabic-digits"),
+            pytest.param("nodes 2\n0 1 0_5 0.1\n", "line 2: malformed line '0 1 0_5 0.1'", id="p-underscore"),
+            pytest.param("nodes 2\n0 1 0.5 ٠.1\n", "line 2: malformed line '0 1 0.5 ٠.1'", id="i-arabic-digit"),
+            pytest.param("nodes 2\nlambda 0_5e-1\n", "line 2: bad lambda '0_5e-1'", id="lambda-underscore"),
+            pytest.param(
+                "nodes 2\n0 ١ 0.5 0.1\nseeds 0\nlambda 1\n",
+                "line 2: node '١' mixes integer ids with symbolic names; use one or the other",
+                id="node-arabic-digit",
+            ),
+            pytest.param(
+                "nodes 3\n0 1 0.5 0.1\n1 2_0 0.5 0.1\nseeds 0\nlambda 1\n",
+                "line 3: node '2_0' mixes integer ids with symbolic names; use one or the other",
+                id="node-underscore",
+            ),
+        ],
+    )
+    def test_numbers_are_ascii_without_underscores(self, text, message):
+        # int() and float() also read other scripts' digits and '_' separators
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
+    def test_signs_and_leading_zeros_parse_as_ints(self):
+        inst = parse_instance("nodes +3\n+0 01 0.5 0.1\n1 02 0.5 0.1\nseeds 0\nlambda 1\n")
+        assert inst.graph.node_count == 3
+        assert [(e.src, e.dst) for e in inst.graph.edges] == [(0, 1), (1, 2)]
+        with pytest.raises(ParseError, match="line 2: unknown node -1"):
+            parse_instance("nodes 2\n0 -1 0.5 0.1\nseeds 0\nlambda 1\n")
+
+    def test_a_name_may_hold_an_underscore_or_other_digits(self):
+        inst = parse_instance("nodes 3\nhost_1 ١ 0.5 0.1\n١ 1_0 0.5 0.1\nseeds host_1\nlambda 1\n")
+        assert [(e.src, e.dst) for e in inst.graph.edges] == [(0, 1), (1, 2)]
+
     def test_node_count_limit(self):
         text = "# big\nnodes {}\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n"
         assert parse_instance(text.format(MAX_NODES)).graph.node_count == MAX_NODES

@@ -33,7 +33,7 @@ from qcontain.qae import (
     read_estimate,
 )
 
-from qpe_reference import apply_a, build_q_operator, readout, row_loop_qpe_distribution
+from qpe_reference import apply_a, build_q_operator, row_loop_qpe_distribution
 
 
 def median_of_reads(dist, rng_seed):
@@ -124,19 +124,6 @@ def ladder_qpe_distribution(spec, m):
     state = qsim.inverse_qft(state, register)
     # the register holds the high m qubits: row y of the reshape is its outcome y
     return qsim.register_distribution(state).reshape(1 << m, -1).sum(axis=1)
-
-
-def recurrence_block(psi, m):
-    """Reference block: Q^y psi / sqrt(M) by the copy-based recurrence, S_f on
-    a copy of the previous row, then the reflection about psi."""
-    half = len(psi) // 2
-    block = np.empty((1 << m, len(psi)), dtype=complex)
-    block[0] = psi / math.sqrt(len(block))
-    for y in range(1, len(block)):
-        f = block[y - 1].copy()
-        f[half:] *= -1
-        block[y] = 2 * np.vdot(psi, f) * psi - f
-    return block
 
 
 def fejer_qpe_distribution(a, m):
@@ -348,20 +335,6 @@ class TestQOperator:
             out = q(state)
             assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-9)
 
-    def test_out_may_be_the_input(self, chain3):
-        spec = build_a_operator(chain3, (), eval_qubits=0)
-        q = build_q_operator(a_state(spec))
-        rng = np.random.default_rng(5)
-        dim = 1 << spec.n_qubits
-        for _ in range(5):
-            x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            before = x.copy()
-            fresh = q(x)
-            assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
-            assert q(x, out=x) is x
-            assert np.array_equal(x.view(np.uint64), fresh.view(np.uint64))
-
-
 class TestQpeReadout:
     def test_grid_aligned_half(self):
         # a = 0.5 means theta/pi = 1/4, exactly on the m=3 grid: y in {2, 6}
@@ -431,26 +404,6 @@ class TestQpeReadout:
                     assert np.abs(dist - ladder).max() <= 1e-12
                 checked += 1
         assert checked >= 8
-
-    def test_block_equals_the_copy_based_recurrence_bitwise(self):
-        p_ranges = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.6, 1.0)]
-        checked, probabilities = 0, set()
-        for seed in range(12):
-            inst = generate_random_instance(
-                5, 0.3, p_range=p_ranges[seed % 4], i_range=(0.0, 1.0), n_seeds=1 + seed % 2,
-                lam=1.0, rng_seed=seed
-            )
-            if not inst.graph.edges:
-                continue
-            probabilities.update(e.p for e in inst.graph.edges)
-            spec = build_a_operator(inst, (), eval_qubits=0)
-            for m in (3, 6):
-                reference = readout(recurrence_block(a_state(spec), m))
-                dist = row_loop_qpe_distribution(spec, m)
-                assert np.array_equal(dist.view(np.uint64), reference.view(np.uint64))
-            checked += 1
-        assert checked >= 8
-        assert {0.0, 1.0} <= probabilities
 
     @given(qae_instances(), st.integers(1, 8))
     @example(ProblemInstance(Graph(1, []), frozenset({0}), 1.0), 1)

@@ -222,6 +222,21 @@ class TestBenchmarks:
         assert all(int(r[2]) == 0 for r in gmf_n1)
 
 
+def test_more_names_than_nodes_exits_2(tmp_path, capsys):
+    path = tmp_path / "names.txt"
+    path.write_text("nodes 2\na b 0.5 0.3\nb c 0.5 0.3\nseeds a\nlambda 1.0\n")
+    code, _, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 2
+    assert err.startswith("error: line 3:")
+
+
+def test_undirected_with_a_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "flag.txt"
+    path.write_text("nodes 3\nundirected false\n0 1 0.5 0.3\n1 2 0.5 0.3\nseeds 0\nlambda 1.0\n")
+    code, out, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
+    assert (code, out, err) == (2, "", "error: line 2: expected 'undirected' with no value\n")
+
+
 def test_a_byte_order_mark_prints_the_same_bytes(tmp_path, capsys):
     text = "nodes 3\n0 1 0.5 0.3\n1 2 0.5 0.3\nseeds 0\nlambda 0.7\n"
     (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
@@ -234,6 +249,23 @@ def test_a_byte_order_mark_prints_the_same_bytes(tmp_path, capsys):
 def test_missing_instance_file(capsys):
     code, _, err = run(["estimate", "--instance", "/nonexistent", "--method", "exact"], capsys)
     assert code == 1
+
+
+def test_mixed_names_and_ids_exits_2(tmp_path, capsys):
+    path = tmp_path / "mixed.txt"
+    path.write_text("nodes 3\na b 1.0 0.1\n0 2 1.0 0.1\nseeds a\nlambda 1.0\n")
+    code, _, err = run(["estimate", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 2
+    assert err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_huge_node_count_exits_2(tmp_path, capsys, method):
+    path = tmp_path / "huge.txt"
+    path.write_text("nodes 100000000000\n0 1 0.5 0.3\nseeds 0\nlambda 1.0\n")
+    code, _, err = run(["estimate", "--instance", str(path), "--method", method], capsys)
+    assert code == 2
+    assert err.startswith("error: line 1: node count 100000000000 exceeds the limit")
 
 
 def test_exact_over_work_budget_exits_2(tmp_path, capsys):
